@@ -19,7 +19,10 @@ parameter tuple (n, a, K, P):
   group-1 vertices (see ``cross_moment_ratio``).
 
 Binomial-coefficient ratios are evaluated as products of K linear factors in
-log space; raw factorials are never formed, so P up to ~1e9 is fine.  An
+log space; raw factorials are never formed, so P up to ~1e9 is fine.  A ratio
+whose exp would underflow is returned as 0.0 without the full sum, so one
+ratio costs O(min(K_i, K_j, sqrt(745 P))) terms, and the seeded ring-size
+search needs O(log K_1) of them near its answer.  An
 exact rational mirror of the same formulas lives in ``rigraph.exact`` and is
 used by the test suite as ground truth for the float path.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,13 +43,30 @@ from .errors import (
 
 _SUM_TOL = 1e-9  # |sum(a) - 1| beyond this is rejected, within it renormalized
 
+# exp(x) rounds to 0.0 for every x below ln(2^-1075); this cut-off sits 0.3
+# lower, a margin far wider than the rounding of the bound that is compared.
+_LOG_UNDERFLOW = math.log(2.0**-1074) - 1.0
+# below this many log terms the full sum is cheaper than testing the bound
+_BOUND_MIN_TERMS = 64
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as a Python int; bools and non-integers are rejected."""
+    if isinstance(value, bool):
+        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParamsError(f"{name} must be an integer, got {value!r}") from None
+
 
 @dataclass(frozen=True)
 class ModelParams:
     """Immutable parameter tuple (n, a, K, P); single source of truth.
 
     Invariants enforced at construction:
-      * n >= 1, P >= 1
+      * n, P and every K_i are integers (numpy integers are stored as Python
+        ints; bools are rejected), n >= 1, P >= 1
       * len(a) == len(K) == m >= 1, every a_i > 0, sum(a) == 1 within 1e-9
         (renormalized exactly to sum 1 on construction, rejected otherwise)
       * 1 <= K_1 <= K_2 <= ... <= K_m <= P.  Out-of-order K is rejected, not
@@ -58,12 +79,14 @@ class ModelParams:
     P: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        n = _as_int("n", self.n)
+        if n < 1:
             raise InvalidParamsError(f"n must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.P, int) or self.P < 1:
+        P = _as_int("P", self.P)
+        if P < 1:
             raise InvalidParamsError(f"P must be an integer >= 1, got {self.P!r}")
         a = tuple(float(x) for x in self.a)
-        K = tuple(self.K)
+        K = tuple(_as_int("every K_i", k) for k in self.K)
         if len(a) == 0 or len(a) != len(K):
             raise InvalidParamsError(
                 f"a and K must be nonempty and equally long, got {len(a)} and {len(K)}"
@@ -77,12 +100,12 @@ class ModelParams:
             )
         a = tuple(x / total for x in a)
         for i, k in enumerate(K):
-            if not isinstance(k, int):
-                raise InvalidParamsError(f"K must contain integers, got {k!r}")
-            if k < 1 or k > self.P:
-                raise InvalidParamsError(f"need 1 <= K_{i + 1} <= P, got K={K}, P={self.P}")
+            if k < 1 or k > P:
+                raise InvalidParamsError(f"need 1 <= K_{i + 1} <= P, got K={K}, P={P}")
         if any(K[i] > K[i + 1] for i in range(len(K) - 1)):
             raise InvalidParamsError(f"ring sizes must be nondecreasing, got {K}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "P", P)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "K", K)
 
@@ -129,7 +152,19 @@ def log_no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
 
 def no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
     """Probability that a uniform Ki-subset and an independent uniform
-    Kj-subset of a P-element pool are disjoint: C(P-Ki, Kj) / C(P, Kj)."""
+    Kj-subset of a P-element pool are disjoint: C(P-Ki, Kj) / C(P, Kj).
+
+    Equals ``exp(log_no_overlap_ratio(P, Ki, Kj))`` bit for bit, but costs
+    O(min(Ki, Kj, sqrt(745 P))) terms: each of the min(Ki, Kj) log terms is
+    at most log1p(-max(Ki, Kj)/P), so once that many copies of the first
+    term fall below the underflow cut-off, the result is 0.0 without the sum.
+    """
+    small, large = (Ki, Kj) if Ki <= Kj else (Kj, Ki)
+    # these two tests also ensure 0 < small <= large < P, which the bound
+    # needs; other inputs go to log_no_overlap_ratio, which validates them
+    if small > _BOUND_MIN_TERMS and large < P:
+        if small * math.log1p(-large / P) < _LOG_UNDERFLOW:
+            return 0.0
     lr = log_no_overlap_ratio(P, Ki, Kj)
     if lr == 0.0:
         return 1.0
@@ -282,9 +317,16 @@ def solve_k1(
 
     Searches base sizes K_1 in [1, P] with K_j tied to K_1 through
     ``ring_sizes_for`` and returns the smallest vector with
-    beta(params) >= target_beta.  Integer bisection is valid because b_1
-    (hence beta) is nondecreasing in K_1.  Raises ``UnachievableError`` when
-    even K = (P, ..., P) stays below the target.
+    beta(params) >= target_beta.  Raises ``UnachievableError`` when even
+    K = (P, ..., P) stays below the target.
+
+    The search starts from the small-ring estimate b_1 ~ K_1^2 sum_j a_j r_j / P,
+    i.e. K_1 ~ sqrt(P (ln n + target) / (n sum_j a_j r_j)), clamped to [2, P].
+    From there it gallops down or up with doubling steps until
+    beta(lo) < target <= beta(hi), then bisects inside that bracket.  Both
+    steps are valid because b_1 (hence beta) is nondecreasing in K_1, so the
+    result is the one a bisection over all of [1, P] finds; near the answer
+    the search costs O(log K_1) beta evaluations instead of O(log P).
     """
     a = tuple(float(x) for x in a)
     ratios = tuple(float(r) for r in ratios)
@@ -299,10 +341,27 @@ def solve_k1(
         raise UnachievableError(
             f"target beta {target_beta} unachievable: even K=(P,...,P) gives beta {beta_at(P)}"
         )
-    lo, hi = 1, P
+    lo, hi = 1, P  # invariant: beta_at(lo) < target <= beta_at(hi)
     if beta_at(lo) >= target_beta:
         return ring_sizes_for(lo, ratios, P)
-    while hi - lo > 1:  # invariant: beta_at(lo) < target <= beta_at(hi)
+    mean_ratio = math.fsum(aj * r for aj, r in zip(a, ratios))
+    estimate = math.sqrt(max(0.0, P * (math.log(n) + target_beta) / (n * mean_ratio)))
+    k = min(P, max(2, math.ceil(estimate)))
+    step = 1
+    if k < P:
+        if beta_at(k) >= target_beta:
+            hi = k
+            while hi - step > lo and beta_at(hi - step) >= target_beta:
+                hi -= step
+                step *= 2
+            lo = max(lo, hi - step)
+        else:
+            lo = k
+            while lo + step < hi and beta_at(lo + step) < target_beta:
+                lo += step
+                step *= 2
+            hi = min(hi, lo + step)
+    while hi - lo > 1:
         mid = (lo + hi) // 2
         if beta_at(mid) >= target_beta:
             hi = mid

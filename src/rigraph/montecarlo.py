@@ -93,7 +93,10 @@ def resolve_workers(workers: int | None = None) -> int:
     """Explicit argument wins, then RIG_THREADS, then 1."""
     if workers is None:
         raw = os.environ.get(ENV_WORKERS, "")
-        workers = int(raw) if raw.strip() else 1
+        try:
+            workers = int(raw) if raw.strip() else 1
+        except ValueError:
+            raise InvalidParamsError(f"{ENV_WORKERS} must be an integer, got {raw!r}") from None
     if workers < 1:
         raise InvalidParamsError(f"workers must be >= 1, got {workers}")
     return workers

@@ -1,0 +1,64 @@
+"""Slow references for the ring-size solver and the avoidance ratio.
+
+``bisect_solve_k1`` is the plain integer bisection over [1, P] that
+``solve_k1`` used before its search was seeded; ``bisect_solve_k1_nearest``
+is ``solve_k1_nearest`` built on it.  ``full_sum_no_overlap_ratio`` is
+``no_overlap_ratio`` without its underflow bound: the exp of the full
+compensated log sum.  The tests require the fast paths to match these
+exactly.
+"""
+
+from __future__ import annotations
+
+import math
+
+from rigraph import ModelParams, UnachievableError, beta, ring_sizes_for
+from rigraph.model_core import log_no_overlap_ratio
+
+
+def full_sum_no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
+    lr = log_no_overlap_ratio(P, Ki, Kj)
+    if lr == 0.0:
+        return 1.0
+    if lr == -math.inf:
+        return 0.0
+    return math.exp(lr)
+
+
+def bisect_solve_k1(
+    n: int, P: int, a: tuple[float, ...], ratios: tuple[float, ...], target_beta: float
+) -> tuple[int, ...]:
+    a = tuple(float(x) for x in a)
+    ratios = tuple(float(r) for r in ratios)
+
+    def beta_at(k1: int) -> float:
+        return beta(ModelParams(n=n, a=a, K=ring_sizes_for(k1, ratios, P), P=P))
+
+    if beta_at(P) < target_beta:
+        raise UnachievableError(f"target beta {target_beta} unachievable")
+    lo, hi = 1, P
+    if beta_at(lo) >= target_beta:
+        return ring_sizes_for(lo, ratios, P)
+    while hi - lo > 1:  # invariant: beta_at(lo) < target <= beta_at(hi)
+        mid = (lo + hi) // 2
+        if beta_at(mid) >= target_beta:
+            hi = mid
+        else:
+            lo = mid
+    return ring_sizes_for(hi, ratios, P)
+
+
+def bisect_solve_k1_nearest(
+    n: int, P: int, a: tuple[float, ...], ratios: tuple[float, ...], target_beta: float
+) -> tuple[int, ...]:
+    upper = bisect_solve_k1(n, P, a, ratios, target_beta)
+    if upper[0] == 1:
+        return upper
+    lower = ring_sizes_for(upper[0] - 1, tuple(float(r) for r in ratios), P)
+
+    def achieved(K: tuple[int, ...]) -> float:
+        return beta(ModelParams(n=n, a=a, K=K, P=P))
+
+    if abs(achieved(lower) - target_beta) <= abs(achieved(upper) - target_beta):
+        return lower
+    return upper

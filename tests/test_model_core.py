@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigraph import (
@@ -25,12 +26,14 @@ from rigraph import (
     pairwise_edge_prob,
     ring_sizes_for,
     solve_k1,
+    solve_k1_nearest,
 )
 from rigraph import exact
 from rigraph.model_core import AdvisoryBounds
 from rigraph.oracle import enumerate_pair_prob
 
 from conftest import small_params
+from reference_solver import bisect_solve_k1, bisect_solve_k1_nearest, full_sum_no_overlap_ratio
 
 
 # ---------------------------------------------------------------- params
@@ -62,6 +65,25 @@ class TestModelParams:
         with pytest.raises(InvalidParamsError):
             ModelParams(n=2, a=(0.5, 0.5), K=(1,), P=3)
 
+    def test_rejects_bool_integers(self):
+        with pytest.raises(InvalidParamsError, match="n must be an integer"):
+            ModelParams(n=True, a=(1.0,), K=(1,), P=3)
+        with pytest.raises(InvalidParamsError, match="P must be an integer"):
+            ModelParams(n=2, a=(1.0,), K=(1,), P=True)
+        with pytest.raises(InvalidParamsError, match="K_i must be an integer"):
+            ModelParams(n=2, a=(0.5, 0.5), K=(True, 2), P=3)
+        with pytest.raises(InvalidParamsError, match="K_i must be an integer"):
+            ModelParams(n=2, a=(1.0,), K=(2.0,), P=3)
+
+    def test_numpy_integers_stored_as_python_ints(self):
+        plain = ModelParams(n=5, a=(0.5, 0.5), K=(2, 3), P=7)
+        for K in (np.array([2, 3], dtype=np.int32), (np.int64(2), np.int32(3))):
+            got = ModelParams(n=np.int64(5), a=(0.5, 0.5), K=tuple(K), P=np.int64(7))
+            assert all(type(x) is int for x in (got.n, got.P, *got.K))
+            assert got == plain
+            assert hash(got) == hash(plain)
+            assert got.fingerprint() == plain.fingerprint()
+
     def test_fingerprint_distinguishes(self):
         p1 = ModelParams(n=2, a=(0.5, 0.5), K=(1, 2), P=5)
         p2 = ModelParams(n=2, a=(0.5, 0.5), K=(1, 2), P=6)
@@ -70,6 +92,21 @@ class TestModelParams:
 
 
 # ---------------------------------------------------------------- no_overlap_ratio
+
+@st.composite
+def ratio_cases(draw):
+    """(P, Ki, Kj) near the underflow boundary of exp(log ratio), where
+    Ki*Kj/P ~ 730..760 for small rings, or anywhere on a small pool, which
+    covers the 0.0 / 1.0 / -inf branches."""
+    if draw(st.booleans()):
+        P = draw(st.integers(1, 60))
+        return P, draw(st.integers(0, P)), draw(st.integers(0, P))
+    P = draw(st.integers(800, 10**9))
+    small = draw(st.integers(1, min(P, 40_000)))
+    bound = draw(st.floats(-760.0, -730.0))  # small * log1p(-large / P)
+    large = min(P, max(small, math.ceil(-P * math.expm1(bound / small))))
+    return (P, small, large) if draw(st.booleans()) else (P, large, small)
+
 
 class TestNoOverlapRatio:
     def test_worked_value(self):
@@ -105,6 +142,17 @@ class TestNoOverlapRatio:
                         assert abs(got - float(want)) <= 1e-12 * float(want)
                     # symmetry is exact in floating point by construction
                     assert got == no_overlap_ratio(P, Kj, Ki)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=ratio_cases())
+    # exp of the full sum is 2^-1074 here, with the bound just below -744.94
+    @example(case=(169417827, 763, 105612087))
+    @example(case=(32144123, 2207, 9208709))
+    def test_underflow_bound_is_bit_identical_to_full_sum(self, case):
+        P, Ki, Kj = case
+        want = full_sum_no_overlap_ratio(P, Ki, Kj)
+        assert no_overlap_ratio(P, Ki, Kj).hex() == want.hex()
+        assert no_overlap_ratio(P, Kj, Ki).hex() == want.hex()
 
 
 # ---------------------------------------------------------------- edge probabilities
@@ -339,6 +387,59 @@ class TestSolveK1:
             solve_k1(10, 20, (0.5, 0.5), (1.0,), 0.0)  # length mismatch
         with pytest.raises(InvalidParamsError):
             solve_k1(10, 20, (0.5, 0.5), (1.0, 2.0), math.inf)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_plain_bisection(self, data):
+        m = data.draw(st.integers(1, 3))
+        extra = data.draw(st.lists(
+            st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.floats(1.0, 6.0)),
+            min_size=m - 1, max_size=m - 1,
+        ))
+        ratios = (1.0, *sorted(extra))
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+        a = tuple(w / sum(weights) for w in weights)
+        n = data.draw(st.integers(2, 10**5))
+        P = data.draw(st.integers(1, 10**5))
+        if data.draw(st.booleans()):
+            target = data.draw(st.floats(-40.0, 40.0))
+        else:  # land exactly on an achieved deviation, where ">=" decides
+            k1 = data.draw(st.integers(1, P))
+            target = beta(ModelParams(n=n, a=a, K=ring_sizes_for(k1, ratios, P), P=P))
+
+        def outcome(solve):
+            try:
+                return solve(n, P, a, ratios, target)
+            except UnachievableError:
+                return "unachievable"
+
+        assert outcome(solve_k1) == outcome(bisect_solve_k1)
+        assert outcome(solve_k1_nearest) == outcome(bisect_solve_k1_nearest)
+
+    @pytest.mark.parametrize(
+        "a, ratios", [((1.0,), (1.0,)), ((0.2, 0.3, 0.5), (1.0, 1.5, 3.0))]
+    )
+    def test_huge_pool_needs_few_evaluations(self, a, ratios):
+        # the plain bisection's first probe, K_1 = P/2, alone sums 5e8 terms
+        n, P, target = 10**6, 10**9, 0.0
+        before = b_vector.cache_info()
+        K = solve_k1(n, P, a, ratios, target)
+        after = b_vector.cache_info()
+        assert (after.hits + after.misses) - (before.hits + before.misses) <= 8
+        assert K == ring_sizes_for(K[0], ratios, P)
+
+        def exact_b1(k1):  # product of rationals, independent of model_core
+            ring = ring_sizes_for(k1, ratios, P)
+            avoid = [math.prod(Fraction(P - ring[0] - t, P - t) for t in range(Kj)) for Kj in ring]
+            return sum(Fraction(aj) * (1 - r) for aj, r in zip(a, avoid))
+
+        critical = (math.log(n) + target) / n
+        assert float(exact_b1(K[0])) >= critical > float(exact_b1(K[0] - 1))
+
+        def beta_at(k1):
+            return beta(ModelParams(n=n, a=a, K=ring_sizes_for(k1, ratios, P), P=P))
+
+        assert beta_at(K[0]) >= target > beta_at(K[0] - 1)
 
     def test_ring_sizes_round_half_up(self):
         assert ring_sizes_for(3, (1.0, 1.5), 100) == (3, 5)  # 4.5 rounds up

@@ -146,3 +146,8 @@ class TestResolveWorkers:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidParamsError):
             resolve_workers(0)
+
+    def test_rejects_non_integer_env(self, monkeypatch):
+        monkeypatch.setenv("RIG_THREADS", "abc")
+        with pytest.raises(InvalidParamsError, match="RIG_THREADS.*'abc'"):
+            resolve_workers(None)

@@ -303,6 +303,17 @@ class TestCli:
         assert json.loads(js1)["p_connected"] == 1.0
         assert json.loads(js1)["p_connected"] == json.loads(js2)["p_connected"]
 
+    def test_simulate_bad_rig_threads_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("RIG_THREADS", "abc")
+        out = tmp_path / "run.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--n", "20", "--P", "5", "--a", "1", "--K", "5",
+            "--trials", "4", "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert "RIG_THREADS" in err and "'abc'" in err
+        assert not out.exists()
+
     def test_simulate_requires_budget_and_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--n", "20", "--P", "5", "--a", "1", "--K", "5"])
