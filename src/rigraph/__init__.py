@@ -11,7 +11,7 @@ from .errors import (
     RigraphError,
     UnachievableError,
 )
-from .graph_analysis import TrialStats, analyze, build_inverted_index, connectivity, isolation_counts
+from .graph_analysis import TrialStats, analyze, connectivity, isolation_counts
 from .model_core import (
     AdvisoryBounds,
     ExactQuantities,

@@ -1,13 +1,16 @@
-"""Observable events on a realized graph: connectivity, isolation, and the
+"""Observable events on realized graphs: connectivity, isolation, and the
 "no isolated vertex but still disconnected" indicator.
 
-Adjacency is "object sets intersect", so vertices sharing an object form a
-clique; uniting each object's holder list therefore yields exactly the
-connected components without ever materializing the O(n^2) edge set.  Small
-samples run a dict-based union-find (path compression + union by size);
-large samples run the equivalent computation over a compacted
-vertex-object incidence graph via ``scipy.sparse.csgraph``.  Both paths are
-exact and agree sample-for-sample.
+Adjacency is "object sets intersect", so the holders of one object form a
+clique; linking each holder to the object's first holder keeps the
+components with one edge per incidence, and the O(n^2) edge set is never
+materialized.  One kernel, ``analyze_batch``, handles a batch of samples
+stored back to back.  Each incidence of sample t with object o gets the key
+t*P + o, so samples never share an object: one ``connected_components``
+call over the block-diagonal graph labels every sample at once, and the
+holder count of each key gives isolation (a vertex is isolated iff each of
+its objects has a single holder).  ``analyze``, ``connectivity`` and
+``isolation_counts`` run the kernel on a batch of one.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from scipy.sparse.csgraph import connected_components as _sp_connected_component
 from .errors import InvalidParamsError, InvariantViolation
 from .sampler import GraphSample
 
-# at or below this many incidences the pure-python path is faster
-_SMALL_CUTOFF = 512
+# up to this many keys per incidence, holder counts are indexed by key
+# directly; sparser key ranges (large pools) are compacted by a sort first
+_DENSE_KEYS_PER_INCIDENCE = 4
 
 
 @dataclass(frozen=True)
@@ -42,118 +46,68 @@ class TrialStats:
     min_degree_zero: bool
 
 
-def build_inverted_index(sample: GraphSample) -> dict[int, list[int]]:
-    """Map each object id to the ordered list of vertices holding it."""
-    index: dict[int, list[int]] = {}
-    objects = sample.objects.tolist()
-    offsets = sample.offsets.tolist()
-    for x in range(sample.n):
-        for p in range(offsets[x], offsets[x + 1]):
-            o = objects[p]
-            if o in index:
-                index[o].append(x)
-            else:
-                index[o] = [x]
-    return index
+def _object_nodes(keys: np.ndarray, key_range: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(object node per incidence, holder count per incidence, node count)."""
+    if key_range <= _DENSE_KEYS_PER_INCIDENCE * len(keys):
+        counts = np.bincount(keys, minlength=key_range)
+        return keys, counts[keys], key_range
+    uniq, nodes = np.unique(keys, return_inverse=True)
+    return nodes, np.bincount(nodes)[nodes], len(uniq)
 
 
-def _components_small(n: int, index: dict[int, list[int]]) -> int:
-    parent = list(range(n))
-    size = [1] * n
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comp = n
-    for holders in index.values():
-        if len(holders) > 1:
-            r0 = find(holders[0])
-            for w in holders[1:]:
-                r1 = find(w)
-                if r1 != r0:
-                    if size[r0] < size[r1]:
-                        r0, r1 = r1, r0
-                    parent[r1] = r0
-                    size[r0] += size[r1]
-                    comp -= 1
-    return comp
-
-
-def _components_large(sample: GraphSample) -> int:
-    n = sample.n
-    # compact object ids so memory tracks the incidence count, not the pool
-    uniq, inv = np.unique(sample.objects, return_inverse=True)
-    verts = np.repeat(np.arange(n, dtype=np.int64), np.diff(sample.offsets))
-    nodes = n + len(uniq)
-    graph = csr_matrix(
-        (np.ones(len(inv), dtype=np.int8), (verts, n + inv)), shape=(nodes, nodes)
-    )
+def _component_counts(offsets: np.ndarray, nodes: np.ndarray, node_count: int, trials: int) -> np.ndarray:
+    """Components per sample.  Incidence i is object ``nodes[i]``; every
+    holder of an object links to its first holder, which keeps each
+    object's holders in one component with one edge per incidence."""
+    vertices = len(offsets) - 1
+    holder = np.repeat(np.arange(vertices), np.diff(offsets))
+    first = np.full(node_count, vertices)
+    np.minimum.at(first, nodes, holder)
+    graph = csr_matrix((np.ones(len(nodes)), first[nodes], offsets), shape=(vertices, vertices))
     _, labels = _sp_connected_components(graph, directed=False)
-    return len(np.unique(labels[:n]))
+    per_trial = np.sort(labels.reshape(trials, -1), axis=1)
+    return 1 + np.count_nonzero(per_trial[:, 1:] != per_trial[:, :-1], axis=1)
+
+
+def analyze_batch(
+    groups: np.ndarray, objects: np.ndarray, offsets: np.ndarray, trials: int, P: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample component, isolated and group-1 isolated counts.
+
+    The ``trials`` samples share n = len(groups) / trials and are laid out
+    as ``sampler.sample_batch`` returns them; every object id is below
+    ``P``.  Raises ``InvariantViolation`` if a sample is reported connected
+    while having an isolated vertex.
+    """
+    n = len(groups) // trials
+    tags = np.repeat(np.arange(0, trials * P, P, dtype=np.int64), np.diff(offsets[::n]))
+    nodes, held, node_count = _object_nodes(tags + objects, trials * P)
+    shared = np.concatenate(([0], np.cumsum(held > 1)))
+    isolated = shared[offsets[1:]] == shared[offsets[:-1]]
+    iso = isolated.reshape(trials, n).sum(axis=1)
+    group1 = (isolated & (groups == 1)).reshape(trials, n).sum(axis=1)
+    comp = _component_counts(offsets, nodes, node_count, trials)
+    lying = np.flatnonzero((comp == 1) & (iso > 0))
+    if len(lying):
+        t = lying[0]
+        raise InvariantViolation(
+            f"connected sample {t} of the batch reported {iso[t]} isolated vertices"
+        )
+    return comp, iso, group1
+
+
+def _analyze_one(sample: GraphSample) -> tuple[int, int, int]:
+    P = int(sample.objects.max()) + 1 if len(sample.objects) else 1
+    comp, iso, group1 = analyze_batch(sample.groups, sample.objects, sample.offsets, 1, P)
+    return int(comp[0]), int(iso[0]), int(group1[0])
 
 
 def connectivity(sample: GraphSample) -> tuple[bool, int]:
     """(connected, component count); a single vertex counts as connected."""
     if sample.n == 1:
         return True, 1
-    if len(sample.objects) <= _SMALL_CUTOFF:
-        comp = _components_small(sample.n, build_inverted_index(sample))
-    else:
-        comp = _components_large(sample)
+    comp, _, _ = _analyze_one(sample)
     return comp == 1, comp
-
-
-def _isolation_from_index(sample: GraphSample, index: dict[int, list[int]]) -> tuple[int, int]:
-    objects = sample.objects.tolist()
-    offsets = sample.offsets.tolist()
-    groups = sample.groups.tolist()
-    isolated = 0
-    group1 = 0
-    for x in range(sample.n):
-        if all(len(index[objects[p]]) == 1 for p in range(offsets[x], offsets[x + 1])):
-            isolated += 1
-            if groups[x] == 1:
-                group1 += 1
-    return isolated, group1
-
-
-def _analyze_small(sample: GraphSample) -> tuple[int, int, int]:
-    """Single-pass index + components + isolation for small samples.
-
-    Same results as the public ops; shares one list conversion per array.
-    """
-    n = sample.n
-    objects = sample.objects.tolist()
-    offsets = sample.offsets.tolist()
-    groups = sample.groups.tolist()
-    index: dict[int, list[int]] = {}
-    for x in range(n):
-        for p in range(offsets[x], offsets[x + 1]):
-            o = objects[p]
-            if o in index:
-                index[o].append(x)
-            else:
-                index[o] = [x]
-    comp = _components_small(n, index)
-    isolated = 0
-    group1 = 0
-    for x in range(n):
-        if all(len(index[objects[p]]) == 1 for p in range(offsets[x], offsets[x + 1])):
-            isolated += 1
-            if groups[x] == 1:
-                group1 += 1
-    return comp, isolated, group1
-
-
-def _isolation_large(sample: GraphSample) -> tuple[int, int]:
-    _, inv = np.unique(sample.objects, return_inverse=True)
-    counts = np.bincount(inv)
-    # a vertex is isolated iff every object it holds has exactly one holder
-    alone = np.maximum.reduceat(counts[inv], sample.offsets[:-1]) == 1
-    return int(alone.sum()), int((alone & (sample.groups == 1)).sum())
 
 
 def isolation_counts(sample: GraphSample) -> tuple[int, int]:
@@ -165,9 +119,8 @@ def isolation_counts(sample: GraphSample) -> tuple[int, int]:
     """
     if sample.n < 2:
         raise InvalidParamsError(f"isolation needs n >= 2, got n={sample.n}")
-    if len(sample.objects) <= _SMALL_CUTOFF:
-        return _isolation_from_index(sample, build_inverted_index(sample))
-    return _isolation_large(sample)
+    _, isolated, group1 = _analyze_one(sample)
+    return isolated, group1
 
 
 def analyze(sample: GraphSample) -> TrialStats:
@@ -176,16 +129,8 @@ def analyze(sample: GraphSample) -> TrialStats:
     n = sample.n
     if n < 2:
         raise InvalidParamsError(f"analyze needs n >= 2, got n={n}")
-    if len(sample.objects) <= _SMALL_CUTOFF:
-        comp, isolated, group1 = _analyze_small(sample)
-    else:
-        comp = _components_large(sample)
-        isolated, group1 = _isolation_large(sample)
+    comp, isolated, group1 = _analyze_one(sample)
     connected = comp == 1
-    if connected and isolated > 0:
-        raise InvariantViolation(
-            f"connected sample reported {isolated} isolated vertices"
-        )
     return TrialStats(
         connected=connected,
         isolated_count=isolated,

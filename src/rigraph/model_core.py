@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +49,8 @@ _SUM_TOL = 1e-9  # |sum(a) - 1| beyond this is rejected, within it renormalized
 _LOG_UNDERFLOW = math.log(2.0**-1074) - 1.0
 # below this many log terms the full sum is cheaper than testing the bound
 _BOUND_MIN_TERMS = 64
+# exp(x) is finite exactly for x <= ln(max float)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _as_int(name: str, value) -> int:
@@ -255,7 +258,8 @@ def cross_moment_ratio_values(
     bound uses S = sum_l a_l C(P-K_1, K_l)/C(P, K_l).  This returns
     (D / S^2)^(n-2), the factor by which the pair bound can exceed the
     squared singleton bound.  Values near 1 certify that the second-moment
-    method pins the isolation count; the power is taken in log space.
+    method pins the isolation count; the power is taken in log space, and a
+    power beyond the float range is ``math.inf``.
     """
     if n < 3:
         raise InvalidParamsError(f"cross-moment ratio needs n >= 3, got n={n}")
@@ -272,7 +276,10 @@ def cross_moment_ratio_values(
         )
     if num == 0.0:
         return 0.0
-    return math.exp((n - 2) * (math.log(num) - 2.0 * math.log(den)))
+    log_ratio = (n - 2) * (math.log(num) - 2.0 * math.log(den))
+    if log_ratio > _LOG_FLOAT_MAX:
+        return math.inf
+    return math.exp(log_ratio)
 
 
 def cross_moment_ratio(params: ModelParams) -> float:

@@ -7,6 +7,11 @@ integer sum, so the result is a pure function of (params, trials,
 master_seed): worker count and scheduling change the wall time, never the
 numbers.  Worker count comes from the ``workers`` argument, else the
 ``RIG_THREADS`` env var, else 1.
+
+Trials run in batches of about ``_BATCH_FLOATS`` drawn floats (at least one
+trial): ``sampler.sample_batch`` realizes a batch and
+``graph_analysis.analyze_batch`` analyzes it, the same kernels that
+``sample_graph`` and ``analyze`` run on a batch of one.
 """
 
 from __future__ import annotations
@@ -19,17 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError, InvariantViolation
-from .graph_analysis import analyze
+from .graph_analysis import analyze_batch
 from .model_core import ModelParams
-from .sampler import (
-    _SCALAR_CUTOFF,
-    SeedSpec,
-    _sample_scalar,
-    _sample_vector,
-    trial_state_words,
-)
+from .sampler import SeedSpec, sample_batch, trial_state_words
 
 ENV_WORKERS = "RIG_THREADS"
+
+# floats drawn per batch (n*(1+K_m) per trial); bounds the batch's memory
+_BATCH_FLOATS = 1 << 14
+# the analysis tags object ids with t*P + o, which must stay inside int64
+_KEY_LIMIT = 1 << 62
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -103,39 +107,24 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def _run_range(params: ModelParams, master_seed: int, start: int, stop: int) -> tuple[int, ...]:
-    """Counts over trials [start, stop); commutative pieces only.
-
-    The loop body replays exactly ``analyze(sample_graph(params,
-    SeedSpec(master_seed, t)))`` with the per-trial construction costs
-    hoisted out (one reused bit generator, precomputed stream derivation).
-    """
+    """Counts over trials [start, stop); commutative pieces only."""
+    batch = max(1, min(_BATCH_FLOATS // (params.n * (1 + params.K[-1])), _KEY_LIMIT // params.P))
+    words = trial_state_words(master_seed, start, stop)
     scratch = np.random.PCG64(0)
-    gen = np.random.Generator(scratch)
-    sample_fn = (
-        _sample_scalar if params.n * (1 + params.K[-1]) <= _SCALAR_CUTOFF else _sample_vector
-    )
-    words = trial_state_words(master_seed, start, stop).tolist()
-    state_dict = {
-        "bit_generator": "PCG64",
-        "state": {"state": 0, "inc": 0},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    inner = state_dict["state"]
     conn = noiso = fno = iso_sum = iso_sq = g1_sum = g1_sq = 0
-    for w0, w1, w2, w3 in words:
-        inner["state"] = (w0 << 64) | w1
-        inner["inc"] = ((w2 << 64) | w3) | 1
-        scratch.state = state_dict
-        sample = sample_fn(params, gen)
-        stats = analyze(sample)
-        conn += stats.connected
-        noiso += stats.isolated_count == 0
-        fno += stats.no_isolated_but_disconnected
-        iso_sum += stats.isolated_count
-        iso_sq += stats.isolated_count * stats.isolated_count
-        g1_sum += stats.group1_isolated_count
-        g1_sq += stats.group1_isolated_count * stats.group1_isolated_count
+    for a in range(0, stop - start, batch):
+        rows = words[a:a + batch]
+        groups, objects, offsets = sample_batch(params, rows, scratch)
+        comp, iso, g1 = analyze_batch(groups, objects, offsets, len(rows), params.P)
+        connected = comp == 1
+        no_iso = iso == 0
+        conn += int(np.count_nonzero(connected))
+        noiso += int(np.count_nonzero(no_iso))
+        fno += int(np.count_nonzero(no_iso & ~connected))
+        iso_sum += int(iso.sum())
+        iso_sq += int((iso * iso).sum())
+        g1_sum += int(g1.sum())
+        g1_sq += int((g1 * g1).sum())
     return conn, noiso, fno, iso_sum, iso_sq, g1_sum, g1_sq
 
 
@@ -167,10 +156,11 @@ def run_trials(
     SeedSpec(master_seed, 0)  # validate the seed range early
     workers = resolve_workers(workers)
 
-    chunk = max(1, -(-trials // (workers * 4)))
-    chunk = min(chunk, 65536)  # bounds per-chunk seed-table memory
+    serial = workers == 1 or trials < 64
+    chunk = trials if serial else -(-trials // (workers * 4))
+    chunk = min(chunk, 65536)  # bounds a range's table of state words
     ranges = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
-    if workers == 1 or trials < 64:
+    if serial:
         parts = [_run_range(params, master_seed, a, b) for a, b in ranges]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

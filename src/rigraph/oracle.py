@@ -24,11 +24,12 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import EnumerationBudgetError, InvalidParamsError
-from .graph_analysis import analyze
+from .graph_analysis import analyze_batch
 from .model_core import ModelParams
-from .sampler import GraphSample
 
 BUDGET = 10_000_000
+# distinct tuples of sets analyzed per kernel call
+_ANALYSIS_BATCH = 4096
 
 
 def enumerate_pair_prob(P: int, Ki: int, Kj: int) -> Fraction:
@@ -68,7 +69,7 @@ def enumerate_event_probs(params: ModelParams) -> EventProbs:
 
     Each vertex independently picks (group g, set S) with probability
     a_g / C(P, K_g); every joint assignment is weighted accordingly and the
-    events evaluated with the same analysis code the simulator uses.
+    events evaluated with the same analysis kernel the simulator uses.
     """
     if params.n < 2:
         raise InvalidParamsError(f"event enumeration needs n >= 2, got n={params.n}")
@@ -85,39 +86,35 @@ def enumerate_event_probs(params: ModelParams) -> EventProbs:
         for subset in combinations(range(params.P), Kg):
             choices.append((g, subset, w))
 
-    fingerprint = params.fingerprint()
-    p_conn = Fraction(0)
-    p_noiso = Fraction(0)
-    e_iso = Fraction(0)
-    # connectivity/isolation depend on the sets alone, so when groups share a
-    # ring size the analysis can be reused across their joint assignments
-    stats_cache: dict[tuple[tuple[int, ...], ...], tuple[bool, int]] = {}
+    # connectivity/isolation depend on the sets alone, so assignments that
+    # differ only in groups share one analysis: sum their weights per tuple
+    # of sets, then analyze the distinct tuples in batches
+    weights: dict[tuple[tuple[int, ...], ...], Fraction] = {}
     for combo in product(choices, repeat=params.n):
         weight = Fraction(1)
         for _, _, w in combo:
             weight *= w
         key = tuple(subset for _, subset, _ in combo)
-        cached = stats_cache.get(key)
-        if cached is None:
-            flat: list[int] = []
-            offsets = [0]
-            for subset in key:
-                flat.extend(subset)
-                offsets.append(len(flat))
-            sample = GraphSample(
-                groups=np.asarray([g for g, _, _ in combo], dtype=np.int64),
-                objects=np.asarray(flat, dtype=np.int64),
-                offsets=np.asarray(offsets, dtype=np.int64),
-                params_hash=fingerprint,
-            )
-            stats = analyze(sample)
-            cached = (stats.connected, stats.isolated_count)
-            stats_cache[key] = cached
-        connected, isolated = cached
-        if connected:
-            p_conn += weight
-        if isolated == 0:
-            p_noiso += weight
-        else:
-            e_iso += weight * isolated
+        weights[key] = weights.get(key, Fraction(0)) + weight
+
+    p_conn = Fraction(0)
+    p_noiso = Fraction(0)
+    e_iso = Fraction(0)
+    keys = list(weights)
+    for start in range(0, len(keys), _ANALYSIS_BATCH):
+        batch = keys[start:start + _ANALYSIS_BATCH]
+        sizes = [len(subset) for key in batch for subset in key]
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        objects = np.asarray([o for key in batch for subset in key for o in subset], dtype=np.int64)
+        groups = np.ones(len(sizes), dtype=np.int64)
+        comp, iso, _ = analyze_batch(groups, objects, offsets, len(batch), params.P)
+        for key, components, isolated in zip(batch, comp.tolist(), iso.tolist()):
+            weight = weights[key]
+            if components == 1:
+                p_conn += weight
+            if isolated == 0:
+                p_noiso += weight
+            else:
+                e_iso += weight * isolated
     return EventProbs(p_connected=p_conn, p_no_isolated=p_noiso, expected_isolated=e_iso)

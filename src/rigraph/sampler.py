@@ -11,9 +11,10 @@ from ``(master_seed, trial_index)`` alone, by splitmix64 expansion:
     state = w1 << 64 | w2,   inc = (w3 << 64 | w4) | 1
 
 where ``mix64`` is the standard splitmix64 finalizer (an avalanche function:
-every output bit depends on every input bit).  Trial t is therefore
-independent of whether trials 0..t-1 were ever generated, which is what makes
-parallel trial execution deterministic.
+every output bit depends on every input bit).  ``trial_state_words`` is the
+one place that derives these words.  Trial t is therefore independent of
+whether trials 0..t-1 were ever generated, which is what makes parallel
+trial execution deterministic.
 
 A trial consumes randomness in a fixed order: one block of n uniforms for
 group assignment (inverse CDF over the cumulative a), then one block of
@@ -21,9 +22,14 @@ sum_x K_{g_x} uniforms for the object sets, vertex by vertex.  Each vertex's
 K-subset comes from Floyd's selection-tracking algorithm driven by its block:
 draw s (0-based) maps u to t = min(floor(u * (j+1)), j) with j = P - K + s,
 inserting j on collision.  Memory per set is O(K); the pool is never
-materialized.  Small and large graphs take scalar and vectorized code paths
-over the *same* float stream, so the realized sample is bit-identical either
-way.  Bit-compatibility is promised only within this implementation.
+materialized.
+
+``sample_batch`` realizes many trials at once: each trial's stream fills one
+row of n*(1+K_m) floats (a double takes exactly one 64-bit output, so the
+row starts with the two blocks above; the rest is unused), and Floyd runs
+once per ring size over the vertices of every trial in the batch.
+``sample_graph`` is a batch of one.  Bit-compatibility is promised only
+within this implementation.
 """
 
 from __future__ import annotations
@@ -40,9 +46,6 @@ from .model_core import ModelParams
 
 _M64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
-
-# below roughly n*(1+K_m) float draws, scalar sampling beats vectorized
-_SCALAR_CUTOFF = 512
 
 
 def mix64(x: int) -> int:
@@ -64,15 +67,25 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
 def trial_state_words(master_seed: int, start: int, stop: int) -> np.ndarray:
     """PCG64 state words for trials [start, stop) as a (stop-start, 4) array.
 
-    Row t-start holds the four splitmix64 expansion words of trial t; equals
-    the scalar derivation in ``generator_for`` exactly.
+    Row t-start holds the four splitmix64 expansion words w1..w4 of trial t.
     """
-    base = np.uint64(master_seed) + np.arange(start + 1, stop + 1, dtype=np.uint64) * np.uint64(GAMMA)
+    first = (master_seed + (start + 1) * GAMMA) & _M64
+    base = np.uint64(first) + np.arange(stop - start, dtype=np.uint64) * np.uint64(GAMMA)
     seeds = _mix64_array(base)
     cols = [
         _mix64_array(seeds + np.uint64((k * GAMMA) & _M64)) for k in (1, 2, 3, 4)
     ]
     return np.stack(cols, axis=1)
+
+
+def _state_dict(w1: int, w2: int, w3: int, w4: int) -> dict:
+    """The ``PCG64.state`` value for one row of ``trial_state_words``."""
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": (w1 << 64) | w2, "inc": ((w3 << 64) | w4) | 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(frozen=True)
@@ -94,16 +107,6 @@ class SeedSpec:
         return mix64((self.master_seed + (self.trial_index + 1) * GAMMA) & _M64)
 
 
-def _pcg_state(seed: int) -> dict:
-    w = [mix64((seed + k * GAMMA) & _M64) for k in (1, 2, 3, 4)]
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": (w[0] << 64) | w[1], "inc": ((w[2] << 64) | w[3]) | 1},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def generator_for(spec: SeedSpec, scratch: np.random.PCG64 | None = None) -> np.random.Generator:
     """PCG64 generator positioned at the start of the trial's stream.
 
@@ -111,7 +114,8 @@ def generator_for(spec: SeedSpec, scratch: np.random.PCG64 | None = None) -> np.
     which avoids per-trial construction cost in hot loops.
     """
     bg = scratch if scratch is not None else np.random.PCG64(0)
-    bg.state = _pcg_state(spec.trial_seed())
+    words = trial_state_words(spec.master_seed, spec.trial_index, spec.trial_index + 1)
+    bg.state = _state_dict(*words.tolist()[0])
     return np.random.Generator(bg)
 
 
@@ -170,37 +174,21 @@ def assign_group(a: tuple[float, ...], u: float) -> int:
     return min(bisect_right(cum, u) + 1, len(cum))
 
 
-def _floyd_scalar(P: int, K: int, u: list[float], pos: int) -> list[int]:
-    """One Floyd K-subset from u[pos:pos+K]; returns a sorted list."""
-    sel: set[int] = set()
-    for s in range(K):
-        j = P - K + s
-        t = int(u[pos + s] * (j + 1))
-        if t > j:  # guard against u*(j+1) rounding up to j+1
-            t = j
-        sel.add(j if t in sel else t)
-    return sorted(sel)
-
-
 def _floyd_batch(P: int, K: int, U: np.ndarray) -> np.ndarray:
-    """Row-wise Floyd subsets from an (count, K) block of uniforms.
+    """Row-wise Floyd K-subsets of {0..P-1} from an (count, K) block of uniforms.
 
-    Column s applies the same map as ``_floyd_scalar`` draw s, so each row
-    equals the scalar result on the same floats.  Rows come back sorted.
+    Column s is draw s: u maps to t = min(floor(u * (j+1)), j) with
+    j = P - K + s, and j is taken instead when t already is.  Rows come back
+    sorted.  The collision test costs O(K^2) per row.
     """
-    count = U.shape[0]
-    sel = np.empty((count, K), dtype=np.int64)
-    for s in range(K):
-        j = P - K + s
-        t = (U[:, s] * (j + 1)).astype(np.int64)
-        np.minimum(t, j, out=t)
-        if s == 0:
-            sel[:, 0] = t
-        else:
-            dup = (sel[:, :s] == t[:, None]).any(axis=1)
-            sel[:, s] = np.where(dup, j, t)
-    sel.sort(axis=1)
-    return sel
+    j = np.arange(P - K, P, dtype=np.int64)
+    sel = (U * (j + 1)).astype(np.int64).T.copy()  # draw s is row s
+    np.minimum(sel, j[:, None], out=sel)  # guard against u*(j+1) rounding up to j+1
+    for s in range(1, K):
+        sel[s, (sel[:s] == sel[s]).any(axis=0)] = j[s]
+    out = sel.T.copy()
+    out.sort(axis=1)
+    return out
 
 
 def sample_object_set(P: int, K: int, rng: np.random.Generator) -> list[int]:
@@ -211,74 +199,71 @@ def sample_object_set(P: int, K: int, rng: np.random.Generator) -> list[int]:
     """
     if not 1 <= K <= P:
         raise InvalidParamsError(f"need 1 <= K <= P, got K={K}, P={P}")
-    u = rng.random(K)
-    return _floyd_scalar(P, K, u.tolist(), 0)
+    return _floyd_batch(P, K, rng.random((1, K)))[0].tolist()
 
 
 @lru_cache(maxsize=512)
-def _sampling_consts(params: ModelParams) -> tuple[np.ndarray, list[float], np.ndarray, str]:
-    """Per-params constants hoisted out of the per-trial hot path."""
+def _sampling_consts(params: ModelParams) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Per-params constants hoisted out of the per-batch path: the group
+    CDF, the ring size of each group and the distinct ring sizes."""
     cum = np.cumsum(np.asarray(params.a, dtype=np.float64))
-    return cum, cum.tolist(), np.asarray(params.K, dtype=np.int64), params.fingerprint()
+    return cum, np.asarray(params.K, dtype=np.int64), tuple(sorted(set(params.K)))
 
 
-def _sample_scalar(params: ModelParams, rng: np.random.Generator) -> GraphSample:
-    n, P, K = params.n, params.P, params.K
-    m = params.m
-    _, cum, _, fingerprint = _sampling_consts(params)
-    ug = rng.random(n).tolist()
-    groups = [min(bisect_right(cum, u) + 1, m) for u in ug]
-    sizes = [K[g - 1] for g in groups]
-    uo = rng.random(sum(sizes)).tolist()
-    flat: list[int] = []
-    offsets = [0]
-    pos = 0
-    for Kg in sizes:
-        flat.extend(_floyd_scalar(P, Kg, uo, pos))
-        pos += Kg
-        offsets.append(pos)
-    return GraphSample(
-        groups=np.asarray(groups, dtype=np.int64),
-        objects=np.asarray(flat, dtype=np.int64),
-        offsets=np.asarray(offsets, dtype=np.int64),
-        params_hash=fingerprint,
-    )
+def sample_batch(
+    params: ModelParams, words: np.ndarray, scratch: np.random.PCG64 | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Realize the trials whose stream state words are the rows of ``words``.
 
+    Returns ``(groups, objects, offsets)`` for the trials stored back to
+    back: vertex x of trial r (0-based in the batch) is vertex r*n + x, and
+    its sorted object ids are ``objects[offsets[r*n+x]:offsets[r*n+x+1]]``.
+    Every trial is the sample that ``sample_graph`` draws from its row.
+    """
+    n, P, m = params.n, params.P, params.m
+    cum, Karr, ring_sizes = _sampling_consts(params)
+    trials = len(words)
+    width = n * (1 + params.K[-1])
+    U = np.empty((trials, width))
+    bg = scratch if scratch is not None else np.random.PCG64(0)
+    gen = np.random.Generator(bg)
+    for row, w in zip(U, words.tolist()):
+        bg.state = _state_dict(*w)
+        gen.random(out=row)
 
-def _sample_vector(params: ModelParams, rng: np.random.Generator) -> GraphSample:
-    n, P = params.n, params.P
-    cum, _, Karr, fingerprint = _sampling_consts(params)
-    u = rng.random(n)
-    groups = np.searchsorted(cum, u, side="right").astype(np.int64) + 1
-    np.minimum(groups, params.m, out=groups)
+    groups = np.searchsorted(cum, U[:, :n], side="right").astype(np.int64).ravel()
+    groups += 1
+    np.minimum(groups, m, out=groups)
     sizes = Karr[groups - 1]
-    offsets = np.zeros(n + 1, dtype=np.int64)
+    offsets = np.zeros(trials * n + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    floats = rng.random(int(offsets[-1]))
-    flat = np.empty(int(offsets[-1]), dtype=np.int64)
-    for gi in range(1, params.m + 1):
-        idx = np.flatnonzero(groups == gi)
+    # a vertex's floats sit in its trial's row, after the n group floats, at
+    # the vertex's offset within the trial
+    local = offsets[:-1].reshape(trials, n)
+    row_start = np.arange(n, trials * width + n, width, dtype=np.int64) - local[:, 0]
+    starts = (local + row_start[:, None]).ravel()
+    floats = U.ravel()
+    objects = np.empty(int(offsets[-1]), dtype=np.int64)
+    for Kg in ring_sizes:
+        idx = np.flatnonzero(sizes == Kg)
         if len(idx) == 0:
             continue
-        Kg = int(Karr[gi - 1])
-        cols = offsets[idx][:, None] + np.arange(Kg)[None, :]
-        flat[cols] = _floyd_batch(P, Kg, floats[cols])
-    return GraphSample(
-        groups=groups,
-        objects=flat,
-        offsets=offsets,
-        params_hash=fingerprint,
-    )
+        span = np.arange(Kg)
+        objects[offsets[idx][:, None] + span] = _floyd_batch(P, Kg, floats[starts[idx][:, None] + span])
+    return groups, objects, offsets
 
 
 def sample_graph(params: ModelParams, seed: SeedSpec, *, scratch: np.random.PCG64 | None = None) -> GraphSample:
     """Realize one graph; deterministic in (params, seed).
 
     Vertices are sampled independently: a group via inverse CDF, then a
-    uniform K-subset of the pool.  The scalar/vectorized dispatch depends
-    only on params, and both paths replay the identical stream.
+    uniform K-subset of the pool.  This is ``sample_batch`` on one trial.
     """
-    rng = generator_for(seed, scratch)
-    if params.n * (1 + params.K[-1]) <= _SCALAR_CUTOFF:
-        return _sample_scalar(params, rng)
-    return _sample_vector(params, rng)
+    words = trial_state_words(seed.master_seed, seed.trial_index, seed.trial_index + 1)
+    groups, objects, offsets = sample_batch(params, words, scratch)
+    return GraphSample(
+        groups=groups,
+        objects=objects,
+        offsets=offsets,
+        params_hash=params.fingerprint(),
+    )

@@ -1,0 +1,126 @@
+"""Per-trial reference paths for the batched sampler and analysis.
+
+These are the scalar Floyd sampler and the dict union-find that once ran
+small samples at run time.  The batched kernels must reproduce them exactly:
+``reference_sample`` draws the same floats in the same order, and the
+union-find counts the same components and isolated vertices.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+
+import numpy as np
+
+from rigraph import ModelParams, SeedSpec, generator_for
+from rigraph.sampler import GraphSample
+
+
+def floyd_scalar(P: int, K: int, u: list[float], pos: int) -> list[int]:
+    """One Floyd K-subset from u[pos:pos+K]; returns a sorted list."""
+    sel: set[int] = set()
+    for s in range(K):
+        j = P - K + s
+        t = int(u[pos + s] * (j + 1))
+        if t > j:  # guard against u*(j+1) rounding up to j+1
+            t = j
+        sel.add(j if t in sel else t)
+    return sorted(sel)
+
+
+def sample_scalar(params: ModelParams, rng: np.random.Generator) -> GraphSample:
+    """One graph from ``rng``: n group floats, then each vertex's ring."""
+    n, P, K = params.n, params.P, params.K
+    cum = np.cumsum(np.asarray(params.a, dtype=np.float64)).tolist()
+    ug = rng.random(n).tolist()
+    groups = [min(bisect_right(cum, u) + 1, params.m) for u in ug]
+    sizes = [K[g - 1] for g in groups]
+    uo = rng.random(sum(sizes)).tolist()
+    flat: list[int] = []
+    offsets = [0]
+    pos = 0
+    for Kg in sizes:
+        flat.extend(floyd_scalar(P, Kg, uo, pos))
+        pos += Kg
+        offsets.append(pos)
+    return GraphSample(
+        groups=np.asarray(groups, dtype=np.int64),
+        objects=np.asarray(flat, dtype=np.int64),
+        offsets=np.asarray(offsets, dtype=np.int64),
+        params_hash=params.fingerprint(),
+    )
+
+
+def reference_sample(params: ModelParams, seed: SeedSpec) -> GraphSample:
+    return sample_scalar(params, generator_for(seed))
+
+
+def build_inverted_index(sample: GraphSample) -> dict[int, list[int]]:
+    """Map each object id to the ordered list of vertices holding it."""
+    index: dict[int, list[int]] = {}
+    objects = sample.objects.tolist()
+    offsets = sample.offsets.tolist()
+    for x in range(sample.n):
+        for p in range(offsets[x], offsets[x + 1]):
+            index.setdefault(objects[p], []).append(x)
+    return index
+
+
+def components_small(n: int, index: dict[int, list[int]]) -> int:
+    """Union-find (path halving, union by size) over each object's holders."""
+    parent = list(range(n))
+    size = [1] * n
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    comp = n
+    for holders in index.values():
+        r0 = find(holders[0])
+        for w in holders[1:]:
+            r1 = find(w)
+            if r1 != r0:
+                if size[r0] < size[r1]:
+                    r0, r1 = r1, r0
+                parent[r1] = r0
+                size[r0] += size[r1]
+                comp -= 1
+    return comp
+
+
+def isolation_from_index(sample: GraphSample, index: dict[int, list[int]]) -> tuple[int, int]:
+    """(#isolated, #isolated in group 1): vertices whose objects all have a
+    single holder."""
+    objects = sample.objects.tolist()
+    offsets = sample.offsets.tolist()
+    groups = sample.groups.tolist()
+    isolated = 0
+    group1 = 0
+    for x in range(sample.n):
+        if all(len(index[objects[p]]) == 1 for p in range(offsets[x], offsets[x + 1])):
+            isolated += 1
+            if groups[x] == 1:
+                group1 += 1
+    return isolated, group1
+
+
+def reference_stats(sample: GraphSample) -> tuple[int, int, int]:
+    """(component count, #isolated, #isolated in group 1)."""
+    index = build_inverted_index(sample)
+    return (components_small(sample.n, index), *isolation_from_index(sample, index))
+
+
+def reference_counts(params: ModelParams, master_seed: int, start: int, stop: int) -> tuple[int, ...]:
+    """The integer sums ``run_trials`` aggregates over trials [start, stop),
+    one reference trial at a time: (connected, no isolated, no isolated but
+    disconnected, sum and sum of squares of the isolated count, the same
+    for group 1)."""
+    totals = [0] * 7
+    for t in range(start, stop):
+        comp, iso, g1 = reference_stats(reference_sample(params, SeedSpec(master_seed, t)))
+        row = (comp == 1, iso == 0, iso == 0 and comp != 1, iso, iso * iso, g1, g1 * g1)
+        totals = [acc + int(x) for acc, x in zip(totals, row)]
+    return tuple(totals)

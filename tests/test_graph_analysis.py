@@ -9,14 +9,15 @@ from rigraph import (
     ModelParams,
     SeedSpec,
     analyze,
-    build_inverted_index,
     connectivity,
     isolation_counts,
+    run_trials,
     sample_graph,
 )
 from rigraph.errors import InvariantViolation
 
 from conftest import make_sample, naive_stats
+from reference_trials import build_inverted_index, reference_stats
 
 
 class TestInvertedIndex:
@@ -113,9 +114,20 @@ class TestAnalyze:
 
     def test_implication_guard_trips_on_inconsistency(self, monkeypatch):
         # force the component counter to lie; the guard must refuse to return
-        monkeypatch.setattr(ga, "_components_small", lambda n, index: 1)
+        monkeypatch.setattr(ga, "_component_counts", _one_component_each)
         with pytest.raises(InvariantViolation):
             analyze(make_sample([1, 1], [[0], [1]]))
+
+    def test_implication_guard_trips_inside_a_batch(self, monkeypatch):
+        # the same lie reaches run_trials' batches, which must raise too
+        params = ModelParams(n=8, a=(1.0,), K=(1,), P=50)
+        monkeypatch.setattr(ga, "_component_counts", _one_component_each)
+        with pytest.raises(InvariantViolation):
+            run_trials(params, 300, master_seed=3, workers=1)
+
+
+def _one_component_each(offsets, nodes, node_count, trials):
+    return np.ones(trials, dtype=np.int64)
 
 
 def _random_tiny_sample(rng):
@@ -141,13 +153,21 @@ class TestOracleEquivalence:
             assert st_.isolated_count == iso
             assert st_.group1_isolated_count == g1
 
-    def test_small_and_large_paths_agree(self):
-        rng = np.random.default_rng(99)
-        for _ in range(300):
-            s = _random_tiny_sample(rng)
-            small_comp = ga._components_small(s.n, build_inverted_index(s))
-            assert small_comp == ga._components_large(s)
-            assert ga._isolation_from_index(s, build_inverted_index(s)) == ga._isolation_large(s)
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_analysis(self, data):
+        n = data.draw(st.integers(2, 8))
+        P = data.draw(st.integers(1, 8))
+        sets = [
+            data.draw(st.lists(st.integers(0, P - 1), min_size=1, max_size=P, unique=True))
+            for _ in range(n)
+        ]
+        s = make_sample(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), sets)
+        comp, iso, g1 = reference_stats(s)
+        st_ = analyze(s)
+        assert (st_.component_count, st_.isolated_count, st_.group1_isolated_count) == (comp, iso, g1)
+        assert connectivity(s) == (comp == 1, comp)
+        assert isolation_counts(s) == (iso, g1)
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
@@ -166,12 +186,12 @@ class TestOracleEquivalence:
 
 class TestLargePath:
     def test_large_sample_consistency(self):
-        # above the incidence cutoff, analyze runs the compacted-graph path
-        params = ModelParams(n=400, a=(0.5, 0.5), K=(2, 4), P=800)
-        s = sample_graph(params, SeedSpec(77, 0))
-        assert len(s.objects) > ga._SMALL_CUTOFF
-        st_ = analyze(s)
-        small_comp = ga._components_small(s.n, build_inverted_index(s))
-        assert st_.component_count == small_comp
-        assert st_.isolated_count == ga._isolation_from_index(s, build_inverted_index(s))[0]
-        assert connectivity(s) == (st_.connected, st_.component_count)
+        # thousands of incidences; the small pool takes the dense holder
+        # count, the large one the compacting sort
+        for P in (800, 10**6):
+            params = ModelParams(n=400, a=(0.5, 0.5), K=(2, 4), P=P)
+            s = sample_graph(params, SeedSpec(77, 0))
+            assert len(s.objects) > 512
+            st_ = analyze(s)
+            assert (st_.component_count, st_.isolated_count, st_.group1_isolated_count) == reference_stats(s)
+            assert connectivity(s) == (st_.connected, st_.component_count)

@@ -316,6 +316,12 @@ class TestCrossMomentRatio:
         with pytest.raises(InvalidParamsError):
             cross_moment_ratio(ModelParams(n=2, a=(1.0,), K=(1,), P=4))
 
+    def test_power_past_float_range_is_inf(self):
+        # D/S^2 = 1.5 on this tiny pool, and 1.5^1750 < max float < 1.5^1751
+        assert cross_moment_ratio_values(2000, 3, (0.5, 0.5), (1, 3)) == math.inf
+        assert cross_moment_ratio_values(1752, 3, (0.5, 0.5), (1, 3)) == pytest.approx(1.5**1750, rel=1e-9)
+        assert cross_moment_ratio_values(1753, 3, (0.5, 0.5), (1, 3)) == math.inf
+
     @given(small_params(min_n=3))
     @settings(max_examples=40, deadline=None)
     def test_matches_exact_base_power(self, params):

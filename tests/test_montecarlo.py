@@ -16,7 +16,12 @@ from rigraph import (
     solve_k1,
     wilson_interval,
 )
-from rigraph.montecarlo import resolve_workers
+import rigraph.montecarlo as montecarlo
+from rigraph.graph_analysis import analyze_batch
+from rigraph.montecarlo import _BATCH_FLOATS, _moments, _run_range, resolve_workers
+
+from conftest import small_params
+from reference_trials import reference_counts
 
 
 class TestWilsonInterval:
@@ -121,6 +126,42 @@ class TestRunTrials:
         assert abs(agg.mean_isolated - e_j) <= 3.5 * agg.stderr_isolated
         assert abs(agg.mean_group1_isolated - e_i) <= 3.5 * agg.stderr_group1_isolated
 
+    @given(small_params(max_n=8), st.integers(0, 2**64 - 1), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_reference_trials(self, params, seed, data):
+        # trial counts around and past one batch, so batches split the run
+        batch = _BATCH_FLOATS // (params.n * (1 + params.K[-1]))
+        trials = data.draw(st.integers(max(1, batch - 2), batch + batch // 4 + 2))
+        agg = run_trials(params, trials, master_seed=seed, workers=1)
+        _assert_aggregate_matches(agg, reference_counts(params, seed, 0, trials))
+
+    @given(small_params(max_n=8), st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(1, 400))
+    @settings(max_examples=15, deadline=None)
+    def test_range_at_any_start_matches_reference(self, params, seed, start, trials):
+        got = _run_range(params, seed, start, start + trials)
+        assert got == reference_counts(params, seed, start, start + trials)
+
+    def test_trial_larger_than_batch(self):
+        params = ModelParams(n=2000, a=(0.5, 0.5), K=(4, 8), P=6000)
+        assert params.n * (1 + params.K[-1]) > _BATCH_FLOATS
+        agg = run_trials(params, 3, master_seed=17, workers=1)
+        _assert_aggregate_matches(agg, reference_counts(params, 17, 0, 3))
+
+    def test_huge_pool_keeps_keys_in_range(self, monkeypatch):
+        # t*P + o would pass 2^63 for a full batch, so batches shrink; int64
+        # wraparound would rarely show in the counts, so watch the batches
+        key_ranges = []
+
+        def spy(groups, objects, offsets, trials, P):
+            key_ranges.append(trials * P)
+            return analyze_batch(groups, objects, offsets, trials, P)
+
+        monkeypatch.setattr(montecarlo, "analyze_batch", spy)
+        params = ModelParams(n=3, a=(1.0,), K=(2,), P=2**61 + 1)
+        agg = run_trials(params, 9, master_seed=23, workers=1)
+        assert key_ranges and max(key_ranges) < 2**63
+        _assert_aggregate_matches(agg, reference_counts(params, 23, 0, 9))
+
     def test_validation(self):
         with pytest.raises(InvalidParamsError):
             run_trials(SMALL, 0, master_seed=1)
@@ -128,6 +169,15 @@ class TestRunTrials:
             run_trials(ModelParams(n=1, a=(1.0,), K=(1,), P=2), 10, master_seed=1)
         with pytest.raises(InvalidParamsError):
             run_trials(SMALL, 10, master_seed=-1)
+
+
+def _assert_aggregate_matches(agg, counts):
+    conn, noiso, fno, iso_sum, iso_sq, g1_sum, g1_sq = counts
+    assert agg.connected.successes == conn
+    assert agg.no_isolated.successes == noiso
+    assert agg.no_isolated_but_disconnected.successes == fno
+    assert (agg.mean_isolated, agg.stderr_isolated) == _moments(iso_sum, iso_sq, agg.trials)
+    assert (agg.mean_group1_isolated, agg.stderr_group1_isolated) == _moments(g1_sum, g1_sq, agg.trials)
 
 
 class TestResolveWorkers:

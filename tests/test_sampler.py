@@ -23,9 +23,10 @@ from rigraph import (
     wilson_interval,
 )
 from rigraph.errors import InvariantViolation
-from rigraph.sampler import GAMMA, _sample_scalar, _sample_vector
+from rigraph.sampler import GAMMA, trial_state_words
 
 from conftest import small_params
+from reference_trials import reference_sample
 
 
 def rng_at(seed=7, trial=0):
@@ -46,6 +47,14 @@ class TestSeeding:
             SeedSpec(1 << 64, 0)
         with pytest.raises(InvalidParamsError):
             SeedSpec(3, -1)
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**70), st.integers(1, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_state_words_match_scalar_expansion(self, master_seed, start, count):
+        words = trial_state_words(master_seed, start, start + count).tolist()
+        for t, row in zip(range(start, start + count), words):
+            seed = SeedSpec(master_seed, t).trial_seed()
+            assert row == [mix64((seed + k * GAMMA) & ((1 << 64) - 1)) for k in (1, 2, 3, 4)]
 
     def test_distinct_trials_distinct_streams(self):
         seeds = {SeedSpec(99, t).trial_seed() for t in range(1000)}
@@ -137,15 +146,24 @@ class TestSampleGraph:
         for x in range(6):
             assert s.object_set(x).tolist() == [0, 1, 2, 3]
 
-    @given(small_params(max_P=10, max_n=12), st.integers(0, 2**32))
-    @settings(max_examples=40, deadline=None)
-    def test_scalar_and_vector_paths_agree(self, params, seed):
-        spec = SeedSpec(seed, 0)
-        s1 = _sample_scalar(params, generator_for(spec))
-        s2 = _sample_vector(params, generator_for(spec))
-        assert np.array_equal(s1.groups, s2.groups)
-        assert np.array_equal(s1.objects, s2.objects)
-        assert np.array_equal(s1.offsets, s2.offsets)
+    @given(
+        small_params(max_P=10, max_n=70),
+        st.sampled_from([1, 1000, 10**8]),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_sampler(self, params, pool_scale, seed, trial):
+        # widening the pool keeps the ring sizes valid
+        params = ModelParams(n=params.n, a=params.a, K=params.K, P=params.P * pool_scale)
+        spec = SeedSpec(seed, trial)
+        got = sample_graph(params, spec)
+        want = reference_sample(params, spec)
+        for name in ("groups", "objects", "offsets"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b), name
+        assert got.params_hash == want.params_hash
 
     @given(small_params(max_P=10, max_n=10), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)

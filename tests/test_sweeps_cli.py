@@ -230,6 +230,13 @@ class TestSweepCsv:
         assert not target.exists()
         assert not any(p.name.startswith(".sweep-") for p in tmp_path.iterdir())
 
+    def test_row_formats_infinite_cross_moment_ratio(self):
+        params = ModelParams(n=2000, a=(0.5, 0.5), K=(1, 3), P=3)
+        row, _ = simulate_row(params, trials=2, master_seed=5)
+        assert row.cross_moment_ratio == math.inf
+        fields = dict(zip(CSV_COLUMNS, row.to_csv_fields()))
+        assert fields["cross_moment_ratio"] == "inf"
+
     def test_beta_decreases_along_n_axis_when_b1_tiny(self):
         # with K and P fixed and b1 << ln(n)/n, beta(n) = n*b1 - ln n falls
         spec = sweep_spec_from_dict(
@@ -265,6 +272,12 @@ class TestCli:
         assert code == 0
         doc = json.loads(out)
         assert doc["p"] == [[1.0]]
+
+    def test_prob_cross_moment_ratio_past_float_range(self, capsys):
+        code, out, err = run_cli(capsys, "prob", "--n", "2000", "--P", "3", "--a", "0.5,0.5", "--K", "1,3")
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["cross_moment_ratio"] == math.inf
 
     def test_prob_invalid_weights_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "prob", "--n", "2", "--P", "5", "--a", "0.4,0.4", "--K", "1,2")
