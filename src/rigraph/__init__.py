@@ -11,23 +11,23 @@ from .errors import (
     RigraphError,
     UnachievableError,
 )
-from .graph_analysis import TrialStats, analyze, connectivity, isolation_counts
+from .graph_analysis import TrialStats, analyze
 from .model_core import (
-    AdvisoryBounds,
     ExactQuantities,
     ModelParams,
     RegimeDiagnostics,
+    RegimeLabel,
     b_vector,
     beta,
     beta_from_b1,
+    classify_from_values,
+    classify_regime,
     cross_moment_ratio,
-    cross_moment_ratio_values,
     diagnostics,
     edge_prob,
     exact_quantities,
     expected_isolated,
     expected_isolated_from_b,
-    group_edge_prob,
     no_overlap_ratio,
     pairwise_edge_prob,
     ring_sizes_for,
@@ -35,13 +35,10 @@ from .model_core import (
 )
 from .montecarlo import EstimateRow, TrialAggregate, run_trials, wilson_interval
 from .oracle import EventProbs, enumerate_event_probs, enumerate_pair_prob
-from .sampler import GraphSample, SeedSpec, assign_group, generator_for, mix64, sample_graph, sample_object_set
+from .sampler import GraphSample, SeedSpec, mix64, sample_graph
 from .sweeps import (
-    RegimeLabel,
     SweepRow,
     SweepSpec,
-    classify_from_values,
-    classify_regime,
     load_sweep_spec,
     run_sweep,
     simulate_row,

@@ -10,6 +10,7 @@ RIG_THREADS env var caps worker count; it changes speed, never results.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -19,10 +20,9 @@ from .errors import (
     RegimeViolationError,
     UnachievableError,
 )
-from .model_core import ModelParams, beta, diagnostics, exact_quantities, solve_k1
+from .model_core import CRITICAL_WINDOW, ModelParams, beta, classify_regime, diagnostics, exact_quantities, solve_k1
 from .oracle import enumerate_event_probs, enumerate_pair_prob
 from .sweeps import (
-    classify_regime,
     load_sweep_spec,
     rows_to_csv_text,
     run_sweep,
@@ -97,13 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diag", help="regime ratios, advisory flags, and classification")
     _add_params_flags(p_diag)
-    p_diag.add_argument("--window", type=float, default=0.05, help="critical-window half-width")
+    p_diag.add_argument("--window", type=float, default=CRITICAL_WINDOW, help="critical-window half-width")
 
     return parser
 
 
 def _cmd_prob(args) -> int:
-    _emit(exact_quantities(_params_from(args)).to_json_dict())
+    _emit(dataclasses.asdict(exact_quantities(_params_from(args))))
     return 0
 
 

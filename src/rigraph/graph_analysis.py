@@ -9,8 +9,8 @@ stored back to back.  Each incidence of sample t with object o gets the key
 t*P + o, so samples never share an object: one ``connected_components``
 call over the block-diagonal graph labels every sample at once, and the
 holder count of each key gives isolation (a vertex is isolated iff each of
-its objects has a single holder).  ``analyze``, ``connectivity`` and
-``isolation_counts`` run the kernel on a batch of one.
+its objects has a single holder).  ``analyze`` runs the kernel on a batch
+of one.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class TrialStats:
     group1_isolated_count: int
     no_isolated_but_disconnected: bool
     component_count: int
-    min_degree_zero: bool
 
 
 def _object_nodes(keys: np.ndarray, key_range: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -96,40 +95,15 @@ def analyze_batch(
     return comp, iso, group1
 
 
-def _analyze_one(sample: GraphSample) -> tuple[int, int, int]:
-    P = int(sample.objects.max()) + 1 if len(sample.objects) else 1
-    comp, iso, group1 = analyze_batch(sample.groups, sample.objects, sample.offsets, 1, P)
-    return int(comp[0]), int(iso[0]), int(group1[0])
-
-
-def connectivity(sample: GraphSample) -> tuple[bool, int]:
-    """(connected, component count); a single vertex counts as connected."""
-    if sample.n == 1:
-        return True, 1
-    comp, _, _ = _analyze_one(sample)
-    return comp == 1, comp
-
-
-def isolation_counts(sample: GraphSample) -> tuple[int, int]:
-    """(#isolated vertices, #isolated vertices in group 1).
-
-    Isolation is only defined for n >= 2 here: with a single vertex there is
-    no other vertex to share with, and we refuse rather than pick a
-    convention.
-    """
-    if sample.n < 2:
-        raise InvalidParamsError(f"isolation needs n >= 2, got n={sample.n}")
-    _, isolated, group1 = _analyze_one(sample)
-    return isolated, group1
-
-
 def analyze(sample: GraphSample) -> TrialStats:
     """All per-sample observables, with the connectivity=>no-isolation
     implication asserted before returning."""
     n = sample.n
     if n < 2:
         raise InvalidParamsError(f"analyze needs n >= 2, got n={n}")
-    comp, isolated, group1 = _analyze_one(sample)
+    P = int(sample.objects.max(initial=0)) + 1
+    counts = analyze_batch(sample.groups, sample.objects, sample.offsets, 1, P)
+    comp, isolated, group1 = (int(c[0]) for c in counts)
     connected = comp == 1
     return TrialStats(
         connected=connected,
@@ -137,5 +111,4 @@ def analyze(sample: GraphSample) -> TrialStats:
         group1_isolated_count=group1,
         no_isolated_but_disconnected=(isolated == 0 and not connected),
         component_count=comp,
-        min_degree_zero=isolated > 0,
     )

@@ -23,7 +23,7 @@ log space; raw factorials are never formed, so P up to ~1e9 is fine.  A ratio
 whose exp would underflow is returned as 0.0 without the full sum, so one
 ratio costs O(min(K_i, K_j, sqrt(745 P))) terms, and the seeded ring-size
 search needs O(log K_1) of them near its answer.  An
-exact rational mirror of the same formulas lives in ``rigraph.exact`` and is
+exact rational mirror of the same formulas lives in ``tests/exact.py`` and is
 used by the test suite as ground truth for the float path.
 """
 
@@ -70,7 +70,7 @@ class ModelParams:
     Invariants enforced at construction:
       * n, P and every K_i are integers (numpy integers are stored as Python
         ints; bools are rejected), n >= 1, P >= 1
-      * len(a) == len(K) == m >= 1, every a_i > 0, sum(a) == 1 within 1e-9
+      * len(a) == len(K) == m >= 1, every a_i finite and > 0, sum(a) == 1 within 1e-9
         (renormalized exactly to sum 1 on construction, rejected otherwise)
       * 1 <= K_1 <= K_2 <= ... <= K_m <= P.  Out-of-order K is rejected, not
         sorted: silently reordering would desynchronize groups from ``a``.
@@ -94,8 +94,8 @@ class ModelParams:
             raise InvalidParamsError(
                 f"a and K must be nonempty and equally long, got {len(a)} and {len(K)}"
             )
-        if any(x <= 0.0 for x in a):
-            raise InvalidParamsError(f"every group probability must be > 0, got {a}")
+        if not all(0.0 < x < math.inf for x in a):  # also false for NaN
+            raise InvalidParamsError(f"every group probability must be finite and > 0, got {a}")
         total = math.fsum(a)
         if abs(total - 1.0) > _SUM_TOL:
             raise InvalidParamsError(
@@ -178,14 +178,10 @@ def no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
 
 def pairwise_edge_prob(params: ModelParams, i: int, j: int) -> float:
     """Edge probability between a group-i and a group-j vertex (1-based)."""
-    _check_group_index(params, i)
-    _check_group_index(params, j)
+    for g in (i, j):
+        if not isinstance(g, int) or not 1 <= g <= params.m:
+            raise InvalidParamsError(f"group index must be in 1..{params.m}, got {g!r}")
     return 1.0 - no_overlap_ratio(params.P, params.K[i - 1], params.K[j - 1])
-
-
-def _check_group_index(params: ModelParams, i: int) -> None:
-    if not isinstance(i, int) or not 1 <= i <= params.m:
-        raise InvalidParamsError(f"group index must be in 1..{params.m}, got {i!r}")
 
 
 @lru_cache(maxsize=512)
@@ -196,12 +192,6 @@ def b_vector(params: ModelParams) -> tuple[float, ...]:
         math.fsum(aj * (1.0 - no_overlap_ratio(P, Ki, Kj)) for aj, Kj in zip(a, K))
         for Ki in K
     )
-
-
-def group_edge_prob(params: ModelParams, i: int) -> float:
-    """Probability that a group-i vertex is adjacent to one random other vertex."""
-    _check_group_index(params, i)
-    return b_vector(params)[i - 1]
 
 
 def edge_prob(params: ModelParams) -> float:
@@ -220,6 +210,11 @@ def beta_from_b1(n: int, b1: float) -> float:
 def beta(params: ModelParams) -> float:
     """Threshold deviation n*b_1 - ln n for this parameter point."""
     return beta_from_b1(params.n, b_vector(params)[0])
+
+
+def _yagan_c(n: int, b1: float) -> float:
+    """The constant c = n*b_1/ln n of the coarse connectivity law."""
+    return n * b1 / math.log(n)
 
 
 def _isolation_term(n: int, b: float) -> float:
@@ -247,9 +242,7 @@ def expected_isolated(params: ModelParams) -> tuple[float, float]:
     return expected_isolated_from_b(params.n, params.a, b_vector(params))
 
 
-def cross_moment_ratio_values(
-    n: int, P: int, a: tuple[float, ...], K: tuple[int, ...]
-) -> float:
+def cross_moment_ratio(params: ModelParams) -> float:
     """Second-moment diagnostic for the count of isolated group-1 vertices.
 
     The probability that two fixed group-1 vertices with disjoint rings are
@@ -261,6 +254,7 @@ def cross_moment_ratio_values(
     method pins the isolation count; the power is taken in log space, and a
     power beyond the float range is ``math.inf``.
     """
+    n, P, a, K = params.n, params.P, params.a, params.K
     if n < 3:
         raise InvalidParamsError(f"cross-moment ratio needs n >= 3, got n={n}")
     K1 = K[0]
@@ -280,11 +274,6 @@ def cross_moment_ratio_values(
     if log_ratio > _LOG_FLOAT_MAX:
         return math.inf
     return math.exp(log_ratio)
-
-
-def cross_moment_ratio(params: ModelParams) -> float:
-    """``cross_moment_ratio_values`` evaluated at a parameter point."""
-    return cross_moment_ratio_values(params.n, params.P, params.a, params.K)
 
 
 def _round_half_up(x: float) -> int:
@@ -377,14 +366,54 @@ def solve_k1(
     return ring_sizes_for(hi, ratios, P)
 
 
-@dataclass(frozen=True)
-class AdvisoryBounds:
-    """Configurable advisory thresholds for ``diagnostics`` (not assertions:
-    the asymptotic regime conditions cannot be decided at a single n)."""
+# Advisory thresholds for ``diagnostics`` (not assertions: the asymptotic
+# regime conditions cannot be decided at a single n).
+MIN_POOL_PER_VERTEX = 1.0  # flag when P/n drops below this
+MAX_RING_SQ_PER_POOL = 0.1  # flag when K_m^2/P exceeds this
+MAX_BETA_DRIFT = 0.5  # flag when |beta|/ln(n) exceeds this
+# default half-width of the critical window around c = 1
+CRITICAL_WINDOW = 0.05
 
-    min_pool_per_vertex: float = 1.0  # flag when P/n drops below this
-    max_ring_sq_per_pool: float = 0.1  # flag when K_m^2/P exceeds this
-    max_beta_drift: float = 0.5  # flag when |beta|/ln(n) exceeds this
+
+@dataclass(frozen=True)
+class RegimeLabel:
+    """Connectivity regime of one instance under the coarse c = n*b_1/ln n
+    law, refined by the sign of beta inside the critical window where the
+    coarse law is silent."""
+
+    kind: str  # subcritical-yagan | supercritical-yagan | critical-window
+    c: float
+    beta: float
+    window: float
+
+    @property
+    def label(self) -> str:
+        if self.kind != "critical-window":
+            return self.kind
+        sign = ">" if self.beta > 0 else ("<" if self.beta < 0 else "=")
+        return f"critical-window(beta{sign}0)"
+
+
+def classify_from_values(n: int, b1: float, window: float = CRITICAL_WINDOW) -> RegimeLabel:
+    """Regime of an instance with n vertices and group-1 edge probability b1;
+    ``window`` must be finite and >= 0."""
+    if n < 2:
+        raise InvalidParamsError(f"classification needs n >= 2, got n={n}")
+    if not 0.0 <= window < math.inf:
+        raise InvalidParamsError(f"critical window must be finite and >= 0, got {window!r}")
+    c = _yagan_c(n, b1)
+    if c < 1.0 - window:
+        kind = "subcritical-yagan"
+    elif c > 1.0 + window:
+        kind = "supercritical-yagan"
+    else:
+        kind = "critical-window"
+    return RegimeLabel(kind=kind, c=c, beta=beta_from_b1(n, b1), window=window)
+
+
+def classify_regime(params: ModelParams, window: float = CRITICAL_WINDOW) -> RegimeLabel:
+    """Classify one instance; depends on params only through (n, b_1)."""
+    return classify_from_values(params.n, b_vector(params)[0], window)
 
 
 @dataclass(frozen=True)
@@ -399,29 +428,27 @@ class RegimeDiagnostics:
     flags: tuple[str, ...]
 
 
-def diagnostics(params: ModelParams, bounds: AdvisoryBounds = AdvisoryBounds()) -> RegimeDiagnostics:
+def diagnostics(params: ModelParams) -> RegimeDiagnostics:
     """Regime ratios for one instance; ``yagan_c`` is n*b_1/ln n, the constant
     in the coarser c-above/below-1 connectivity law."""
     if params.n < 2:
         raise InvalidParamsError(f"diagnostics need n >= 2, got n={params.n}")
-    ln_n = math.log(params.n)
     b1 = b_vector(params)[0]
-    bta = params.n * b1 - ln_n
     p_over_n = params.P / params.n
     km_sq_over_p = params.K[-1] ** 2 / params.P
-    beta_over_ln_n = bta / ln_n
+    beta_over_ln_n = beta_from_b1(params.n, b1) / math.log(params.n)
     flags: list[str] = []
-    if p_over_n < bounds.min_pool_per_vertex:
+    if p_over_n < MIN_POOL_PER_VERTEX:
         flags.append("pool_growth")
-    if km_sq_over_p > bounds.max_ring_sq_per_pool:
+    if km_sq_over_p > MAX_RING_SQ_PER_POOL:
         flags.append("ring_size")
-    if abs(beta_over_ln_n) > bounds.max_beta_drift:
+    if abs(beta_over_ln_n) > MAX_BETA_DRIFT:
         flags.append("beta_drift")
     return RegimeDiagnostics(
         p_over_n=p_over_n,
         km_sq_over_p=km_sq_over_p,
         beta_over_ln_n=beta_over_ln_n,
-        yagan_c=params.n * b1 / ln_n,
+        yagan_c=_yagan_c(params.n, b1),
         flags=tuple(flags),
     )
 
@@ -441,17 +468,6 @@ class ExactQuantities:
     expected_isolated: float
     expected_group1_isolated: float
     cross_moment_ratio: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": [list(row) for row in self.p],
-            "b": list(self.b),
-            "edge_prob": self.edge_prob,
-            "beta": self.beta,
-            "expected_isolated": self.expected_isolated,
-            "expected_group1_isolated": self.expected_group1_isolated,
-            "cross_moment_ratio": self.cross_moment_ratio,
-        }
 
 
 def exact_quantities(params: ModelParams) -> ExactQuantities:

@@ -59,16 +59,13 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 @dataclass(frozen=True)
 class EstimateRow:
-    """One event estimate (plus the run's isolated-count moments, which are
-    shared by every event row of the same run)."""
+    """One event estimate: success count, point estimate and Wilson interval."""
 
     trials: int
     successes: int
     point: float
     ci_low: float
     ci_high: float
-    mean_isolated: float
-    stderr_isolated: float
 
     def __post_init__(self) -> None:
         if not 0 <= self.successes <= self.trials:
@@ -188,8 +185,6 @@ def run_trials(
             point=successes / trials,
             ci_low=low,
             ci_high=high,
-            mean_isolated=mean_iso,
-            stderr_isolated=se_iso,
         )
 
     return TrialAggregate(

@@ -34,8 +34,6 @@ within this implementation.
 
 from __future__ import annotations
 
-import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,18 +105,6 @@ class SeedSpec:
         return mix64((self.master_seed + (self.trial_index + 1) * GAMMA) & _M64)
 
 
-def generator_for(spec: SeedSpec, scratch: np.random.PCG64 | None = None) -> np.random.Generator:
-    """PCG64 generator positioned at the start of the trial's stream.
-
-    Passing a ``scratch`` bit generator reuses it (its state is overwritten),
-    which avoids per-trial construction cost in hot loops.
-    """
-    bg = scratch if scratch is not None else np.random.PCG64(0)
-    words = trial_state_words(spec.master_seed, spec.trial_index, spec.trial_index + 1)
-    bg.state = _state_dict(*words.tolist()[0])
-    return np.random.Generator(bg)
-
-
 @dataclass(frozen=True)
 class GraphSample:
     """One realized graph: group labels and per-vertex object sets.
@@ -144,9 +130,6 @@ class GraphSample:
     def object_sets(self) -> list[list[int]]:
         return [self.object_set(x).tolist() for x in range(self.n)]
 
-    def to_debug_json(self) -> str:
-        return json.dumps({"groups": self.groups.tolist(), "object_sets": self.object_sets()})
-
     def validate(self, params: ModelParams) -> None:
         """Check the structural invariants against the generating params."""
         if self.groups.min(initial=1) < 1 or self.groups.max(initial=1) > params.m:
@@ -165,15 +148,6 @@ class GraphSample:
             raise InvariantViolation("params fingerprint mismatch")
 
 
-def assign_group(a: tuple[float, ...], u: float) -> int:
-    """Inverse-CDF group draw: least 1-based i with u < a_1 + ... + a_i.
-
-    The last group absorbs any float dust at the top of the CDF.
-    """
-    cum = np.cumsum(np.asarray(a, dtype=np.float64)).tolist()
-    return min(bisect_right(cum, u) + 1, len(cum))
-
-
 def _floyd_batch(P: int, K: int, U: np.ndarray) -> np.ndarray:
     """Row-wise Floyd K-subsets of {0..P-1} from an (count, K) block of uniforms.
 
@@ -189,17 +163,6 @@ def _floyd_batch(P: int, K: int, U: np.ndarray) -> np.ndarray:
     out = sel.T.copy()
     out.sort(axis=1)
     return out
-
-
-def sample_object_set(P: int, K: int, rng: np.random.Generator) -> list[int]:
-    """Uniform K-subset of {0..P-1} as a sorted list; O(K) memory.
-
-    Uniformity over all C(P, K) subsets is Floyd's invariant; the draw for
-    slot s consumes one uniform and maps it into {0..P-K+s}.
-    """
-    if not 1 <= K <= P:
-        raise InvalidParamsError(f"need 1 <= K <= P, got K={K}, P={P}")
-    return _floyd_batch(P, K, rng.random((1, K)))[0].tolist()
 
 
 @lru_cache(maxsize=512)

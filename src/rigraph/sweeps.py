@@ -1,4 +1,4 @@
-"""Sweep configuration, execution, CSV emission, and regime classification.
+"""Sweep configuration, execution and CSV emission.
 
 A sweep walks one axis (n, P, K1-scale, or beta-target) across a base
 parameter point, runs a fixed trial budget per point, and emits one frozen
@@ -39,7 +39,6 @@ from .sampler import SeedSpec
 
 SCHEMA_VERSION = 1
 AXES = ("n", "P", "K1-scale", "beta-target")
-CRITICAL_WINDOW = 0.05
 
 CSV_COLUMNS = (
     "axis",
@@ -64,45 +63,6 @@ CSV_COLUMNS = (
     "cross_moment_ratio",
     "regime_flags",
 )
-
-
-@dataclass(frozen=True)
-class RegimeLabel:
-    """Connectivity regime of one instance under the coarse c = n*b_1/ln n
-    law, refined by the sign of beta inside the critical window where the
-    coarse law is silent."""
-
-    kind: str  # subcritical-yagan | supercritical-yagan | critical-window
-    c: float
-    beta: float
-    window: float
-
-    @property
-    def label(self) -> str:
-        if self.kind != "critical-window":
-            return self.kind
-        sign = ">" if self.beta > 0 else ("<" if self.beta < 0 else "=")
-        return f"critical-window(beta{sign}0)"
-
-
-def classify_from_values(n: int, b1: float, window: float = CRITICAL_WINDOW) -> RegimeLabel:
-    if n < 2:
-        raise InvalidParamsError(f"classification needs n >= 2, got n={n}")
-    ln_n = math.log(n)
-    c = n * b1 / ln_n
-    bta = n * b1 - ln_n
-    if c < 1.0 - window:
-        kind = "subcritical-yagan"
-    elif c > 1.0 + window:
-        kind = "supercritical-yagan"
-    else:
-        kind = "critical-window"
-    return RegimeLabel(kind=kind, c=c, beta=bta, window=window)
-
-
-def classify_regime(params: ModelParams, window: float = CRITICAL_WINDOW) -> RegimeLabel:
-    """Classify one instance; depends on params only through (n, b_1)."""
-    return classify_from_values(params.n, b_vector(params)[0], window)
 
 
 def solve_k1_nearest(
@@ -147,6 +107,8 @@ class SweepSpec:
             raise InvalidParamsError(f"axis must be one of {AXES}, got {self.axis!r}")
         if len(self.points) == 0:
             raise InvalidParamsError("points must be nonempty")
+        if not all(math.isfinite(p) for p in self.points):
+            raise InvalidParamsError(f"points must be finite, got {self.points}")
         if any(self.points[i] >= self.points[i + 1] for i in range(len(self.points) - 1)):
             raise InvalidParamsError(f"points must be strictly increasing, got {self.points}")
         if self.trials < 1:
@@ -286,6 +248,7 @@ def build_row(
     axis: str, axis_value: float, params: ModelParams, agg: TrialAggregate
 ) -> SweepRow:
     b1 = b_vector(params)[0]
+    diag = diagnostics(params)
     e_j, _ = expected_isolated(params)
     try:
         cmr = cross_moment_ratio(params)
@@ -299,7 +262,7 @@ def build_row(
         K=params.K,
         b1=b1,
         beta=beta(params),
-        yagan_c=classify_regime(params).c,
+        yagan_c=diag.yagan_c,
         p_connected=agg.connected.point,
         p_connected_low=agg.connected.ci_low,
         p_connected_high=agg.connected.ci_high,
@@ -312,7 +275,7 @@ def build_row(
         mean_isolated=agg.mean_isolated,
         expected_isolated_closed_form=e_j,
         cross_moment_ratio=cmr,
-        regime_flags=diagnostics(params).flags,
+        regime_flags=diag.flags,
     )
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvalidParamsError, RegimeViolationError
-from .model_core import ModelParams
+from rigraph import InvalidParamsError, ModelParams, RegimeViolationError
 
 MAX_POOL = 200
 

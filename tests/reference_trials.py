@@ -1,9 +1,10 @@
 """Per-trial reference paths for the batched sampler and analysis.
 
-These are the scalar Floyd sampler and the dict union-find that once ran
-small samples at run time.  The batched kernels must reproduce them exactly:
-``reference_sample`` draws the same floats in the same order, and the
-union-find counts the same components and isolated vertices.
+These are the per-trial generator, the scalar group draw and Floyd sampler,
+and the dict union-find that once ran small samples at run time.  The batched
+kernels must reproduce them exactly: ``reference_sample`` draws the same
+floats in the same order, and the union-find counts the same components and
+isolated vertices.
 """
 
 from __future__ import annotations
@@ -12,8 +13,25 @@ from bisect import bisect_right
 
 import numpy as np
 
-from rigraph import ModelParams, SeedSpec, generator_for
-from rigraph.sampler import GraphSample
+from rigraph import ModelParams, SeedSpec
+from rigraph.sampler import GraphSample, _state_dict, trial_state_words
+
+
+def generator_for(spec: SeedSpec) -> np.random.Generator:
+    """PCG64 generator positioned at the start of the trial's stream."""
+    words = trial_state_words(spec.master_seed, spec.trial_index, spec.trial_index + 1)
+    bg = np.random.PCG64(0)
+    bg.state = _state_dict(*words.tolist()[0])
+    return np.random.Generator(bg)
+
+
+def assign_group(a: tuple[float, ...], u: float) -> int:
+    """Inverse-CDF group draw: least 1-based i with u < a_1 + ... + a_i.
+
+    The last group absorbs any float dust at the top of the CDF.
+    """
+    cum = np.cumsum(np.asarray(a, dtype=np.float64)).tolist()
+    return min(bisect_right(cum, u) + 1, len(cum))
 
 
 def floyd_scalar(P: int, K: int, u: list[float], pos: int) -> list[int]:
@@ -31,9 +49,7 @@ def floyd_scalar(P: int, K: int, u: list[float], pos: int) -> list[int]:
 def sample_scalar(params: ModelParams, rng: np.random.Generator) -> GraphSample:
     """One graph from ``rng``: n group floats, then each vertex's ring."""
     n, P, K = params.n, params.P, params.K
-    cum = np.cumsum(np.asarray(params.a, dtype=np.float64)).tolist()
-    ug = rng.random(n).tolist()
-    groups = [min(bisect_right(cum, u) + 1, params.m) for u in ug]
+    groups = [assign_group(params.a, u) for u in rng.random(n).tolist()]
     sizes = [K[g - 1] for g in groups]
     uo = rng.random(sum(sizes)).tolist()
     flat: list[int] = []

@@ -9,8 +9,6 @@ from rigraph import (
     ModelParams,
     SeedSpec,
     analyze,
-    connectivity,
-    isolation_counts,
     run_trials,
     sample_graph,
 )
@@ -47,38 +45,34 @@ class TestInvertedIndex:
 
 class TestConnectivity:
     def test_split_example(self):
-        s = make_sample([1, 1, 2], [[0], [0], [1]])
-        assert connectivity(s) == (False, 2)
+        st_ = analyze(make_sample([1, 1, 2], [[0], [0], [1]]))
+        assert (st_.connected, st_.component_count) == (False, 2)
 
     def test_shared_object_connects_everything(self):
-        s = make_sample([1] * 5, [[0, i + 1] for i in range(5)])
-        assert connectivity(s) == (True, 1)
+        st_ = analyze(make_sample([1] * 5, [[0, i + 1] for i in range(5)]))
+        assert (st_.connected, st_.component_count) == (True, 1)
 
     def test_chain(self):
-        s = make_sample([1, 1, 1], [[0, 1], [1, 2], [2, 3]])
-        assert connectivity(s) == (True, 1)
-
-    def test_single_vertex_convention(self):
-        s = make_sample([1], [[0]])
-        assert connectivity(s) == (True, 1)
+        st_ = analyze(make_sample([1, 1, 1], [[0, 1], [1, 2], [2, 3]]))
+        assert (st_.connected, st_.component_count) == (True, 1)
 
 
 class TestIsolationCounts:
     def test_worked_example(self):
-        s = make_sample([1, 1, 2], [[0], [0], [1]])
-        assert isolation_counts(s) == (1, 0)
+        st_ = analyze(make_sample([1, 1, 2], [[0], [0], [1]]))
+        assert (st_.isolated_count, st_.group1_isolated_count) == (1, 0)
 
     def test_no_isolated_when_all_share(self):
-        s = make_sample([1, 2, 2], [[0], [0, 1], [0]])
-        assert isolation_counts(s) == (0, 0)
+        st_ = analyze(make_sample([1, 2, 2], [[0], [0, 1], [0]]))
+        assert (st_.isolated_count, st_.group1_isolated_count) == (0, 0)
 
     def test_pairwise_disjoint(self):
-        s = make_sample([1, 2, 1], [[0], [1], [2]])
-        assert isolation_counts(s) == (3, 2)
+        st_ = analyze(make_sample([1, 2, 1], [[0], [1], [2]]))
+        assert (st_.isolated_count, st_.group1_isolated_count) == (3, 2)
 
     def test_rejects_single_vertex(self):
         with pytest.raises(InvalidParamsError):
-            isolation_counts(make_sample([1], [[0]]))
+            analyze(make_sample([1], [[0]]))
 
 
 class TestAnalyze:
@@ -87,7 +81,6 @@ class TestAnalyze:
         assert st_.connected
         assert st_.isolated_count == 0
         assert not st_.no_isolated_but_disconnected
-        assert not st_.min_degree_zero
 
     def test_two_cliques_witness_f_event(self):
         s = make_sample([1, 1, 2, 2], [[0], [0], [1], [1]])
@@ -102,7 +95,6 @@ class TestAnalyze:
         assert st_.isolated_count == 2
         assert not st_.connected
         assert not st_.no_isolated_but_disconnected
-        assert st_.min_degree_zero
 
     def test_rejects_single_vertex(self):
         with pytest.raises(InvalidParamsError):
@@ -166,8 +158,7 @@ class TestOracleEquivalence:
         comp, iso, g1 = reference_stats(s)
         st_ = analyze(s)
         assert (st_.component_count, st_.isolated_count, st_.group1_isolated_count) == (comp, iso, g1)
-        assert connectivity(s) == (comp == 1, comp)
-        assert isolation_counts(s) == (iso, g1)
+        assert st_.connected == (comp == 1)
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
@@ -194,4 +185,4 @@ class TestLargePath:
             assert len(s.objects) > 512
             st_ = analyze(s)
             assert (st_.component_count, st_.isolated_count, st_.group1_isolated_count) == reference_stats(s)
-            assert connectivity(s) == (st_.connected, st_.component_count)
+            assert st_.connected == (st_.component_count == 1)

@@ -15,23 +15,20 @@ from rigraph import (
     beta,
     beta_from_b1,
     cross_moment_ratio,
-    cross_moment_ratio_values,
     diagnostics,
     edge_prob,
     exact_quantities,
     expected_isolated,
     expected_isolated_from_b,
-    group_edge_prob,
     no_overlap_ratio,
     pairwise_edge_prob,
     ring_sizes_for,
     solve_k1,
     solve_k1_nearest,
 )
-from rigraph import exact
-from rigraph.model_core import AdvisoryBounds
 from rigraph.oracle import enumerate_pair_prob
 
+import exact
 from conftest import small_params
 from reference_solver import bisect_solve_k1, bisect_solve_k1_nearest, full_sum_no_overlap_ratio
 
@@ -50,6 +47,11 @@ class TestModelParams:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(InvalidParamsError):
             ModelParams(n=2, a=(1.2, -0.2), K=(1, 1), P=3)
+
+    @pytest.mark.parametrize("a", [(math.nan,), (0.5, math.nan), (math.inf,), (math.inf, 0.5)])
+    def test_rejects_non_finite_weights(self, a):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            ModelParams(n=2, a=a, K=(1,) * len(a), P=3)
 
     def test_rejects_decreasing_K_instead_of_sorting(self):
         with pytest.raises(InvalidParamsError):
@@ -177,19 +179,18 @@ class TestEdgeProbabilities:
         with pytest.raises(InvalidParamsError):
             pairwise_edge_prob(WORKED, 0, 1)
         with pytest.raises(InvalidParamsError):
-            group_edge_prob(WORKED, 3)
+            pairwise_edge_prob(WORKED, 1, 3)
 
     def test_group_edge_prob_worked_values(self):
         # b_1 = 0.5*0.2 + 0.5*0.4, b_2 = 0.5*0.4 + 0.5*0.7, with the p_ij
         # cross-checked against the subset-pair enumeration oracle
         assert float(enumerate_pair_prob(5, 1, 2)) == pytest.approx(0.4, abs=1e-15)
         assert float(enumerate_pair_prob(5, 2, 2)) == pytest.approx(0.7, abs=1e-15)
-        assert group_edge_prob(WORKED, 1) == pytest.approx(0.3, abs=1e-12)
-        assert group_edge_prob(WORKED, 2) == pytest.approx(0.55, abs=1e-12)
+        assert b_vector(WORKED) == pytest.approx((0.3, 0.55), abs=1e-12)
 
     def test_single_group_b_equals_p11(self):
         p = ModelParams(n=4, a=(1.0,), K=(2,), P=6)
-        assert group_edge_prob(p, 1) == pytest.approx(pairwise_edge_prob(p, 1, 1), abs=1e-15)
+        assert b_vector(p)[0] == pytest.approx(pairwise_edge_prob(p, 1, 1), abs=1e-15)
 
     def test_edge_prob_worked_value(self):
         assert edge_prob(WORKED) == pytest.approx(0.425, abs=1e-12)
@@ -201,7 +202,7 @@ class TestEdgeProbabilities:
     @given(small_params())
     @settings(max_examples=60, deadline=None)
     def test_edge_prob_identity(self, params):
-        mix = math.fsum(ai * group_edge_prob(params, i + 1) for i, ai in enumerate(params.a))
+        mix = math.fsum(ai * bi for ai, bi in zip(params.a, b_vector(params)))
         assert abs(edge_prob(params) - mix) <= 1e-12
 
     @given(small_params())
@@ -299,9 +300,6 @@ class TestExpectedIsolated:
 # ---------------------------------------------------------------- cross moment
 
 class TestCrossMomentRatio:
-    def test_zero_ring_gives_unit_ratio(self):
-        assert cross_moment_ratio_values(5, 10, (1.0,), (0,)) == pytest.approx(1.0, abs=1e-15)
-
     def test_power_one_at_n3(self):
         p = ModelParams(n=3, a=(0.5, 0.5), K=(2, 3), P=12)
         base = float(exact.cross_moment_base(p))
@@ -318,9 +316,12 @@ class TestCrossMomentRatio:
 
     def test_power_past_float_range_is_inf(self):
         # D/S^2 = 1.5 on this tiny pool, and 1.5^1750 < max float < 1.5^1751
-        assert cross_moment_ratio_values(2000, 3, (0.5, 0.5), (1, 3)) == math.inf
-        assert cross_moment_ratio_values(1752, 3, (0.5, 0.5), (1, 3)) == pytest.approx(1.5**1750, rel=1e-9)
-        assert cross_moment_ratio_values(1753, 3, (0.5, 0.5), (1, 3)) == math.inf
+        def ratio(n):
+            return cross_moment_ratio(ModelParams(n=n, a=(0.5, 0.5), K=(1, 3), P=3))
+
+        assert ratio(2000) == math.inf
+        assert ratio(1752) == pytest.approx(1.5**1750, rel=1e-9)
+        assert ratio(1753) == math.inf
 
     @given(small_params(min_n=3))
     @settings(max_examples=40, deadline=None)
@@ -468,11 +469,6 @@ class TestDiagnostics:
         big_ring = diagnostics(ModelParams(n=10, a=(1.0,), K=(10,), P=100))
         assert "ring_size" in big_ring.flags
         assert "beta_drift" in big_ring.flags  # K=10, P=100 is far supercritical
-
-    def test_bounds_are_configuration(self):
-        loose = AdvisoryBounds(min_pool_per_vertex=0.0, max_ring_sq_per_pool=10.0, max_beta_drift=1e9)
-        d = diagnostics(ModelParams(n=10, a=(1.0,), K=(10,), P=100), bounds=loose)
-        assert d.flags == ()
 
     def test_yagan_c_relation(self):
         p = ModelParams(n=400, a=(0.5, 0.5), K=(2, 4), P=800)

@@ -1,4 +1,3 @@
-import json
 import math
 from collections import Counter
 from itertools import combinations
@@ -13,24 +12,22 @@ from rigraph import (
     InvalidParamsError,
     ModelParams,
     SeedSpec,
-    assign_group,
     edge_prob,
-    generator_for,
     mix64,
     run_trials,
     sample_graph,
-    sample_object_set,
     wilson_interval,
 )
 from rigraph.errors import InvariantViolation
-from rigraph.sampler import GAMMA, trial_state_words
+from rigraph.sampler import GAMMA, _floyd_batch, sample_batch, trial_state_words
 
 from conftest import small_params
-from reference_trials import reference_sample
+from reference_trials import assign_group, generator_for, reference_sample
 
 
-def rng_at(seed=7, trial=0):
-    return generator_for(SeedSpec(seed, trial))
+def floyd_draws(P, K, draws, seed=7):
+    """``draws`` Floyd K-subsets from one trial stream, one per row."""
+    return _floyd_batch(P, K, generator_for(SeedSpec(seed, 0)).random((draws, K))).tolist()
 
 
 class TestSeeding:
@@ -85,39 +82,28 @@ class TestAssignGroup:
 
 class TestSampleObjectSet:
     def test_full_pool(self):
-        assert sample_object_set(6, 6, rng_at()) == [0, 1, 2, 3, 4, 5]
-
-    def test_bounds(self):
-        with pytest.raises(InvalidParamsError):
-            sample_object_set(4, 5, rng_at())
-        with pytest.raises(InvalidParamsError):
-            sample_object_set(4, 0, rng_at())
+        assert floyd_draws(6, 6, 1) == [[0, 1, 2, 3, 4, 5]]
 
     def test_sets_are_sorted_distinct(self):
-        rng = rng_at(11)
-        for _ in range(200):
-            s = sample_object_set(10, 4, rng)
+        for s in floyd_draws(10, 4, 200, seed=11):
             assert s == sorted(set(s))
             assert all(0 <= o < 10 for o in s)
 
     def test_singleton_frequency(self):
-        rng = rng_at(13)
-        counts = Counter(sample_object_set(4, 1, rng)[0] for _ in range(10_000))
+        counts = Counter(s[0] for s in floyd_draws(4, 1, 10_000, seed=13))
         for o in range(4):
             assert abs(counts[o] / 10_000 - 0.25) < 0.02
 
     def test_pair_frequency(self):
-        rng = rng_at(17)
-        counts = Counter(tuple(sample_object_set(4, 2, rng)) for _ in range(100_000))
+        counts = Counter(tuple(s) for s in floyd_draws(4, 2, 100_000, seed=17))
         assert len(counts) == 6
         for pair in combinations(range(4), 2):
             assert abs(counts[pair] / 100_000 - 1 / 6) < 0.02
 
     @pytest.mark.parametrize("P,K", [(4, 2), (5, 2), (5, 3)])
     def test_chi_square_uniformity(self, P, K):
-        rng = rng_at(19 + P * K)
         draws = 100_000
-        counts = Counter(tuple(sample_object_set(P, K, rng)) for _ in range(draws))
+        counts = Counter(tuple(s) for s in floyd_draws(P, K, draws, seed=19 + P * K))
         cells = list(combinations(range(P), K))
         observed = [counts[c] for c in cells]
         _, pvalue = sps.chisquare(observed)
@@ -183,22 +169,12 @@ class TestSampleGraph:
         with pytest.raises(InvariantViolation):
             bad.validate(p)
 
-    def test_debug_json_shape(self):
-        p = ModelParams(n=3, a=(0.5, 0.5), K=(1, 2), P=5)
-        s = sample_graph(p, SeedSpec(9, 4))
-        doc = json.loads(s.to_debug_json())
-        assert set(doc) == {"groups", "object_sets"}
-        assert len(doc["groups"]) == 3
-        assert [len(x) for x in doc["object_sets"]] == [p.K[g - 1] for g in doc["groups"]]
-
     def test_group_independence_in_pairs(self):
         # joint (g_1, g_2) frequency factorizes to a_i * a_j
         p = ModelParams(n=2, a=(0.3, 0.7), K=(1, 1), P=10)
-        counts = Counter()
         trials = 20_000
-        for t in range(trials):
-            s = sample_graph(p, SeedSpec(21, t))
-            counts[(int(s.groups[0]), int(s.groups[1]))] += 1
+        groups, _, _ = sample_batch(p, trial_state_words(21, 0, trials))
+        counts = Counter(map(tuple, groups.reshape(trials, 2).tolist()))
         for gi, ai in enumerate(p.a, start=1):
             for gj, aj in enumerate(p.a, start=1):
                 want = ai * aj

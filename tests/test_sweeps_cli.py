@@ -284,6 +284,12 @@ class TestCli:
         assert code == 2
         assert "sum" in err
 
+    def test_prob_nan_weight_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "prob", "--n", "10", "--P", "5", "--a", "nan", "--K", "1")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_solve(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "--n", "1000", "--P", "10000", "--a", "1", "--ratios", "1",
@@ -348,6 +354,18 @@ class TestCli:
         assert code == 2
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("axis", ["n", "P", "K1-scale"])
+    @pytest.mark.parametrize("point", ["NaN", "Infinity", "1e400"])
+    def test_sweep_non_finite_point_exit_2(self, capsys, tmp_path, axis, point):
+        # json.load accepts all three; each must be refused before any trial runs
+        cfg = tmp_path / "cfg.json"
+        doc = json.dumps(spec_dict(axis=axis, points=[1, 2], output_path=str(tmp_path / "x.csv")))
+        cfg.write_text(doc.replace("[1, 2]", f"[1, {point}]"))
+        code, _, err = run_cli(capsys, "sweep", str(cfg))
+        assert code == 2
+        assert "finite" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_oracle_pair(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "pair", "--P", "5", "--Ki", "2", "--Kj", "2")
         assert code == 0
@@ -375,6 +393,15 @@ class TestCli:
         assert doc["flags"] == []
         assert doc["p_over_n"] == 2.0
         assert "regime" in doc
+
+    @pytest.mark.parametrize("window", ["-1", "-0.01", "nan", "inf"])
+    def test_diag_bad_window_exit_2(self, capsys, window):
+        code, out, err = run_cli(
+            capsys, "diag", "--n", "200", "--P", "400", "--a", "1", "--K", "3", "--window", window
+        )
+        assert code == 2
+        assert out == ""
+        assert "window" in err
 
     def test_rig_threads_speed_only(self, capsys, tmp_path, monkeypatch):
         cfg1 = tmp_path / "c1.json"
