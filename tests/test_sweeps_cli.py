@@ -6,6 +6,7 @@ import pytest
 from rigraph import (
     InvalidParamsError,
     ModelParams,
+    SweepRow,
     beta,
     classify_from_values,
     classify_regime,
@@ -236,6 +237,38 @@ class TestSweepCsv:
         assert row.cross_moment_ratio == math.inf
         fields = dict(zip(CSV_COLUMNS, row.to_csv_fields()))
         assert fields["cross_moment_ratio"] == "inf"
+
+    def test_frozen_csv_bytes(self):
+        # the README's header and number formatting, pinned literally; the int
+        # axis point must print like the float it stands for
+        rows = [
+            SweepRow(
+                axis="P", axis_value=10**9, n=2000, P=10**9, K=(3, 6), b1=1.0 / 3, beta=-7.25,
+                yagan_c=2e-7, p_connected=0.0, p_connected_low=0.0, p_connected_high=0.0192,
+                p_no_isolated=1.0, p_no_isolated_low=0.981, p_no_isolated_high=1.0, p_f=0.125,
+                p_f_low=0.0625, p_f_high=0.25, mean_isolated=1234.5678901,
+                expected_isolated_closed_form=1e-300, cross_moment_ratio=math.inf, regime_flags=(),
+            ),
+            SweepRow(
+                axis="beta-target", axis_value=-4.0, n=60, P=120, K=(2,), b1=0.0666666666666666,
+                beta=0.5, yagan_c=1.0, p_connected=0.5, p_connected_low=0.4, p_connected_high=0.6,
+                p_no_isolated=0.75, p_no_isolated_low=0.7, p_no_isolated_high=0.8, p_f=0.25,
+                p_f_low=0.2, p_f_high=0.3, mean_isolated=0.0,
+                expected_isolated_closed_form=12345678901.0, cross_moment_ratio=math.nan,
+                regime_flags=("ring_size", "beta_drift"),
+            ),
+        ]
+        assert rows_to_csv_text(rows) == (
+            "axis,axis_value,n,P,K,b1,beta,yagan_c,"
+            "p_connected,p_connected_low,p_connected_high,"
+            "p_no_isolated,p_no_isolated_low,p_no_isolated_high,"
+            "p_f,p_f_low,p_f_high,"
+            "mean_isolated,expected_isolated_closed_form,cross_moment_ratio,regime_flags\n"
+            "P,1e+09,2000,1000000000,3;6,0.333333333,-7.25,2e-07,0,0,0.0192,1,0.981,1,"
+            "0.125,0.0625,0.25,1234.56789,1e-300,inf,\n"
+            "beta-target,-4,60,120,2,0.0666666667,0.5,1,0.5,0.4,0.6,0.75,0.7,0.8,"
+            "0.25,0.2,0.3,0,1.23456789e+10,nan,ring_size;beta_drift\n"
+        )
 
     def test_beta_decreases_along_n_axis_when_b1_tiny(self):
         # with K and P fixed and b1 << ln(n)/n, beta(n) = n*b1 - ln n falls
