@@ -35,7 +35,7 @@ from .model_core import (
 )
 from .montecarlo import EstimateRow, TrialAggregate, run_trials, wilson_interval
 from .oracle import EventProbs, enumerate_event_probs, enumerate_pair_prob
-from .sampler import GraphSample, SeedSpec, mix64, sample_graph
+from .sampler import GraphSample, SeedSpec, sample_graph
 from .sweeps import (
     SweepRow,
     SweepSpec,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .errors import (
@@ -22,13 +23,7 @@ from .errors import (
 )
 from .model_core import CRITICAL_WINDOW, ModelParams, beta, classify_regime, diagnostics, exact_quantities, solve_k1
 from .oracle import enumerate_event_probs, enumerate_pair_prob
-from .sweeps import (
-    load_sweep_spec,
-    rows_to_csv_text,
-    run_sweep,
-    simulate_row,
-    write_sweep_csv,
-)
+from .sweeps import load_sweep_spec, run_sweep, simulate_row, write_sweep_csv
 
 
 def _floats_csv(text: str) -> tuple[float, ...]:
@@ -138,7 +133,7 @@ def _cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.config)
     rows = run_sweep(spec, workers=None)
     write_sweep_csv(rows, spec.output_path)
-    _emit({"out": spec.output_path, "rows": len(rows), "bytes": len(rows_to_csv_text(rows))})
+    _emit({"out": spec.output_path, "rows": len(rows), "bytes": os.path.getsize(spec.output_path)})
     return 0
 
 

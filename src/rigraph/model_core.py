@@ -96,7 +96,10 @@ class ModelParams:
             )
         if not all(0.0 < x < math.inf for x in a):  # also false for NaN
             raise InvalidParamsError(f"every group probability must be finite and > 0, got {a}")
-        total = math.fsum(a)
+        try:
+            total = math.fsum(a)
+        except OverflowError:  # finite weights whose sum leaves the float range
+            total = math.inf
         if abs(total - 1.0) > _SUM_TOL:
             raise InvalidParamsError(
                 f"group probabilities must sum to 1 within {_SUM_TOL}, got sum {total!r}"
@@ -168,12 +171,7 @@ def no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
     if small > _BOUND_MIN_TERMS and large < P:
         if small * math.log1p(-large / P) < _LOG_UNDERFLOW:
             return 0.0
-    lr = log_no_overlap_ratio(P, Ki, Kj)
-    if lr == 0.0:
-        return 1.0
-    if lr == -math.inf:
-        return 0.0
-    return math.exp(lr)
+    return math.exp(log_no_overlap_ratio(P, Ki, Kj))
 
 
 def pairwise_edge_prob(params: ModelParams, i: int, j: int) -> float:

@@ -160,7 +160,8 @@ def run_trials(
     if serial:
         parts = [_run_range(params, master_seed, a, b) for a, b in ranges]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the fork start method forks every worker up front; fork no idle ones
+        with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
             parts = list(
                 pool.map(
                     _run_range,

@@ -11,10 +11,11 @@ from ``(master_seed, trial_index)`` alone, by splitmix64 expansion:
     state = w1 << 64 | w2,   inc = (w3 << 64 | w4) | 1
 
 where ``mix64`` is the standard splitmix64 finalizer (an avalanche function:
-every output bit depends on every input bit).  ``trial_state_words`` is the
-one place that derives these words.  Trial t is therefore independent of
-whether trials 0..t-1 were ever generated, which is what makes parallel
-trial execution deterministic.
+every output bit depends on every input bit).  One vector path derives the
+seeds and the words: ``_trial_seeds`` computes the seeds of a range of trials
+(``SeedSpec.trial_seed`` is a range of one) and ``trial_state_words`` expands
+them.  Trial t is therefore independent of whether trials 0..t-1 were ever
+generated, which is what makes parallel trial execution deterministic.
 
 A trial consumes randomness in a fixed order: one block of n uniforms for
 group assignment (inverse CDF over the cumulative a), then one block of
@@ -46,20 +47,18 @@ _M64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer; 64-bit in, 64-bit out, full avalanche."""
-    x &= _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
-
-
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """``mix64`` over a uint64 array (wraparound multiply matches the
-    scalar's mod-2^64 semantics)."""
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over a uint64 array: full avalanche, and the
+    wraparound multiply is the finalizer's mod-2^64 arithmetic."""
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
+
+
+def _trial_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """Trial seeds of trials [start, stop) as a uint64 array."""
+    first = (master_seed + (start + 1) * GAMMA) & _M64
+    return _mix64(np.uint64(first) + np.arange(stop - start, dtype=np.uint64) * np.uint64(GAMMA))
 
 
 def trial_state_words(master_seed: int, start: int, stop: int) -> np.ndarray:
@@ -67,13 +66,8 @@ def trial_state_words(master_seed: int, start: int, stop: int) -> np.ndarray:
 
     Row t-start holds the four splitmix64 expansion words w1..w4 of trial t.
     """
-    first = (master_seed + (start + 1) * GAMMA) & _M64
-    base = np.uint64(first) + np.arange(stop - start, dtype=np.uint64) * np.uint64(GAMMA)
-    seeds = _mix64_array(base)
-    cols = [
-        _mix64_array(seeds + np.uint64((k * GAMMA) & _M64)) for k in (1, 2, 3, 4)
-    ]
-    return np.stack(cols, axis=1)
+    seeds = _trial_seeds(master_seed, start, stop)
+    return np.stack([_mix64(seeds + np.uint64((k * GAMMA) & _M64)) for k in (1, 2, 3, 4)], axis=1)
 
 
 def _state_dict(w1: int, w2: int, w3: int, w4: int) -> dict:
@@ -102,7 +96,7 @@ class SeedSpec:
             raise InvalidParamsError(f"trial_index must be >= 0, got {self.trial_index!r}")
 
     def trial_seed(self) -> int:
-        return mix64((self.master_seed + (self.trial_index + 1) * GAMMA) & _M64)
+        return int(_trial_seeds(self.master_seed, self.trial_index, self.trial_index + 1)[0])
 
 
 @dataclass(frozen=True)
@@ -126,9 +120,6 @@ class GraphSample:
 
     def object_set(self, x: int) -> np.ndarray:
         return self.objects[self.offsets[x]:self.offsets[x + 1]]
-
-    def object_sets(self) -> list[list[int]]:
-        return [self.object_set(x).tolist() for x in range(self.n)]
 
     def validate(self, params: ModelParams) -> None:
         """Check the structural invariants against the generating params."""

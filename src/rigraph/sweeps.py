@@ -15,22 +15,19 @@ bracketing candidates keeps the labeled point honest.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
-from .errors import InvalidParamsError, RegimeViolationError
+from .errors import InvalidParamsError
 from .model_core import (
     ModelParams,
-    b_vector,
     beta,
-    cross_moment_ratio,
     diagnostics,
-    expected_isolated,
+    exact_quantities,
     ring_sizes_for,
     solve_k1,
 )
@@ -39,31 +36,6 @@ from .sampler import SeedSpec
 
 SCHEMA_VERSION = 1
 AXES = ("n", "P", "K1-scale", "beta-target")
-
-CSV_COLUMNS = (
-    "axis",
-    "axis_value",
-    "n",
-    "P",
-    "K",
-    "b1",
-    "beta",
-    "yagan_c",
-    "p_connected",
-    "p_connected_low",
-    "p_connected_high",
-    "p_no_isolated",
-    "p_no_isolated_low",
-    "p_no_isolated_high",
-    "p_f",
-    "p_f_low",
-    "p_f_high",
-    "mean_isolated",
-    "expected_isolated_closed_form",
-    "cross_moment_ratio",
-    "regime_flags",
-)
-
 
 def solve_k1_nearest(
     n: int, P: int, a: tuple[float, ...], ratios: tuple[float, ...], target_beta: float
@@ -143,26 +115,30 @@ def sweep_spec_from_dict(doc: dict[str, Any]) -> SweepSpec:
     if not isinstance(base, dict):
         raise InvalidParamsError("config needs a 'base' object with n, P, a")
     try:
-        spec = SweepSpec(
-            base_n=int(base["n"]),
-            base_P=int(base["P"]),
+        args = dict(
+            base_n=_integral(base["n"], "base n"),
+            base_P=_integral(base["P"], "base P"),
             a=tuple(float(x) for x in base["a"]),
-            base_K=tuple(int(k) for k in base["K"]) if "K" in base else None,
+            base_K=tuple(_integral(k, "every K_i") for k in base["K"]) if "K" in base else None,
             ratios=tuple(float(r) for r in doc["ratios"]) if "ratios" in doc else None,
             axis=str(doc["axis"]),
             points=tuple(float(p) for p in doc["points"]),
-            trials=int(doc["trials"]),
-            master_seed=int(doc["master_seed"]),
+            trials=_integral(doc["trials"], "trials"),
+            master_seed=_integral(doc["master_seed"], "master_seed"),
             output_path=str(doc["output_path"]),
         )
+    except InvalidParamsError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParamsError(f"malformed sweep config: {exc!r}") from exc
-    return spec
+    return SweepSpec(**args)
 
 
-def _int_axis_value(value: float, what: str) -> int:
-    if value != int(value):
-        raise InvalidParamsError(f"{what} axis points must be integers, got {value}")
+def _integral(value: float, what: str) -> int:
+    """``value`` as an int: integral floats such as 2000.0 pass, fractional
+    and non-finite ones are refused."""
+    if isinstance(value, float) and not value.is_integer():  # also NaN and inf
+        raise InvalidParamsError(f"{what} must be an integer, got {value}")
     return int(value)
 
 
@@ -170,9 +146,9 @@ def resolve_point(spec: SweepSpec, value: float) -> ModelParams:
     """Materialize the parameter point for one axis value."""
     n, P, a = spec.base_n, spec.base_P, spec.a
     if spec.axis == "n":
-        return ModelParams(n=_int_axis_value(value, "n"), a=a, K=spec.base_K, P=P)
+        return ModelParams(n=_integral(value, "n axis point"), a=a, K=spec.base_K, P=P)
     if spec.axis == "P":
-        return ModelParams(n=n, a=a, K=spec.base_K, P=_int_axis_value(value, "P"))
+        return ModelParams(n=n, a=a, K=spec.base_K, P=_integral(value, "P axis point"))
     if spec.axis == "K1-scale":
         scaled = [min(P, max(1, math.floor(k * value + 0.5))) for k in spec.base_K]
         for i in range(1, len(scaled)):  # rounding can break monotonicity
@@ -184,7 +160,8 @@ def resolve_point(spec: SweepSpec, value: float) -> ModelParams:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (axis point x estimators) record; column set is frozen."""
+    """One (axis point x estimators) record; its fields are the frozen CSV
+    columns, in order."""
 
     axis: str
     axis_value: float
@@ -209,34 +186,21 @@ class SweepRow:
     regime_flags: tuple[str, ...]
 
     def to_csv_fields(self) -> list[str]:
-        return [
-            self.axis,
-            _fmt(self.axis_value),
-            str(self.n),
-            str(self.P),
-            ";".join(str(k) for k in self.K),
-            _fmt(self.b1),
-            _fmt(self.beta),
-            _fmt(self.yagan_c),
-            _fmt(self.p_connected),
-            _fmt(self.p_connected_low),
-            _fmt(self.p_connected_high),
-            _fmt(self.p_no_isolated),
-            _fmt(self.p_no_isolated_low),
-            _fmt(self.p_no_isolated_high),
-            _fmt(self.p_f),
-            _fmt(self.p_f_low),
-            _fmt(self.p_f_high),
-            _fmt(self.mean_isolated),
-            _fmt(self.expected_isolated_closed_form),
-            _fmt(self.cross_moment_ratio),
-            ";".join(self.regime_flags),
-        ]
+        return [_format(f.type, getattr(self, f.name)) for f in fields(self)]
 
 
-def _fmt(x: float) -> str:
-    """Floats print with 9 significant digits throughout the CSV schema."""
-    return format(float(x), ".9g")
+def _format(declared: str, value) -> str:
+    """One CSV field, by the field's declared type (so an int axis point
+    prints like the float it stands for): floats with 9 significant digits,
+    tuples ``;``-joined."""
+    if declared == "float":
+        return format(float(value), ".9g")
+    if declared.startswith("tuple"):
+        return ";".join(str(x) for x in value)
+    return str(value)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def point_seed(master_seed: int, point_index: int) -> int:
@@ -247,21 +211,17 @@ def point_seed(master_seed: int, point_index: int) -> int:
 def build_row(
     axis: str, axis_value: float, params: ModelParams, agg: TrialAggregate
 ) -> SweepRow:
-    b1 = b_vector(params)[0]
+    exact = exact_quantities(params)
+    cmr = exact.cross_moment_ratio
     diag = diagnostics(params)
-    e_j, _ = expected_isolated(params)
-    try:
-        cmr = cross_moment_ratio(params)
-    except (RegimeViolationError, InvalidParamsError):
-        cmr = math.nan
     return SweepRow(
         axis=axis,
         axis_value=axis_value,
         n=params.n,
         P=params.P,
         K=params.K,
-        b1=b1,
-        beta=beta(params),
+        b1=exact.b[0],
+        beta=exact.beta,
         yagan_c=diag.yagan_c,
         p_connected=agg.connected.point,
         p_connected_low=agg.connected.ci_low,
@@ -273,8 +233,8 @@ def build_row(
         p_f_low=agg.no_isolated_but_disconnected.ci_low,
         p_f_high=agg.no_isolated_but_disconnected.ci_high,
         mean_isolated=agg.mean_isolated,
-        expected_isolated_closed_form=e_j,
-        cross_moment_ratio=cmr,
+        expected_isolated_closed_form=exact.expected_isolated,
+        cross_moment_ratio=math.nan if cmr is None else cmr,
         regime_flags=diag.flags,
     )
 
@@ -299,13 +259,8 @@ def simulate_row(
 
 
 def rows_to_csv_text(rows: list[SweepRow]) -> str:
-    out = []
-    out.append(",".join(CSV_COLUMNS))
-    for row in rows:
-        fields = row.to_csv_fields()
-        assert len(fields) == len(CSV_COLUMNS)
-        out.append(",".join(fields))
-    return "\n".join(out) + "\n"
+    lines = [",".join(CSV_COLUMNS)] + [",".join(row.to_csv_fields()) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
@@ -322,11 +277,3 @@ def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
             os.unlink(tmp)
         raise
 
-
-def read_sweep_csv(path: str) -> list[dict[str, str]]:
-    """Rows as column->string dicts, for round-trip checks and scripts."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise InvalidParamsError(f"unexpected CSV columns in {path!r}")
-        return list(reader)

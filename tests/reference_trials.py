@@ -1,7 +1,8 @@
 """Per-trial reference paths for the batched sampler and analysis.
 
-These are the per-trial generator, the scalar group draw and Floyd sampler,
-and the dict union-find that once ran small samples at run time.  The batched
+These are the scalar splitmix64 finalizer, the per-trial generator, the
+scalar group draw and Floyd sampler, and the dict union-find that once ran
+small samples at run time.  The batched
 kernels must reproduce them exactly: ``reference_sample`` draws the same
 floats in the same order, and the union-find counts the same components and
 isolated vertices.
@@ -15,6 +16,16 @@ import numpy as np
 
 from rigraph import ModelParams, SeedSpec
 from rigraph.sampler import GraphSample, _state_dict, trial_state_words
+
+_M64 = (1 << 64) - 1
+
+
+def mix64(x: int) -> int:
+    """splitmix64 finalizer on one Python int; 64-bit in, 64-bit out."""
+    x &= _M64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
 
 
 def generator_for(spec: SeedSpec) -> np.random.Generator:

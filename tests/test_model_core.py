@@ -53,6 +53,11 @@ class TestModelParams:
         with pytest.raises(InvalidParamsError, match="finite"):
             ModelParams(n=2, a=a, K=(1,) * len(a), P=3)
 
+    def test_rejects_weights_whose_sum_overflows(self):
+        # each weight is finite, but their sum leaves the float range
+        with pytest.raises(InvalidParamsError, match="sum"):
+            ModelParams(n=2, a=(1e308, 1e308), K=(1, 1), P=5)
+
     def test_rejects_decreasing_K_instead_of_sorting(self):
         with pytest.raises(InvalidParamsError):
             ModelParams(n=2, a=(0.5, 0.5), K=(2, 1), P=3)

@@ -88,6 +88,30 @@ class TestRunTrials:
         four = run_trials(SMALL, 300, master_seed=123, workers=4)
         assert one == two == four
 
+    def test_pool_never_larger_than_its_work(self, monkeypatch):
+        # the fork start method forks every worker up front, so 1000 workers
+        # for 64 one-trial ranges must open a pool of 64; a stub records the
+        # size and maps serially, so no real pool is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        agg = run_trials(SMALL, 64, master_seed=31, workers=1000)
+        assert sizes == [64]
+        assert agg == run_trials(SMALL, 64, master_seed=31, workers=1)
+
     def test_certain_connectivity(self):
         p = ModelParams(n=20, a=(1.0,), K=(5,), P=5)
         agg = run_trials(p, 150, master_seed=9)

@@ -13,7 +13,6 @@ from rigraph import (
     ModelParams,
     SeedSpec,
     edge_prob,
-    mix64,
     run_trials,
     sample_graph,
     wilson_interval,
@@ -22,7 +21,7 @@ from rigraph.errors import InvariantViolation
 from rigraph.sampler import GAMMA, _floyd_batch, sample_batch, trial_state_words
 
 from conftest import small_params
-from reference_trials import assign_group, generator_for, reference_sample
+from reference_trials import assign_group, generator_for, mix64, reference_sample
 
 
 def floyd_draws(P, K, draws, seed=7):
@@ -50,7 +49,8 @@ class TestSeeding:
     def test_state_words_match_scalar_expansion(self, master_seed, start, count):
         words = trial_state_words(master_seed, start, start + count).tolist()
         for t, row in zip(range(start, start + count), words):
-            seed = SeedSpec(master_seed, t).trial_seed()
+            seed = mix64((master_seed + (t + 1) * GAMMA) & ((1 << 64) - 1))
+            assert SeedSpec(master_seed, t).trial_seed() == seed
             assert row == [mix64((seed + k * GAMMA) & ((1 << 64) - 1)) for k in (1, 2, 3, 4)]
 
     def test_distinct_trials_distinct_streams(self):

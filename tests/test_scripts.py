@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-from rigraph.sweeps import read_sweep_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,6 +37,7 @@ def test_run_zero_one_sweep(tmp_path):
         "run_zero_one_sweep.py", "--n", "60", "--trials", "20", "--points=-1,1", "--out", str(out_csv),
     )
     assert out.startswith(f"wrote {out_csv}")
-    rows = read_sweep_csv(str(out_csv))
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["axis_value"] for r in rows] == ["-1", "1"]
     assert all(r["axis"] == "beta-target" and r["n"] == "60" for r in rows)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -19,7 +20,6 @@ from rigraph.cli import main
 from rigraph.sweeps import (
     CSV_COLUMNS,
     load_sweep_spec,
-    read_sweep_csv,
     resolve_point,
     rows_to_csv_text,
     sweep_spec_from_dict,
@@ -146,6 +146,11 @@ class TestSweepSpec:
         ok = sweep_spec_from_dict(spec_dict(axis="beta-target", points=[-1, 1], ratios=[1, 2]))
         assert ok.ratios == (1.0, 2.0)
 
+    def test_integral_floats_accepted(self):
+        doc = spec_dict(base={"n": 40.0, "P": 60.0, "a": [0.5, 0.5], "K": [2.0, 3.0]},
+                        trials=50.0, master_seed=7.0)
+        assert sweep_spec_from_dict(doc) == sweep_spec_from_dict(spec_dict())
+
     def test_missing_file_and_bad_json(self, tmp_path):
         with pytest.raises(InvalidParamsError):
             load_sweep_spec(str(tmp_path / "nope.json"))
@@ -193,6 +198,12 @@ class TestResolvePoint:
 BASE = ModelParams(n=40, a=(0.5, 0.5), K=(2, 3), P=60)
 
 
+def read_csv(path) -> tuple[list[str], list[dict[str, str]]]:
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
+
+
 class TestSweepCsv:
     def test_deterministic_text(self):
         spec = sweep_spec_from_dict(spec_dict())
@@ -207,7 +218,8 @@ class TestSweepCsv:
         write_sweep_csv(rows, str(out))
         text = out.read_text()
         assert text.endswith("\n")
-        parsed = read_sweep_csv(str(out))
+        header, parsed = read_csv(out)
+        assert tuple(header) == CSV_COLUMNS
         assert len(parsed) == len(rows)
         for row, rec in zip(rows, parsed):
             for col, field in zip(CSV_COLUMNS, row.to_csv_fields()):
@@ -317,6 +329,12 @@ class TestCli:
         assert code == 2
         assert "sum" in err
 
+    def test_prob_weights_whose_sum_overflows_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "prob", "--n", "2", "--P", "5", "--a", "1e308,1e308", "--K", "1,1")
+        assert code == 2
+        assert out == ""
+        assert "sum" in err
+
     def test_prob_nan_weight_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "prob", "--n", "10", "--P", "5", "--a", "nan", "--K", "1")
         assert code == 2
@@ -350,7 +368,7 @@ class TestCli:
         code2, js2, _ = run_cli(capsys, *args, "--out", str(out2))
         assert code1 == code2 == 0
         assert out1.read_bytes() == out2.read_bytes()
-        rec = read_sweep_csv(str(out1))[0]
+        rec = read_csv(out1)[1][0]
         assert rec["p_connected"] == "1"
         assert json.loads(js1)["p_connected"] == 1.0
         assert json.loads(js1)["p_connected"] == json.loads(js2)["p_connected"]
@@ -378,13 +396,34 @@ class TestCli:
         code, js, _ = run_cli(capsys, "sweep", str(cfg))
         assert code == 0
         assert json.loads(js)["rows"] == 2
-        assert read_sweep_csv(str(out))[0]["axis"] == "n"
+        assert json.loads(js)["bytes"] == len(out.read_bytes())
+        assert read_csv(out)[1][0]["axis"] == "n"
 
     def test_sweep_config_error_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(spec_dict(points=[2, 1], output_path=str(tmp_path / "x.csv"))))
         code, _, err = run_cli(capsys, "sweep", str(cfg))
         assert code == 2
+        assert err == "error: points must be strictly increasing, got (2.0, 1.0)\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("field", ["n", "P", "K", "trials", "master_seed"])
+    @pytest.mark.parametrize("value", ["2.5", "Infinity", "1e400"])
+    def test_sweep_non_integral_value_exit_2(self, capsys, tmp_path, field, value):
+        # int() would truncate 2.5 and overflow on the two infinities
+        doc = spec_dict(output_path=str(tmp_path / "x.csv"))
+        if field in ("n", "P"):
+            doc["base"][field] = "@"
+        elif field == "K":
+            doc["base"]["K"] = [2, "@"]
+        else:
+            doc[field] = "@"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc).replace('"@"', value))
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "must be an integer" in err and "malformed" not in err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("axis", ["n", "P", "K1-scale"])
