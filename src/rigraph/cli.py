@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: prob, solve, simulate, sweep, oracle, diag.  Exit codes:
-0 success, 2 validation error, 3 enumeration-budget or regime error.
+0 success, 1 a trial worker process died, 2 validation error,
+3 enumeration-budget or regime error.
 Trial budget and seed are mandatory wherever randomness is involved, so
 every emitted number is reproducible from the command line alone.  The
 RIG_THREADS env var caps worker count; it changes speed, never results.
@@ -20,6 +21,7 @@ from .errors import (
     InvalidParamsError,
     RegimeViolationError,
     UnachievableError,
+    WorkerCrashError,
 )
 from .model_core import CRITICAL_WINDOW, ModelParams, beta, classify_regime, diagnostics, exact_quantities, solve_k1
 from .oracle import enumerate_event_probs, enumerate_pair_prob
@@ -196,6 +198,9 @@ def main(argv: list[str] | None = None) -> int:
     except (EnumerationBudgetError, RegimeViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except WorkerCrashError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

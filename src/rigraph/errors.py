@@ -24,3 +24,7 @@ class EnumerationBudgetError(RigraphError, RuntimeError):
 
 class InvariantViolation(RigraphError, AssertionError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+class WorkerCrashError(RigraphError, RuntimeError):
+    """A worker process of the trial pool died (killed, or out of memory)."""

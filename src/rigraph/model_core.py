@@ -292,6 +292,8 @@ def _check_ratios(a: tuple[float, ...], ratios: tuple[float, ...]) -> None:
         raise InvalidParamsError(
             f"ratios must have one entry per group, got {len(ratios)} for m={len(a)}"
         )
+    if not all(math.isfinite(r) for r in ratios):
+        raise InvalidParamsError(f"ratios must be finite, got {ratios}")
     if abs(ratios[0] - 1.0) > 1e-12:
         raise InvalidParamsError(f"ratios[0] must be 1, got {ratios[0]!r}")
     if any(r < 1.0 for r in ratios):
@@ -325,6 +327,8 @@ def solve_k1(
     a = tuple(float(x) for x in a)
     ratios = tuple(float(r) for r in ratios)
     _check_ratios(a, ratios)
+    if ratios[-1] > P:  # K_j = P either way, and r * K1 stays finite
+        ratios = tuple(min(r, P) for r in ratios)
     if not math.isfinite(target_beta):
         raise InvalidParamsError(f"target beta must be finite, got {target_beta!r}")
 

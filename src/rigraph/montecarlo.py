@@ -11,7 +11,8 @@ numbers.  Worker count comes from the ``workers`` argument, else the
 Trials run in batches of about ``_BATCH_FLOATS`` drawn floats (at least one
 trial): ``sampler.sample_batch`` realizes a batch and
 ``graph_analysis.analyze_batch`` analyzes it, the same kernels that
-``sample_graph`` and ``analyze`` run on a batch of one.
+``sample_graph`` and ``analyze`` run on a batch of one.  Inside a
+``_sweep_pool`` block, every parallel call shares one process pool.
 """
 
 from __future__ import annotations
@@ -19,11 +20,15 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack, contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .errors import InvalidParamsError, InvariantViolation
+from .errors import InvalidParamsError, InvariantViolation, WorkerCrashError
 from .graph_analysis import analyze_batch
 from .model_core import ModelParams
 from .sampler import SeedSpec, sample_batch, trial_state_words
@@ -31,7 +36,7 @@ from .sampler import SeedSpec, sample_batch, trial_state_words
 ENV_WORKERS = "RIG_THREADS"
 
 # floats drawn per batch (n*(1+K_m) per trial); bounds the batch's memory
-_BATCH_FLOATS = 1 << 14
+_BATCH_FLOATS = 1 << 16
 # the analysis tags object ids with t*P + o, which must stay inside int64
 _KEY_LIMIT = 1 << 62
 
@@ -125,6 +130,45 @@ def _run_range(params: ModelParams, master_seed: int, start: int, stop: int) -> 
     return conn, noiso, fno, iso_sum, iso_sq, g1_sum, g1_sq
 
 
+class _LazyPool:
+    """A process pool forked by the first ``map``, sized for that call; the
+    owner's ``ExitStack`` shuts it down and joins its workers."""
+
+    def __init__(self, stack: ExitStack) -> None:
+        self._stack = stack
+        self._pool: ProcessPoolExecutor | None = None
+
+    def map(self, fn, calls: list[tuple], workers: int) -> list:
+        if self._pool is None:
+            self._pool = self._stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+        try:
+            return list(self._pool.map(fn, *zip(*calls)))
+        except BrokenProcessPool:
+            raise WorkerCrashError("a worker process died while running trials") from None
+
+
+_shared_pool: ContextVar[_LazyPool | None] = ContextVar("rigraph_shared_pool", default=None)
+
+
+@contextmanager
+def _sweep_pool() -> Iterator[_LazyPool]:
+    """Every parallel ``run_trials`` call inside this block maps through one
+    pool, forked by the first of them; a nested block joins the outer one.
+    On exit the pool is shut down and its workers are joined, so
+    ``RUSAGE_CHILDREN`` counts them."""
+    outer = _shared_pool.get()
+    if outer is not None:
+        yield outer
+        return
+    with ExitStack() as stack:
+        pool = _LazyPool(stack)
+        token = _shared_pool.set(pool)
+        try:
+            yield pool
+        finally:
+            _shared_pool.reset(token)
+
+
 def _moments(total: int, total_sq: int, trials: int) -> tuple[float, float]:
     mean = total / trials
     if trials < 2:
@@ -161,13 +205,9 @@ def run_trials(
         parts = [_run_range(params, master_seed, a, b) for a, b in ranges]
     else:
         # the fork start method forks every worker up front; fork no idle ones
-        with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
-            parts = list(
-                pool.map(
-                    _run_range,
-                    *zip(*[(params, master_seed, a, b) for a, b in ranges]),
-                )
-            )
+        with _sweep_pool() as pool:
+            calls = [(params, master_seed, a, b) for a, b in ranges]
+            parts = pool.map(_run_range, calls, min(workers, len(ranges)))
     counts = tuple(sum(col) for col in zip(*parts))
 
     conn, noiso, fno, iso_sum, iso_sq, g1_sum, g1_sq = counts

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, fields
@@ -31,7 +32,7 @@ from .model_core import (
     ring_sizes_for,
     solve_k1,
 )
-from .montecarlo import TrialAggregate, run_trials
+from .montecarlo import TrialAggregate, _sweep_pool, run_trials
 from .sampler import SeedSpec
 
 SCHEMA_VERSION = 1
@@ -53,7 +54,7 @@ def solve_k1_nearest(
 
     if upper[0] == 1:
         return upper
-    lower = ring_sizes_for(upper[0] - 1, tuple(float(r) for r in ratios), P)
+    lower = ring_sizes_for(upper[0] - 1, tuple(min(float(r), P) for r in ratios), P)
     if abs(achieved(lower) - target_beta) <= abs(achieved(upper) - target_beta):
         return lower
     return upper
@@ -90,8 +91,8 @@ class SweepSpec:
                 raise InvalidParamsError("beta-target axis requires 'ratios'")
         elif self.base_K is None:
             raise InvalidParamsError(f"axis {self.axis!r} requires base K")
-        if not self.output_path:
-            raise InvalidParamsError("output_path must be nonempty")
+        if not isinstance(self.output_path, str) or not self.output_path:
+            raise InvalidParamsError(f"output_path must be a nonempty string, got {self.output_path!r}")
 
 
 def load_sweep_spec(path: str) -> SweepSpec:
@@ -118,14 +119,14 @@ def sweep_spec_from_dict(doc: dict[str, Any]) -> SweepSpec:
         args = dict(
             base_n=_integral(base["n"], "base n"),
             base_P=_integral(base["P"], "base P"),
-            a=tuple(float(x) for x in base["a"]),
+            a=tuple(_real(x, "every a_i") for x in base["a"]),
             base_K=tuple(_integral(k, "every K_i") for k in base["K"]) if "K" in base else None,
-            ratios=tuple(float(r) for r in doc["ratios"]) if "ratios" in doc else None,
+            ratios=tuple(_real(r, "every ratio") for r in doc["ratios"]) if "ratios" in doc else None,
             axis=str(doc["axis"]),
-            points=tuple(float(p) for p in doc["points"]),
+            points=tuple(_real(p, "every point") for p in doc["points"]),
             trials=_integral(doc["trials"], "trials"),
             master_seed=_integral(doc["master_seed"], "master_seed"),
-            output_path=str(doc["output_path"]),
+            output_path=doc["output_path"],
         )
     except InvalidParamsError:
         raise
@@ -134,9 +135,24 @@ def sweep_spec_from_dict(doc: dict[str, Any]) -> SweepSpec:
     return SweepSpec(**args)
 
 
-def _integral(value: float, what: str) -> int:
+def _number(value, what: str) -> None:
+    """Only numbers pass: JSON ``true`` and ``"7"`` are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParamsError(f"{what} must be a number, got {value!r}")
+
+
+def _real(value, what: str) -> float:
+    _number(value, what)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise InvalidParamsError(f"{what} must be finite, got {value}") from None
+
+
+def _integral(value, what: str) -> int:
     """``value`` as an int: integral floats such as 2000.0 pass, fractional
     and non-finite ones are refused."""
+    _number(value, what)
     if isinstance(value, float) and not value.is_integer():  # also NaN and inf
         raise InvalidParamsError(f"{what} must be an integer, got {value}")
     return int(value)
@@ -150,6 +166,9 @@ def resolve_point(spec: SweepSpec, value: float) -> ModelParams:
     if spec.axis == "P":
         return ModelParams(n=n, a=a, K=spec.base_K, P=_integral(value, "P axis point"))
     if spec.axis == "K1-scale":
+        # a scale outside [0, P] gives the same sizes as its end of that range
+        # (every K_i >= 1), and k * value could overflow to inf
+        value = min(max(value, 0.0), P)
         scaled = [min(P, max(1, math.floor(k * value + 0.5))) for k in spec.base_K]
         for i in range(1, len(scaled)):  # rounding can break monotonicity
             scaled[i] = max(scaled[i], scaled[i - 1])
@@ -241,12 +260,13 @@ def build_row(
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
     """Resolve every axis point up front (config errors must precede any
-    simulation), then run them in order."""
+    simulation), then run them in order, all through one process pool."""
     resolved = [(i, v, resolve_point(spec, v)) for i, v in enumerate(spec.points)]
     rows = []
-    for i, value, params in resolved:
-        agg = run_trials(params, spec.trials, point_seed(spec.master_seed, i), workers)
-        rows.append(build_row(spec.axis, value, params, agg))
+    with _sweep_pool():
+        for i, value, params in resolved:
+            agg = run_trials(params, spec.trials, point_seed(spec.master_seed, i), workers)
+            rows.append(build_row(spec.axis, value, params, agg))
     return rows
 
 

@@ -1,14 +1,20 @@
-"""Shared fixtures: an independent adjacency-matrix/BFS analysis oracle and
-a hypothesis strategy for small valid parameter tuples."""
+"""Shared fixtures: an independent adjacency-matrix/BFS analysis oracle,
+a hypothesis strategy for small valid parameter tuples, and process-pool
+stand-ins for the trial runner."""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import rigraph.montecarlo as montecarlo
 from rigraph import ModelParams
 from rigraph.sampler import GraphSample
+
+_TEST_PID = os.getpid()
 
 
 def make_sample(groups: list[int], object_sets: list[list[int]], params_hash: str = "test") -> GraphSample:
@@ -79,3 +85,35 @@ def sample_builder():
 @pytest.fixture
 def naive_oracle():
     return naive_stats
+
+
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """Replace the trial pool with a stub that maps serially in this process;
+    the returned list records each pool's ``("open", max_workers)`` and
+    ``("close",)``, so no real pool is started."""
+    events: list[tuple] = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            events.append(("open", max_workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            events.append(("close",))
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    return events
+
+
+def exit_in_worker(*args):
+    """A ``_run_range`` stand-in whose worker process dies at once."""
+    if os.getpid() == _TEST_PID:
+        raise AssertionError("exit_in_worker must only run in a pool worker")
+    os._exit(17)

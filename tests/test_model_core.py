@@ -397,6 +397,11 @@ class TestSolveK1:
             solve_k1(10, 20, (0.5, 0.5), (1.0, 0.5), 0.0)  # decreasing
         with pytest.raises(InvalidParamsError):
             solve_k1(10, 20, (0.5, 0.5), (1.0,), 0.0)  # length mismatch
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidParamsError, match="finite"):
+                solve_k1(10, 20, (0.5, 0.5), (1.0, bad), 0.0)
+            with pytest.raises(InvalidParamsError, match="finite"):
+                solve_k1(10, 20, (1.0,), (bad,), 0.0)
         with pytest.raises(InvalidParamsError):
             solve_k1(10, 20, (0.5, 0.5), (1.0, 2.0), math.inf)
 
@@ -457,6 +462,13 @@ class TestSolveK1:
         assert ring_sizes_for(3, (1.0, 1.5), 100) == (3, 5)  # 4.5 rounds up
         assert ring_sizes_for(2, (1.0, 2.0), 3) == (2, 3)  # clamped to P
 
+    @pytest.mark.parametrize("target", [-2.0, 5.0, 40.0])
+    def test_ratio_above_pool_acts_as_pool(self, target):
+        # 1e308 * K_1 overflows to inf; a ratio of P gives the same rings
+        args = (100, 1000, (0.5, 0.5))
+        assert solve_k1(*args, (1.0, 1e308), target) == solve_k1(*args, (1.0, 1000.0), target)
+        assert solve_k1_nearest(*args, (1.0, 1e308), target) == solve_k1_nearest(*args, (1.0, 1000.0), target)
+
 
 # ---------------------------------------------------------------- diagnostics
 
@@ -507,3 +519,89 @@ class TestExactQuantities:
                 assert 0.0 <= v <= 1.0
         assert all(0.0 <= bi <= 1.0 for bi in q.b)
         assert 0.0 <= q.edge_prob <= 1.0
+
+
+# ---------------------------------------------------------------- float path against exact rationals
+#
+# Each bound is a first-order forward error bound of the float path, with
+# every input taken at its exact value.  +, -, *, / and fsum round to within
+# U of their result; log1p, log and exp are within one ulp, at most 2U.  The
+# weights stored in ModelParams differ from the exact normalized weights of
+# tests/exact.py by the factor sum(a), so each carries |sum(a) - 1| more.
+# SECOND_ORDER covers products of two error terms, each below 1e-12 of the
+# bound for these instances.
+
+U = Fraction(1, 2**53)
+LIBM = 2 * U
+TINY = Fraction(1, 2**1074)  # absolute error of a rounding whose result is subnormal
+SECOND_ORDER = Fraction(101, 100)
+
+
+def _ratio_rel_err(P: int, Ki: int, Kj: int) -> Fraction:
+    """Relative error of ``no_overlap_ratio``: each log1p term carries its
+    division's rounding times the condition number |x / (1 + x)| of log1p
+    at x = -Ki/(P-t), plus its own rounding; then fsum's and exp's."""
+    if P - Ki < Kj:
+        return Fraction(0)  # exp(-inf) is exactly 0.0
+    big, small = max(Ki, Kj), min(Ki, Kj)
+    logs = [abs(Fraction(math.log1p(-big / (P - t)))) for t in range(small)]
+    err = sum(U * Fraction(big, P - t - big) + LIBM * x for t, x in enumerate(logs))
+    return err + U * sum(logs) + LIBM
+
+
+def _error_bounds(params: ModelParams):
+    """Absolute error bounds of p_ij, b_i, edge_prob, E[J] and E[I], kept
+    in rationals so that the bounds of subnormal results do not underflow."""
+    n, P, K, m = params.n, params.P, params.K, params.m
+    a = exact._a_fractions(params)
+    alpha = abs(sum(Fraction(x) for x in params.a) - 1) + U  # weight error, then product rounding
+    r = [[exact.no_overlap_ratio(P, Ki, Kj) for Kj in K] for Ki in K]
+    dp = [[r[i][j] * _ratio_rel_err(P, K[i], K[j]) + U * (1 - r[i][j]) for j in range(m)]
+          for i in range(m)]
+    b = exact.b_vector(params)
+    db = [sum(a[j] * (dp[i][j] + (1 - r[i][j]) * alpha) for j in range(m)) + U * b[i]
+          for i in range(m)]
+    de = sum(a[i] * (db[i] + b[i] * alpha) for i in range(m)) + U * exact.edge_prob(params)
+    # (1-b)^(n-1) = exp((n-1) log1p(-b)): the error of b propagates by the
+    # mean value theorem; log1p's and the product's rounding are amplified
+    # by n-1 through exp; every rounding may also land on a subnormal
+    dterm, term = [], []
+    for i in range(m):
+        q = 1 - b[i]
+        propagated = (n - 1) * (q + db[i]) ** (n - 2) * db[i]
+        rounding = 0
+        if q > db[i]:
+            log_q = abs(Fraction(math.log(q - db[i])))
+            rounding = (q ** (n - 1) + propagated) * (3 * U * (n - 1) * log_q + LIBM)
+        dterm.append(propagated + rounding + TINY)
+        term.append(q ** (n - 1))
+    total = sum(a[i] * term[i] for i in range(m))
+    dj = n * (sum(a[i] * (dterm[i] + term[i] * alpha) for i in range(m)) + (m + 1) * TINY + U * total)
+    di = n * (a[0] * (dterm[0] + term[0] * alpha) + TINY)
+    return dp, db, de, dj + U * n * total + TINY, di + U * n * a[0] * term[0] + TINY
+
+
+def _within(got: float, want: Fraction, bound: Fraction) -> bool:
+    return abs(Fraction(got) - want) <= SECOND_ORDER * bound
+
+
+class TestFloatPathAgainstExact:
+    @given(small_params())
+    @settings(max_examples=150, deadline=None)
+    def test_edge_probabilities(self, params):
+        dp, db, de, _, _ = _error_bounds(params)
+        for i in range(params.m):
+            for j in range(params.m):
+                got = pairwise_edge_prob(params, i + 1, j + 1)
+                assert _within(got, exact.pairwise_edge_prob(params, i + 1, j + 1), dp[i][j])
+        for got, want, bound in zip(b_vector(params), exact.b_vector(params), db):
+            assert _within(got, want, bound)
+        assert _within(edge_prob(params), exact.edge_prob(params), de)
+
+    @given(st.one_of(small_params(), small_params(max_P=60, max_n=300)))
+    @settings(max_examples=150, deadline=None)
+    def test_expected_isolated(self, params):
+        *_, dj, di = _error_bounds(params)
+        (got_j, got_i), (want_j, want_i) = expected_isolated(params), exact.expected_isolated(params)
+        assert _within(got_j, want_j, dj)
+        assert _within(got_i, want_i, di)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,19 +10,23 @@ from scipy.stats import binomtest
 from rigraph import (
     InvalidParamsError,
     ModelParams,
+    RigraphError,
     SeedSpec,
+    SweepSpec,
     analyze,
     expected_isolated,
+    run_sweep,
     run_trials,
     sample_graph,
     solve_k1,
     wilson_interval,
 )
 import rigraph.montecarlo as montecarlo
+from rigraph.errors import WorkerCrashError
 from rigraph.graph_analysis import analyze_batch
 from rigraph.montecarlo import _BATCH_FLOATS, _moments, _run_range, resolve_workers
 
-from conftest import small_params
+from conftest import exit_in_worker, small_params
 from reference_trials import reference_counts
 
 
@@ -88,29 +94,32 @@ class TestRunTrials:
         four = run_trials(SMALL, 300, master_seed=123, workers=4)
         assert one == two == four
 
-    def test_pool_never_larger_than_its_work(self, monkeypatch):
+    def test_pool_never_larger_than_its_work(self, serial_pools):
         # the fork start method forks every worker up front, so 1000 workers
         # for 64 one-trial ranges must open a pool of 64; a stub records the
         # size and maps serially, so no real pool is started
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
         agg = run_trials(SMALL, 64, master_seed=31, workers=1000)
-        assert sizes == [64]
+        assert serial_pools == [("open", 64), ("close",)]
         assert agg == run_trials(SMALL, 64, master_seed=31, workers=1)
+
+    def test_sweep_forks_one_pool(self, serial_pools, tmp_path):
+        spec = SweepSpec(base_n=40, base_P=60, a=(0.5, 0.5), base_K=(2, 3), ratios=None,
+                         axis="n", points=(20.0, 30.0, 40.0, 50.0, 60.0), trials=64,
+                         master_seed=7, output_path=str(tmp_path / "rows.csv"))
+        rows = run_sweep(spec, workers=2)
+        assert serial_pools == [("open", 2), ("close",)]
+        assert rows == run_sweep(spec, workers=1)
+        # below 64 trials every point runs in this process: no pool at all
+        serial_pools.clear()
+        run_sweep(dataclasses.replace(spec, trials=63), workers=2)
+        assert serial_pools == []
+
+    def test_worker_crash_is_a_rigraph_error(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_run_range", exit_in_worker)
+        with pytest.raises(WorkerCrashError) as exc:
+            run_trials(SMALL, 64, master_seed=3, workers=2)
+        assert isinstance(exc.value, RigraphError)
+        assert "\n" not in str(exc.value)
 
     def test_certain_connectivity(self):
         p = ModelParams(n=20, a=(1.0,), K=(5,), P=5)
@@ -153,10 +162,14 @@ class TestRunTrials:
     @given(small_params(max_n=8), st.integers(0, 2**64 - 1), st.data())
     @settings(max_examples=15, deadline=None)
     def test_matches_reference_trials(self, params, seed, data):
-        # trial counts around and past one batch, so batches split the run
-        batch = _BATCH_FLOATS // (params.n * (1 + params.K[-1]))
+        # trial counts around and past one batch, so batches split the run;
+        # the split does not depend on the budget, and a smaller one keeps
+        # the slow reference sampler's share of the run short
+        budget = 1 << 14
+        batch = budget // (params.n * (1 + params.K[-1]))
         trials = data.draw(st.integers(max(1, batch - 2), batch + batch // 4 + 2))
-        agg = run_trials(params, trials, master_seed=seed, workers=1)
+        with mock.patch.object(montecarlo, "_BATCH_FLOATS", budget):
+            agg = run_trials(params, trials, master_seed=seed, workers=1)
         _assert_aggregate_matches(agg, reference_counts(params, seed, 0, trials))
 
     @given(small_params(max_n=8), st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(1, 400))
@@ -166,7 +179,10 @@ class TestRunTrials:
         assert got == reference_counts(params, seed, start, start + trials)
 
     def test_trial_larger_than_batch(self):
-        params = ModelParams(n=2000, a=(0.5, 0.5), K=(4, 8), P=6000)
+        # the widest ring is derived from the budget, so one trial overflows it
+        n = 2000
+        k = _BATCH_FLOATS // n
+        params = ModelParams(n=n, a=(0.5, 0.5), K=(k // 2, k), P=3 * n)
         assert params.n * (1 + params.K[-1]) > _BATCH_FLOATS
         agg = run_trials(params, 3, master_seed=17, workers=1)
         _assert_aggregate_matches(agg, reference_counts(params, 17, 0, 3))

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 
 import pytest
 
@@ -16,6 +17,7 @@ from rigraph import (
     solve_k1,
     solve_k1_nearest,
 )
+import rigraph.montecarlo as montecarlo
 from rigraph.cli import main
 from rigraph.sweeps import (
     CSV_COLUMNS,
@@ -26,7 +28,7 @@ from rigraph.sweeps import (
     write_sweep_csv,
 )
 
-from conftest import small_params
+from conftest import exit_in_worker, small_params
 from hypothesis import given, settings
 
 
@@ -179,6 +181,8 @@ class TestResolvePoint:
         assert resolve_point(spec, 1.5).K == (3, 5)  # round-half-up of (3, 4.5)
         assert resolve_point(spec, 0.5).K == (1, 2)
         assert resolve_point(spec, 30.0).K == (60, 60)  # clamped to P
+        assert resolve_point(spec, 1e308).K == (60, 60)  # 3e308 is inf
+        assert resolve_point(spec, -1e308).K == (1, 1)
 
     def test_beta_target_axis(self):
         spec = sweep_spec_from_dict(
@@ -436,6 +440,78 @@ class TestCli:
         code, _, err = run_cli(capsys, "sweep", str(cfg))
         assert code == 2
         assert "finite" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("ratios", ["1,nan", "1,inf", "nan"])
+    def test_solve_non_finite_ratio_exit_2(self, capsys, ratios):
+        a = "1" if ratios == "nan" else "0.5,0.5"
+        code, out, err = run_cli(
+            capsys, "solve", "--n", "100", "--P", "1000", "--a", a, "--ratios", ratios,
+            "--target-beta", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ratios must be finite") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("ratio", ["NaN", "Infinity", "-Infinity"])
+    def test_sweep_non_finite_ratio_exit_2(self, capsys, tmp_path, ratio):
+        doc = spec_dict(base={"n": 200, "P": 400, "a": [0.5, 0.5]}, axis="beta-target",
+                        points=[-1, 1], ratios=[1, "@"], output_path=str(tmp_path / "x.csv"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc).replace('"@"', ratio))
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "ratios must be finite" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("path", [None, 5, ["x.csv"], ""])
+    def test_sweep_output_path_must_be_a_string_exit_2(self, capsys, tmp_path, monkeypatch, path):
+        # str(None) would pass as the file name "None"
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(spec_dict(output_path=path)))
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: output_path must be a nonempty string, got {path!r}\n"
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    @pytest.mark.parametrize("field, literal", [
+        ("trials", "true"), ("master_seed", '"7"'), ("n", '"40"'), ("K", "false"),
+        ("a", '"0.5"'), ("points", '"40"'), ("ratios", "null"),
+    ])
+    def test_sweep_non_number_exit_2(self, capsys, tmp_path, field, literal):
+        # only JSON numbers pass; int() and float() would take all of these
+        doc = spec_dict(output_path=str(tmp_path / "x.csv"))
+        if field == "n":
+            doc["base"]["n"] = "@"
+        elif field in ("K", "a"):
+            doc["base"][field] = [doc["base"][field][0], "@"]
+        elif field == "points":
+            doc["points"] = [30, "@"]
+        elif field == "ratios":
+            doc.update(base={"n": 200, "P": 400, "a": [0.5, 0.5]}, axis="beta-target",
+                       points=[-1, 1], ratios=[1, "@"])
+        else:
+            doc[field] = "@"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc).replace('"@"', literal))
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "must be a number, got" in err and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_sweep_worker_crash_exit_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_run_range", exit_in_worker)
+        monkeypatch.setenv("RIG_THREADS", "2")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(spec_dict(trials=64, output_path=str(tmp_path / "x.csv"))))
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err == "error: a worker process died while running trials\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_oracle_pair(self, capsys):
