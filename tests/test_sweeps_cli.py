@@ -542,6 +542,35 @@ class TestCli:
         assert doc["p_over_n"] == 2.0
         assert "regime" in doc
 
+    @pytest.mark.parametrize("argv, stdout", [
+        (
+            ["--n", "2000", "--P", "4000", "--a", "0.5,0.5", "--K", "3,6"],
+            '{\n  "beta": -0.8576521772365915,\n  "beta_over_ln_n": -0.11283557206551245,\n'
+            '  "flags": [],\n  "km_sq_over_p": 0.009,\n  "p_over_n": 2.0,\n'
+            '  "regime": "subcritical-yagan",\n  "window": 0.05,\n'
+            '  "yagan_c": 0.8871644279344876\n}\n',
+        ),
+        (
+            ["--n", "2000", "--P", "4000", "--a", "0.5,0.5", "--K", "3,6", "--window", "0.3"],
+            '{\n  "beta": -0.8576521772365915,\n  "beta_over_ln_n": -0.11283557206551245,\n'
+            '  "flags": [],\n  "km_sq_over_p": 0.009,\n  "p_over_n": 2.0,\n'
+            '  "regime": "critical-window(beta<0)",\n  "window": 0.3,\n'
+            '  "yagan_c": 0.8871644279344876\n}\n',
+        ),
+        (
+            ["--n", "10", "--P", "100", "--a", "1", "--K", "10"],
+            '{\n  "beta": 4.3926527961387025,\n  "beta_over_ln_n": 1.9077048702799282,\n'
+            '  "flags": [\n    "ring_size",\n    "beta_drift"\n  ],\n'
+            '  "km_sq_over_p": 1.0,\n  "p_over_n": 10.0,\n'
+            '  "regime": "supercritical-yagan",\n  "window": 0.05,\n'
+            '  "yagan_c": 2.907704870279928\n}\n',
+        ),
+    ])
+    def test_frozen_diag_bytes(self, capsys, argv, stdout):
+        # the JSON keys, their order and every float's repr, pinned literally
+        code, out, err = run_cli(capsys, "diag", *argv)
+        assert (code, out, err) == (0, stdout, "")
+
     @pytest.mark.parametrize("window", ["-1", "-0.01", "nan", "inf"])
     def test_diag_bad_window_exit_2(self, capsys, window):
         code, out, err = run_cli(
