@@ -16,12 +16,9 @@ from .model_core import (
     ExactQuantities,
     ModelParams,
     RegimeDiagnostics,
-    RegimeLabel,
     b_vector,
     beta,
     beta_from_b1,
-    classify_from_values,
-    classify_regime,
     cross_moment_ratio,
     diagnostics,
     edge_prob,
@@ -46,4 +43,4 @@ from .sweeps import (
     write_sweep_csv,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -23,7 +23,7 @@ from .errors import (
     UnachievableError,
     WorkerCrashError,
 )
-from .model_core import CRITICAL_WINDOW, ModelParams, beta, classify_regime, diagnostics, exact_quantities, solve_k1
+from .model_core import CRITICAL_WINDOW, ModelParams, beta, diagnostics, exact_quantities, solve_k1
 from .oracle import enumerate_event_probs, enumerate_pair_prob
 from .sweeps import load_sweep_spec, run_sweep, simulate_row, write_sweep_csv
 
@@ -159,21 +159,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    params = _params_from(args)
-    diag = diagnostics(params)
-    regime = classify_regime(params, window=args.window)
-    _emit(
-        {
-            "p_over_n": diag.p_over_n,
-            "km_sq_over_p": diag.km_sq_over_p,
-            "beta_over_ln_n": diag.beta_over_ln_n,
-            "yagan_c": diag.yagan_c,
-            "flags": list(diag.flags),
-            "regime": regime.label,
-            "beta": regime.beta,
-            "window": regime.window,
-        }
-    )
+    _emit(dataclasses.asdict(diagnostics(_params_from(args), args.window)))
     return 0
 
 

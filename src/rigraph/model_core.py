@@ -210,11 +210,6 @@ def beta(params: ModelParams) -> float:
     return beta_from_b1(params.n, b_vector(params)[0])
 
 
-def _yagan_c(n: int, b1: float) -> float:
-    """The constant c = n*b_1/ln n of the coarse connectivity law."""
-    return n * b1 / math.log(n)
-
-
 def _isolation_term(n: int, b: float) -> float:
     # (1-b)^(n-1) via exp((n-1) log1p(-b)); exact 0 at b >= 1
     if b >= 1.0:
@@ -282,9 +277,17 @@ def ring_sizes_for(K1: int, ratios: tuple[float, ...], P: int) -> tuple[int, ...
     """Ring-size vector generated by a base size and fixed ratios.
 
     K_j = min(P, max(K1, round-half-up(ratios_j * K1))); nondecreasing by
-    construction when the ratios are nondecreasing.
+    construction when the ratios are nondecreasing.  A finite ratio whose
+    product with K1 overflows gives P (or K1 below 0); non-finite ones are
+    refused.
     """
-    return tuple(min(P, max(K1, _round_half_up(r * K1))) for r in ratios)
+    try:
+        return tuple(min(P, max(K1, _round_half_up(r * K1))) for r in ratios)
+    except (OverflowError, ValueError):  # floor of an infinite or NaN product
+        if not all(math.isfinite(r) for r in ratios):
+            raise InvalidParamsError(f"ratios must be finite, got {ratios}") from None
+        # the same sizes, without rounding a product at or past P, or below 0
+        return tuple(P if r * K1 >= P else max(K1, _round_half_up(max(r, 0.0) * K1)) for r in ratios)
 
 
 def _check_ratios(a: tuple[float, ...], ratios: tuple[float, ...]) -> None:
@@ -327,8 +330,6 @@ def solve_k1(
     a = tuple(float(x) for x in a)
     ratios = tuple(float(r) for r in ratios)
     _check_ratios(a, ratios)
-    if ratios[-1] > P:  # K_j = P either way, and r * K1 stays finite
-        ratios = tuple(min(r, P) for r in ratios)
     if not math.isfinite(target_beta):
         raise InvalidParamsError(f"target beta must be finite, got {target_beta!r}")
 
@@ -377,68 +378,48 @@ MAX_BETA_DRIFT = 0.5  # flag when |beta|/ln(n) exceeds this
 CRITICAL_WINDOW = 0.05
 
 
-@dataclass(frozen=True)
-class RegimeLabel:
-    """Connectivity regime of one instance under the coarse c = n*b_1/ln n
-    law, refined by the sign of beta inside the critical window where the
-    coarse law is silent."""
-
-    kind: str  # subcritical-yagan | supercritical-yagan | critical-window
-    c: float
-    beta: float
-    window: float
-
-    @property
-    def label(self) -> str:
-        if self.kind != "critical-window":
-            return self.kind
-        sign = ">" if self.beta > 0 else ("<" if self.beta < 0 else "=")
-        return f"critical-window(beta{sign}0)"
-
-
-def classify_from_values(n: int, b1: float, window: float = CRITICAL_WINDOW) -> RegimeLabel:
-    """Regime of an instance with n vertices and group-1 edge probability b1;
-    ``window`` must be finite and >= 0."""
-    if n < 2:
-        raise InvalidParamsError(f"classification needs n >= 2, got n={n}")
+def _regime(n: int, b1: float, window: float) -> tuple[float, float, str]:
+    """Yagan's c = n*b_1/ln n, beta = n*b_1 - ln n, and the regime label:
+    the coarse c-below/above-1 law outside ``window`` around c = 1, and the
+    sign of beta inside it, where the coarse law is silent."""
+    dev = beta_from_b1(n, b1)  # refuses n < 2
     if not 0.0 <= window < math.inf:
         raise InvalidParamsError(f"critical window must be finite and >= 0, got {window!r}")
-    c = _yagan_c(n, b1)
+    c = n * b1 / math.log(n)
     if c < 1.0 - window:
-        kind = "subcritical-yagan"
+        label = "subcritical-yagan"
     elif c > 1.0 + window:
-        kind = "supercritical-yagan"
+        label = "supercritical-yagan"
     else:
-        kind = "critical-window"
-    return RegimeLabel(kind=kind, c=c, beta=beta_from_b1(n, b1), window=window)
-
-
-def classify_regime(params: ModelParams, window: float = CRITICAL_WINDOW) -> RegimeLabel:
-    """Classify one instance; depends on params only through (n, b_1)."""
-    return classify_from_values(params.n, b_vector(params)[0], window)
+        sign = ">" if dev > 0 else ("<" if dev < 0 else "=")
+        label = f"critical-window(beta{sign}0)"
+    return c, dev, label
 
 
 @dataclass(frozen=True)
 class RegimeDiagnostics:
     """Ratios describing how far a finite instance sits from the regime in
-    which the connectivity threshold result applies, plus advisory flags."""
+    which the connectivity threshold result applies, advisory flags, and
+    the instance's regime label."""
 
     p_over_n: float
     km_sq_over_p: float
     beta_over_ln_n: float
     yagan_c: float
     flags: tuple[str, ...]
+    beta: float
+    regime: str  # subcritical-yagan | supercritical-yagan | critical-window(beta<0|=0|>0)
+    window: float
 
 
-def diagnostics(params: ModelParams) -> RegimeDiagnostics:
-    """Regime ratios for one instance; ``yagan_c`` is n*b_1/ln n, the constant
-    in the coarser c-above/below-1 connectivity law."""
-    if params.n < 2:
-        raise InvalidParamsError(f"diagnostics need n >= 2, got n={params.n}")
-    b1 = b_vector(params)[0]
+def diagnostics(params: ModelParams, window: float = CRITICAL_WINDOW) -> RegimeDiagnostics:
+    """Regime report for one instance; ``yagan_c`` is n*b_1/ln n, the
+    constant in the coarser c-above/below-1 connectivity law, and ``window``
+    (finite, >= 0) is the half-width around c = 1 where beta's sign decides."""
+    c, dev, regime = _regime(params.n, b_vector(params)[0], window)
     p_over_n = params.P / params.n
     km_sq_over_p = params.K[-1] ** 2 / params.P
-    beta_over_ln_n = beta_from_b1(params.n, b1) / math.log(params.n)
+    beta_over_ln_n = dev / math.log(params.n)
     flags: list[str] = []
     if p_over_n < MIN_POOL_PER_VERTEX:
         flags.append("pool_growth")
@@ -450,8 +431,11 @@ def diagnostics(params: ModelParams) -> RegimeDiagnostics:
         p_over_n=p_over_n,
         km_sq_over_p=km_sq_over_p,
         beta_over_ln_n=beta_over_ln_n,
-        yagan_c=_yagan_c(params.n, b1),
+        yagan_c=c,
         flags=tuple(flags),
+        beta=dev,
+        regime=regime,
+        window=window,
     )
 
 

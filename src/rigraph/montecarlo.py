@@ -11,8 +11,8 @@ numbers.  Worker count comes from the ``workers`` argument, else the
 Trials run in batches of about ``_BATCH_FLOATS`` drawn floats (at least one
 trial): ``sampler.sample_batch`` realizes a batch and
 ``graph_analysis.analyze_batch`` analyzes it, the same kernels that
-``sample_graph`` and ``analyze`` run on a batch of one.  Inside a
-``_sweep_pool`` block, every parallel call shares one process pool.
+``sample_graph`` and ``analyze`` run on a batch of one.  A sweep whose
+points run in parallel forks one process pool when it starts.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -39,9 +40,11 @@ ENV_WORKERS = "RIG_THREADS"
 _BATCH_FLOATS = 1 << 16
 # the analysis tags object ids with t*P + o, which must stay inside int64
 _KEY_LIMIT = 1 << 62
+# normal quantile of the two-sided 95% Wilson intervals
+_WILSON_Z = 1.96
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion, clamped to [0, 1].
 
     Chosen over the Wald interval because it behaves correctly at 0 and 1,
@@ -51,13 +54,11 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
         raise InvalidParamsError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise InvalidParamsError(f"need 0 <= successes <= trials, got {successes}/{trials}")
-    if z <= 0:
-        raise InvalidParamsError(f"z must be > 0, got {z}")
     phat = successes / trials
-    z2 = z * z
+    z2 = _WILSON_Z * _WILSON_Z
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
-    half = (z / denom) * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
+    half = (_WILSON_Z / denom) * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
     # the score interval always brackets phat; enforce it against rounding
     return max(0.0, min(center - half, phat)), min(1.0, max(center + half, phat))
 
@@ -130,41 +131,36 @@ def _run_range(params: ModelParams, master_seed: int, start: int, stop: int) -> 
     return conn, noiso, fno, iso_sum, iso_sq, g1_sum, g1_sq
 
 
-class _LazyPool:
-    """A process pool forked by the first ``map``, sized for that call; the
-    owner's ``ExitStack`` shuts it down and joins its workers."""
+def _plan(trials: int, workers: int) -> tuple[int, int]:
+    """Trials per range and pool size of a run; size 0 runs it serially.
 
-    def __init__(self, stack: ExitStack) -> None:
-        self._stack = stack
-        self._pool: ProcessPoolExecutor | None = None
-
-    def map(self, fn, calls: list[tuple], workers: int) -> list:
-        if self._pool is None:
-            self._pool = self._stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-        try:
-            return list(self._pool.map(fn, *zip(*calls)))
-        except BrokenProcessPool:
-            raise WorkerCrashError("a worker process died while running trials") from None
+    A parallel run has about four ranges per worker.  The fork start method
+    forks every worker up front, so the pool never outnumbers the ranges.
+    """
+    serial = workers == 1 or trials < 64
+    chunk = trials if serial else -(-trials // (workers * 4))
+    chunk = min(chunk, 65536)  # bounds a range's table of state words
+    return chunk, 0 if serial else min(workers, -(-trials // chunk))
 
 
-_shared_pool: ContextVar[_LazyPool | None] = ContextVar("rigraph_shared_pool", default=None)
+_shared_pool: ContextVar[ProcessPoolExecutor | None] = ContextVar("rigraph_shared_pool", default=None)
 
 
 @contextmanager
-def _sweep_pool() -> Iterator[_LazyPool]:
-    """Every parallel ``run_trials`` call inside this block maps through one
-    pool, forked by the first of them; a nested block joins the outer one.
-    On exit the pool is shut down and its workers are joined, so
-    ``RUSAGE_CHILDREN`` counts them."""
+def _trial_pool(trials: int, workers: int) -> Iterator:
+    """The ``map`` that runs of ``trials`` at ``workers`` use in this block:
+    the builtin one when their plan is serial, else that of the enclosing
+    block's pool or of a pool forked now at the plan's size.  A pool forked
+    here is shut down and joined on exit, so ``RUSAGE_CHILDREN`` counts it."""
+    size = _plan(trials, workers)[1]
     outer = _shared_pool.get()
-    if outer is not None:
-        yield outer
+    if size == 0 or outer is not None:
+        yield outer.map if size else map
         return
-    with ExitStack() as stack:
-        pool = _LazyPool(stack)
+    with ProcessPoolExecutor(max_workers=size) as pool:
         token = _shared_pool.set(pool)
         try:
-            yield pool
+            yield pool.map
         finally:
             _shared_pool.reset(token)
 
@@ -197,20 +193,15 @@ def run_trials(
     SeedSpec(master_seed, 0)  # validate the seed range early
     workers = resolve_workers(workers)
 
-    serial = workers == 1 or trials < 64
-    chunk = trials if serial else -(-trials // (workers * 4))
-    chunk = min(chunk, 65536)  # bounds a range's table of state words
-    ranges = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
-    if serial:
-        parts = [_run_range(params, master_seed, a, b) for a, b in ranges]
-    else:
-        # the fork start method forks every worker up front; fork no idle ones
-        with _sweep_pool() as pool:
-            calls = [(params, master_seed, a, b) for a, b in ranges]
-            parts = pool.map(_run_range, calls, min(workers, len(ranges)))
-    counts = tuple(sum(col) for col in zip(*parts))
-
-    conn, noiso, fno, iso_sum, iso_sq, g1_sum, g1_sq = counts
+    chunk = _plan(trials, workers)[0]
+    starts = range(0, trials, chunk)
+    stops = [min(s + chunk, trials) for s in starts]
+    with _trial_pool(trials, workers) as run_map:
+        try:
+            parts = list(run_map(partial(_run_range, params, master_seed), starts, stops))
+        except BrokenProcessPool:
+            raise WorkerCrashError("a worker process died while running trials") from None
+    conn, noiso, fno, iso_sum, iso_sq, g1_sum, g1_sq = (sum(col) for col in zip(*parts))
     if fno != noiso - conn:
         raise InvariantViolation(
             f"event identity broken: F={fno}, no-isolated={noiso}, connected={conn}"

@@ -32,7 +32,7 @@ from .model_core import (
     ring_sizes_for,
     solve_k1,
 )
-from .montecarlo import TrialAggregate, _sweep_pool, run_trials
+from .montecarlo import TrialAggregate, _trial_pool, resolve_workers, run_trials
 from .sampler import SeedSpec
 
 SCHEMA_VERSION = 1
@@ -54,7 +54,7 @@ def solve_k1_nearest(
 
     if upper[0] == 1:
         return upper
-    lower = ring_sizes_for(upper[0] - 1, tuple(min(float(r), P) for r in ratios), P)
+    lower = ring_sizes_for(upper[0] - 1, ratios, P)
     if abs(achieved(lower) - target_beta) <= abs(achieved(upper) - target_beta):
         return lower
     return upper
@@ -262,8 +262,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
     """Resolve every axis point up front (config errors must precede any
     simulation), then run them in order, all through one process pool."""
     resolved = [(i, v, resolve_point(spec, v)) for i, v in enumerate(spec.points)]
+    workers = resolve_workers(workers)
     rows = []
-    with _sweep_pool():
+    with _trial_pool(spec.trials, workers):
         for i, value, params in resolved:
             agg = run_trials(params, spec.trials, point_seed(spec.master_seed, i), workers)
             rows.append(build_row(spec.axis, value, params, agg))

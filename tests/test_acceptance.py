@@ -12,6 +12,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import pytest
 
@@ -28,6 +29,7 @@ from rigraph import (
     solve_k1,
     wilson_interval,
 )
+import rigraph.montecarlo as montecarlo
 from rigraph.sweeps import run_sweep, sweep_spec_from_dict, write_sweep_csv
 
 C2_TRIALS = 100_000
@@ -152,7 +154,8 @@ def test_criterion_2_event_oracle_equivalence_and_mc_bands():
     with ProcessPoolExecutor(max_workers=_pool_size()) as pool:
         for idx, successes, trials in pool.map(_c2_mc, range(len(TINY))):
             _record(trials)
-            low, high = wilson_interval(successes, trials, z=3.0)
+            with mock.patch.object(montecarlo, "_WILSON_Z", 3.0):
+                low, high = wilson_interval(successes, trials)
             if not (low <= oracles[idx] <= high):
                 outside.append(idx)
     elapsed = time.perf_counter() - start

@@ -462,6 +462,20 @@ class TestSolveK1:
         assert ring_sizes_for(3, (1.0, 1.5), 100) == (3, 5)  # 4.5 rounds up
         assert ring_sizes_for(2, (1.0, 2.0), 3) == (2, 3)  # clamped to P
 
+    def test_ring_sizes_overflowing_ratio_clamps(self):
+        # 1e308 * K_1 overflows to inf: a finite ratio past P gives P, and
+        # one far below 0 gives K_1
+        assert ring_sizes_for(2, (1.0, 1e308), 7) == (2, 7)
+        assert ring_sizes_for(2, (-1e308, 1.0), 7) == (2, 2)
+        # clamping a ratio to a pool past the float range must not overflow
+        big = 10**200
+        assert ring_sizes_for(big, (1.0, 1e300), big) == (big, big)
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf])
+    def test_ring_sizes_non_finite_ratio_refused(self, ratio):
+        with pytest.raises(InvalidParamsError, match="ratios must be finite"):
+            ring_sizes_for(2, (1.0, ratio), 7)
+
     @pytest.mark.parametrize("target", [-2.0, 5.0, 40.0])
     def test_ratio_above_pool_acts_as_pool(self, target):
         # 1e308 * K_1 overflows to inf; a ratio of P gives the same rings

@@ -54,17 +54,16 @@ class TestWilsonInterval:
             wilson_interval(-1, 4)
         with pytest.raises(InvalidParamsError):
             wilson_interval(0, 0)
-        with pytest.raises(InvalidParamsError):
-            wilson_interval(1, 2, z=0.0)
 
     @given(st.integers(1, 500), st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_scipy_reference(self, trials, data):
-        # scipy uses the exact 97.5% quantile; feed it through our z knob
+        # scipy uses the exact 97.5% quantile; swap it in for the rounded 1.96
         from scipy.stats import norm
 
         successes = data.draw(st.integers(0, trials))
-        low, high = wilson_interval(successes, trials, z=float(norm.ppf(0.975)))
+        with mock.patch.object(montecarlo, "_WILSON_Z", float(norm.ppf(0.975))):
+            low, high = wilson_interval(successes, trials)
         ref = binomtest(successes, trials).proportion_ci(confidence_level=0.95, method="wilson")
         assert low == pytest.approx(ref.low, abs=1e-9)
         assert high == pytest.approx(ref.high, abs=1e-9)
@@ -112,6 +111,26 @@ class TestRunTrials:
         # below 64 trials every point runs in this process: no pool at all
         serial_pools.clear()
         run_sweep(dataclasses.replace(spec, trials=63), workers=2)
+        assert serial_pools == []
+
+    def test_one_worker_opens_no_pool(self, serial_pools, monkeypatch, tmp_path):
+        # 65,537 trials make two ranges, yet one worker runs both here; a
+        # pool sized from the range count alone would open one of size 1
+        ranges = []
+
+        def counted(params, master_seed, start, stop):
+            ranges.append((start, stop))
+            return _run_range(params, master_seed, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_run_range", counted)
+        tiny = ModelParams(n=2, a=(1.0,), K=(1,), P=2)
+        run_trials(tiny, 65_537, master_seed=5, workers=1)
+        assert ranges == [(0, 65_536), (65_536, 65_537)]
+        spec = SweepSpec(base_n=2, base_P=2, a=(1.0,), base_K=(1,), ratios=None, axis="P",
+                         points=(2.0, 3.0), trials=65_537, master_seed=7,
+                         output_path=str(tmp_path / "rows.csv"))
+        run_sweep(spec, workers=1)
+        assert len(ranges) == 6
         assert serial_pools == []
 
     def test_worker_crash_is_a_rigraph_error(self, monkeypatch):

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rigraph import (
     sample_graph,
     wilson_interval,
 )
+import rigraph.montecarlo as montecarlo
 from rigraph.errors import InvariantViolation
 from rigraph.sampler import GAMMA, _floyd_batch, sample_batch, trial_state_words
 
@@ -185,5 +187,6 @@ class TestSampleGraph:
         # n=2 connectivity is exactly "the two rings intersect"
         p = ModelParams(n=2, a=(0.5, 0.5), K=(1, 2), P=5)
         agg = run_trials(p, 100_000, master_seed=31)
-        low, high = wilson_interval(agg.connected.successes, agg.connected.trials, z=3.0)
+        with mock.patch.object(montecarlo, "_WILSON_Z", 3.0):
+            low, high = wilson_interval(agg.connected.successes, agg.connected.trials)
         assert low <= edge_prob(p) <= high

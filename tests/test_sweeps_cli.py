@@ -9,9 +9,9 @@ from rigraph import (
     InvalidParamsError,
     ModelParams,
     SweepRow,
+    b_vector,
     beta,
-    classify_from_values,
-    classify_regime,
+    diagnostics,
     run_sweep,
     simulate_row,
     solve_k1,
@@ -19,6 +19,7 @@ from rigraph import (
 )
 import rigraph.montecarlo as montecarlo
 from rigraph.cli import main
+from rigraph.model_core import CRITICAL_WINDOW, _regime
 from rigraph.sweeps import (
     CSV_COLUMNS,
     load_sweep_spec,
@@ -35,48 +36,48 @@ from hypothesis import given, settings
 # ---------------------------------------------------------------- regimes
 
 class TestClassifyRegime:
+    # _regime(n, b1, window) -> (c, beta, label); synthetic b1 values reach
+    # cases, such as n = 10**44, that no ModelParams can
     def test_supercritical(self):
         n = 1000
-        lab = classify_from_values(n, 2 * math.log(n) / n)
-        assert lab.kind == "supercritical-yagan"
-        assert lab.label == "supercritical-yagan"
-        assert lab.c == pytest.approx(2.0, rel=1e-12)
+        c, _, label = _regime(n, 2 * math.log(n) / n, CRITICAL_WINDOW)
+        assert label == "supercritical-yagan"
+        assert c == pytest.approx(2.0, rel=1e-12)
 
     def test_subcritical(self):
         n = 1000
-        lab = classify_from_values(n, math.log(n) / (2 * n))
-        assert lab.kind == "subcritical-yagan"
+        assert _regime(n, math.log(n) / (2 * n), CRITICAL_WINDOW)[2] == "subcritical-yagan"
 
     def test_critical_window_carries_beta_sign(self):
         # b_1 = (ln n + ln ln n)/n: c -> 1, beta = ln ln n > 0; needs n huge
         # enough that ln ln n / ln n fits inside the default 0.05 window
         n = 10**44
         b1 = (math.log(n) + math.log(math.log(n))) / n
-        lab = classify_from_values(n, b1)
-        assert lab.kind == "critical-window"
-        assert lab.beta > 0
-        assert lab.label == "critical-window(beta>0)"
+        _, dev, label = _regime(n, b1, CRITICAL_WINDOW)
+        assert dev > 0
+        assert label == "critical-window(beta>0)"
 
     def test_exact_critical_point(self):
         n = 500
-        lab = classify_from_values(n, math.log(n) / n)
-        assert lab.kind == "critical-window"
-        assert lab.label == "critical-window(beta=0)" or abs(lab.beta) < 1e-9
+        _, dev, label = _regime(n, math.log(n) / n, CRITICAL_WINDOW)
+        assert label.startswith("critical-window(")
+        assert label == "critical-window(beta=0)" or abs(dev) < 1e-9
 
     @given(small_params())
     @settings(max_examples=30, deadline=None)
     def test_depends_only_on_n_and_b1(self, params):
-        from rigraph import b_vector
-
-        direct = classify_regime(params)
-        via_values = classify_from_values(params.n, b_vector(params)[0])
-        assert direct == via_values
+        d = diagnostics(params)
+        assert (d.yagan_c, d.beta, d.regime) == _regime(params.n, b_vector(params)[0], CRITICAL_WINDOW)
+        assert d.window == CRITICAL_WINDOW
 
     def test_window_is_configuration(self):
         n = 1000
         b1 = 1.03 * math.log(n) / n
-        assert classify_from_values(n, b1, window=0.05).kind == "critical-window"
-        assert classify_from_values(n, b1, window=0.01).kind == "supercritical-yagan"
+        assert _regime(n, b1, 0.05)[2] == "critical-window(beta>0)"
+        assert _regime(n, b1, 0.01)[2] == "supercritical-yagan"
+        params = ModelParams(n=2000, a=(0.5, 0.5), K=(3, 6), P=4000)  # c = 0.887
+        assert diagnostics(params).regime == "subcritical-yagan"
+        assert diagnostics(params, window=0.3).regime == "critical-window(beta<0)"
 
 
 class TestSolveK1Nearest:
