@@ -12,7 +12,7 @@ Trials run in batches of about ``_BATCH_FLOATS`` drawn floats (at least one
 trial): ``sampler.sample_batch`` realizes a batch and
 ``graph_analysis.analyze_batch`` analyzes it, the same kernels that
 ``sample_graph`` and ``analyze`` run on a batch of one.  A sweep whose
-points run in parallel forks one process pool when it starts.
+points run in parallel opens one process pool when it starts.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ _shared_pool: ContextVar[ProcessPoolExecutor | None] = ContextVar("rigraph_share
 def _trial_pool(trials: int, workers: int) -> Iterator:
     """The ``map`` that runs of ``trials`` at ``workers`` use in this block:
     the builtin one when their plan is serial, else that of the enclosing
-    block's pool or of a pool forked now at the plan's size.  A pool forked
+    block's pool or of a pool opened now at the plan's size.  A pool opened
     here is shut down and joined on exit, so ``RUSAGE_CHILDREN`` counts it."""
     size = _plan(trials, workers)[1]
     outer = _shared_pool.get()
