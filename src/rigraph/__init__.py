@@ -32,7 +32,7 @@ from .model_core import (
 )
 from .montecarlo import EstimateRow, TrialAggregate, run_trials, wilson_interval
 from .oracle import EventProbs, enumerate_event_probs, enumerate_pair_prob
-from .sampler import GraphSample, SeedSpec, sample_graph
+from .sampler import GraphBatch, SeedSpec, sample_batch, sample_graph
 from .sweeps import (
     SweepRow,
     SweepSpec,
@@ -43,4 +43,4 @@ from .sweeps import (
     write_sweep_csv,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -4,13 +4,12 @@
 Adjacency is "object sets intersect", so the holders of one object form a
 clique; linking each holder to the object's first holder keeps the
 components with one edge per incidence, and the O(n^2) edge set is never
-materialized.  One kernel, ``analyze_batch``, handles a batch of samples
-stored back to back.  Each incidence of sample t with object o gets the key
-t*P + o, so samples never share an object: one ``connected_components``
-call over the block-diagonal graph labels every sample at once, and the
-holder count of each key gives isolation (a vertex is isolated iff each of
-its objects has a single holder).  ``analyze`` runs the kernel on a batch
-of one.
+materialized.  One kernel, ``analyze_batch``, takes a ``GraphBatch``.  Each
+incidence of trial t with object o gets the key t*P + o, so trials never
+share an object: one ``connected_components`` call over the block-diagonal
+graph labels every trial at once, and the holder count of each key gives
+isolation (a vertex is isolated iff each of its objects has a single
+holder).  ``analyze`` runs the kernel on a one-trial batch.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _sp_connected_components
 
 from .errors import InvalidParamsError, InvariantViolation
-from .sampler import GraphSample
+from .sampler import GraphBatch
 
 # up to this many keys per incidence, holder counts are indexed by key
 # directly; sparser key ranges (large pools) are compacted by a sort first
@@ -68,23 +67,19 @@ def _component_counts(offsets: np.ndarray, nodes: np.ndarray, node_count: int, t
     return 1 + np.count_nonzero(per_trial[:, 1:] != per_trial[:, :-1], axis=1)
 
 
-def analyze_batch(
-    groups: np.ndarray, objects: np.ndarray, offsets: np.ndarray, trials: int, P: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample component, isolated and group-1 isolated counts.
+def analyze_batch(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-trial component, isolated and group-1 isolated counts.
 
-    The ``trials`` samples share n = len(groups) / trials and are laid out
-    as ``sampler.sample_batch`` returns them; every object id is below
-    ``P``.  Raises ``InvariantViolation`` if a sample is reported connected
-    while having an isolated vertex.
+    Raises ``InvariantViolation`` if a sample is reported connected while
+    having an isolated vertex.
     """
-    n = len(groups) // trials
+    offsets, trials, P, n = batch.offsets, batch.trials, batch.P, batch.n
     tags = np.repeat(np.arange(0, trials * P, P, dtype=np.int64), np.diff(offsets[::n]))
-    nodes, held, node_count = _object_nodes(tags + objects, trials * P)
+    nodes, held, node_count = _object_nodes(tags + batch.objects, trials * P)
     shared = np.concatenate(([0], np.cumsum(held > 1)))
     isolated = shared[offsets[1:]] == shared[offsets[:-1]]
     iso = isolated.reshape(trials, n).sum(axis=1)
-    group1 = (isolated & (groups == 1)).reshape(trials, n).sum(axis=1)
+    group1 = (isolated & (batch.groups == 1)).reshape(trials, n).sum(axis=1)
     comp = _component_counts(offsets, nodes, node_count, trials)
     lying = np.flatnonzero((comp == 1) & (iso > 0))
     if len(lying):
@@ -95,15 +90,14 @@ def analyze_batch(
     return comp, iso, group1
 
 
-def analyze(sample: GraphSample) -> TrialStats:
-    """All per-sample observables, with the connectivity=>no-isolation
-    implication asserted before returning."""
-    n = sample.n
-    if n < 2:
-        raise InvalidParamsError(f"analyze needs n >= 2, got n={n}")
-    P = int(sample.objects.max(initial=0)) + 1
-    counts = analyze_batch(sample.groups, sample.objects, sample.offsets, 1, P)
-    comp, isolated, group1 = (int(c[0]) for c in counts)
+def analyze(batch: GraphBatch) -> TrialStats:
+    """All observables of a one-trial batch, with the
+    connectivity=>no-isolation implication asserted before returning."""
+    if batch.trials != 1:
+        raise InvalidParamsError(f"analyze takes a one-trial batch, got {batch.trials} trials")
+    if batch.n < 2:
+        raise InvalidParamsError(f"analyze needs n >= 2, got n={batch.n}")
+    comp, isolated, group1 = (int(c[0]) for c in analyze_batch(batch))
     connected = comp == 1
     return TrialStats(
         connected=connected,

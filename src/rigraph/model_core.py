@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -63,6 +64,17 @@ def _as_int(name: str, value) -> int:
         raise InvalidParamsError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _as_float(name: str, value) -> float:
+    """``value`` as a Python float; bools, strings and other non-numbers,
+    and integers past the float range are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParamsError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise InvalidParamsError(f"{name} must be finite, got an integer past the float range") from None
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Immutable parameter tuple (n, a, K, P); single source of truth.
@@ -70,8 +82,9 @@ class ModelParams:
     Invariants enforced at construction:
       * n, P and every K_i are integers (numpy integers are stored as Python
         ints; bools are rejected), n >= 1, P >= 1
-      * len(a) == len(K) == m >= 1, every a_i finite and > 0, sum(a) == 1 within 1e-9
-        (renormalized exactly to sum 1 on construction, rejected otherwise)
+      * len(a) == len(K) == m >= 1, every a_i a finite number > 0 (bools and
+        strings are rejected), sum(a) == 1 within 1e-9 (renormalized exactly
+        to sum 1 on construction, rejected otherwise)
       * 1 <= K_1 <= K_2 <= ... <= K_m <= P.  Out-of-order K is rejected, not
         sorted: silently reordering would desynchronize groups from ``a``.
     """
@@ -88,7 +101,8 @@ class ModelParams:
         P = _as_int("P", self.P)
         if P < 1:
             raise InvalidParamsError(f"P must be an integer >= 1, got {self.P!r}")
-        a = tuple(float(x) for x in self.a)
+        # floats skip the call: a ModelParams is built per beta evaluation
+        a = tuple(x if type(x) is float else _as_float("every group probability", x) for x in self.a)
         K = tuple(_as_int("every K_i", k) for k in self.K)
         if len(a) == 0 or len(a) != len(K):
             raise InvalidParamsError(
@@ -284,7 +298,8 @@ def ring_sizes_for(K1: int, ratios: tuple[float, ...], P: int) -> tuple[int, ...
     try:
         return tuple(min(P, max(K1, _round_half_up(r * K1))) for r in ratios)
     except (OverflowError, ValueError):  # floor of an infinite or NaN product
-        if not all(math.isfinite(r) for r in ratios):
+        # a comparison, unlike math.isfinite, takes an int past the float range
+        if not all(-math.inf < r < math.inf for r in ratios):
             raise InvalidParamsError(f"ratios must be finite, got {ratios}") from None
         # the same sizes, without rounding a product at or past P, or below 0
         return tuple(P if r * K1 >= P else max(K1, _round_half_up(max(r, 0.0) * K1)) for r in ratios)
@@ -327,9 +342,10 @@ def solve_k1(
     result is the one a bisection over all of [1, P] finds; near the answer
     the search costs O(log K_1) beta evaluations instead of O(log P).
     """
-    a = tuple(float(x) for x in a)
-    ratios = tuple(float(r) for r in ratios)
+    a = tuple(_as_float("every group probability", x) for x in a)
+    ratios = tuple(_as_float("every ratio", r) for r in ratios)
     _check_ratios(a, ratios)
+    target_beta = _as_float("target beta", target_beta)
     if not math.isfinite(target_beta):
         raise InvalidParamsError(f"target beta must be finite, got {target_beta!r}")
 
@@ -383,6 +399,7 @@ def _regime(n: int, b1: float, window: float) -> tuple[float, float, str]:
     the coarse c-below/above-1 law outside ``window`` around c = 1, and the
     sign of beta inside it, where the coarse law is silent."""
     dev = beta_from_b1(n, b1)  # refuses n < 2
+    window = _as_float("critical window", window)
     if not 0.0 <= window < math.inf:
         raise InvalidParamsError(f"critical window must be finite and >= 0, got {window!r}")
     c = n * b1 / math.log(n)

@@ -9,10 +9,10 @@ numbers.  Worker count comes from the ``workers`` argument, else the
 ``RIG_THREADS`` env var, else 1.
 
 Trials run in batches of about ``_BATCH_FLOATS`` drawn floats (at least one
-trial): ``sampler.sample_batch`` realizes a batch and
-``graph_analysis.analyze_batch`` analyzes it, the same kernels that
-``sample_graph`` and ``analyze`` run on a batch of one.  A sweep whose
-points run in parallel opens one process pool when it starts.
+trial): ``sampler.sample_batch`` realizes each batch of a trial range as a
+``GraphBatch`` and ``graph_analysis.analyze_batch`` counts its events; this
+module knows neither the batch layout nor how trials are seeded.  A sweep
+whose points run in parallel opens one process pool when it starts.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import InvalidParamsError, InvariantViolation, WorkerCrashError
 from .graph_analysis import analyze_batch
-from .model_core import ModelParams
-from .sampler import SeedSpec, sample_batch, trial_state_words
+from .model_core import ModelParams, _as_int
+from .sampler import SeedSpec, sample_batch
 
 ENV_WORKERS = "RIG_THREADS"
 
@@ -104,6 +104,7 @@ def resolve_workers(workers: int | None = None) -> int:
             workers = int(raw) if raw.strip() else 1
         except ValueError:
             raise InvalidParamsError(f"{ENV_WORKERS} must be an integer, got {raw!r}") from None
+    workers = _as_int("workers", workers)
     if workers < 1:
         raise InvalidParamsError(f"workers must be >= 1, got {workers}")
     return workers
@@ -112,13 +113,10 @@ def resolve_workers(workers: int | None = None) -> int:
 def _run_range(params: ModelParams, master_seed: int, start: int, stop: int) -> tuple[int, ...]:
     """Counts over trials [start, stop); commutative pieces only."""
     batch = max(1, min(_BATCH_FLOATS // (params.n * (1 + params.K[-1])), _KEY_LIMIT // params.P))
-    words = trial_state_words(master_seed, start, stop)
     scratch = np.random.PCG64(0)
     conn = noiso = fno = iso_sum = iso_sq = g1_sum = g1_sq = 0
-    for a in range(0, stop - start, batch):
-        rows = words[a:a + batch]
-        groups, objects, offsets = sample_batch(params, rows, scratch)
-        comp, iso, g1 = analyze_batch(groups, objects, offsets, len(rows), params.P)
+    for a in range(start, stop, batch):
+        comp, iso, g1 = analyze_batch(sample_batch(params, master_seed, a, min(a + batch, stop), scratch))
         connected = comp == 1
         no_iso = iso == 0
         conn += int(np.count_nonzero(connected))
@@ -186,11 +184,12 @@ def run_trials(
     raises, it is never averaged away), and the per-sample identity
     #F = #no-isolated - #connected is re-asserted on the aggregate.
     """
+    trials = _as_int("trials", trials)
     if trials < 1:
         raise InvalidParamsError(f"trials must be >= 1, got {trials}")
     if params.n < 2:
         raise InvalidParamsError(f"simulation needs n >= 2, got n={params.n}")
-    SeedSpec(master_seed, 0)  # validate the seed range early
+    master_seed = SeedSpec(master_seed).master_seed  # validated early, as a Python int
     workers = resolve_workers(workers)
 
     chunk = _plan(trials, workers)[0]

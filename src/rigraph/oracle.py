@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-import numpy as np
-
 from .errors import EnumerationBudgetError, InvalidParamsError
 from .graph_analysis import analyze_batch
 from .model_core import ModelParams
+from .sampler import GraphBatch
 
 BUDGET = 10_000_000
 # distinct tuples of sets analyzed per kernel call
@@ -103,12 +102,8 @@ def enumerate_event_probs(params: ModelParams) -> EventProbs:
     keys = list(weights)
     for start in range(0, len(keys), _ANALYSIS_BATCH):
         batch = keys[start:start + _ANALYSIS_BATCH]
-        sizes = [len(subset) for key in batch for subset in key]
-        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        objects = np.asarray([o for key in batch for subset in key for o in subset], dtype=np.int64)
-        groups = np.ones(len(sizes), dtype=np.int64)
-        comp, iso, _ = analyze_batch(groups, objects, offsets, len(batch), params.P)
+        sets = [subset for key in batch for subset in key]
+        comp, iso, _ = analyze_batch(GraphBatch.from_sets([1] * len(sets), sets, params.P, len(batch)))
         for key, components, isolated in zip(batch, comp.tolist(), iso.tolist()):
             weight = weights[key]
             if components == 1:

@@ -11,11 +11,9 @@ from ``(master_seed, trial_index)`` alone, by splitmix64 expansion:
     state = w1 << 64 | w2,   inc = (w3 << 64 | w4) | 1
 
 where ``mix64`` is the standard splitmix64 finalizer (an avalanche function:
-every output bit depends on every input bit).  One vector path derives the
-seeds and the words: ``_trial_seeds`` computes the seeds of a range of trials
-(``SeedSpec.trial_seed`` is a range of one) and ``trial_state_words`` expands
-them.  Trial t is therefore independent of whether trials 0..t-1 were ever
-generated, which is what makes parallel trial execution deterministic.
+every output bit depends on every input bit).  Trial t is therefore
+independent of whether trials 0..t-1 were ever generated, which is what
+makes parallel trial execution deterministic.
 
 A trial consumes randomness in a fixed order: one block of n uniforms for
 group assignment (inverse CDF over the cumulative a), then one block of
@@ -25,23 +23,23 @@ draw s (0-based) maps u to t = min(floor(u * (j+1)), j) with j = P - K + s,
 inserting j on collision.  Memory per set is O(K); the pool is never
 materialized.
 
-``sample_batch`` realizes many trials at once: each trial's stream fills one
-row of n*(1+K_m) floats (a double takes exactly one 64-bit output, so the
-row starts with the two blocks above; the rest is unused), and Floyd runs
-once per ring size over the vertices of every trial in the batch.
-``sample_graph`` is a batch of one.  Bit-compatibility is promised only
-within this implementation.
+``sample_batch`` realizes trials [start, stop) as one ``GraphBatch``, whose
+docstring gives the layout: each trial's stream fills one row of n*(1+K_m)
+floats (a double takes exactly one 64-bit output, so the row starts with
+the two blocks above; the rest is unused), and Floyd runs once per ring
+size over the vertices of every trial.  ``sample_graph`` is the batch of
+one trial.  Bit-compatibility is promised only within this implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from .errors import InvalidParamsError, InvariantViolation
-from .model_core import ModelParams
+from .model_core import ModelParams, _as_int
 
 _M64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -88,6 +86,8 @@ class SeedSpec:
     trial_index: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "master_seed", _as_int("master_seed", self.master_seed))
+        object.__setattr__(self, "trial_index", _as_int("trial_index", self.trial_index))
         if not 0 <= self.master_seed <= _M64:
             raise InvalidParamsError(
                 f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}"
@@ -100,41 +100,59 @@ class SeedSpec:
 
 
 @dataclass(frozen=True)
-class GraphSample:
-    """One realized graph: group labels and per-vertex object sets.
+class GraphBatch:
+    """``trials`` realized graphs on n vertices each, stored back to back.
 
-    ``objects``/``offsets`` store the sets in one flat array: vertex x holds
-    the sorted, duplicate-free ids ``objects[offsets[x]:offsets[x+1]]``.
-    Edges are implicit (two vertices are adjacent iff their sets intersect)
-    and never materialized here.
+    Vertex x of trial r (both 0-based) is vertex r*n + x of the batch:
+    ``groups[r*n + x]`` is its 1-based group, and its object set is the
+    sorted, duplicate-free ids ``objects[offsets[r*n+x]:offsets[r*n+x+1]]``,
+    each in 0..P-1.  So ``groups`` has trials*n entries and ``offsets`` one
+    more.  Edges are implicit (two vertices of one trial are adjacent iff
+    their sets intersect) and never materialized.
     """
 
-    groups: np.ndarray  # shape (n,), 1-based group index per vertex
-    objects: np.ndarray  # flat int64 object ids, each in 0..P-1
-    offsets: np.ndarray  # shape (n+1,), block boundaries into objects
+    groups: np.ndarray  # int64, 1-based group per vertex
+    objects: np.ndarray  # int64 object ids, the sets one after another
+    offsets: np.ndarray  # int64 set boundaries into objects
+    trials: int
+    P: int
     params_hash: str
+
+    @classmethod
+    def from_sets(cls, groups, object_sets, P: int, trials: int = 1, params_hash: str = "") -> GraphBatch:
+        """The batch of per-vertex groups and sorted object sets, listed
+        vertex by vertex in batch order."""
+        offsets = np.cumsum([0, *map(len, object_sets)], dtype=np.int64)
+        objects = np.fromiter(chain.from_iterable(object_sets), dtype=np.int64, count=int(offsets[-1]))
+        return cls(np.asarray(groups, dtype=np.int64), objects, offsets, trials, P, params_hash)
 
     @property
     def n(self) -> int:
-        return len(self.groups)
+        return len(self.groups) // self.trials
 
     def object_set(self, x: int) -> np.ndarray:
         return self.objects[self.offsets[x]:self.offsets[x + 1]]
 
     def validate(self, params: ModelParams) -> None:
-        """Check the structural invariants against the generating params."""
-        if self.groups.min(initial=1) < 1 or self.groups.max(initial=1) > params.m:
+        """Check the structural invariants of every trial against the
+        generating params."""
+        groups, objects, offsets = self.groups, self.objects, self.offsets
+        if (self.P, len(groups), len(offsets)) != (params.P, self.trials * params.n, len(groups) + 1):
+            raise InvariantViolation("batch shape does not match params")
+        if groups.min(initial=1) < 1 or groups.max(initial=1) > params.m:
             raise InvariantViolation("group labels out of range")
-        sizes = np.diff(self.offsets)
-        expect = np.asarray(params.K, dtype=np.int64)[self.groups - 1]
-        if not np.array_equal(sizes, expect):
+        expect = np.asarray(params.K, dtype=np.int64)[groups - 1]
+        if offsets[0] != 0 or offsets[-1] != len(objects) or not np.array_equal(np.diff(offsets), expect):
             raise InvariantViolation("object-set sizes do not match ring sizes")
-        if len(self.objects) and (self.objects.min() < 0 or self.objects.max() >= params.P):
+        if len(objects) and (objects.min() < 0 or objects.max() >= params.P):
             raise InvariantViolation("object id outside pool")
-        for x in range(self.n):
-            s = self.object_set(x)
-            if len(s) > 1 and not (np.diff(s) > 0).all():
-                raise InvariantViolation(f"object set of vertex {x} not strictly increasing")
+        # every step inside a set must rise; the step from one set's last id
+        # to the next set's first id may fall
+        falls = np.diff(objects) <= 0
+        falls[offsets[1:-1] - 1] = False
+        if falls.any():
+            r, x = divmod(int(np.searchsorted(offsets, np.argmax(falls), side="right")) - 1, params.n)
+            raise InvariantViolation(f"object set of vertex {x} in trial {r} not strictly increasing")
         if self.params_hash != params.fingerprint():
             raise InvariantViolation("params fingerprint mismatch")
 
@@ -156,27 +174,18 @@ def _floyd_batch(P: int, K: int, U: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=512)
-def _sampling_consts(params: ModelParams) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Per-params constants hoisted out of the per-batch path: the group
-    CDF, the ring size of each group and the distinct ring sizes."""
-    cum = np.cumsum(np.asarray(params.a, dtype=np.float64))
-    return cum, np.asarray(params.K, dtype=np.int64), tuple(sorted(set(params.K)))
-
-
 def sample_batch(
-    params: ModelParams, words: np.ndarray, scratch: np.random.PCG64 | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Realize the trials whose stream state words are the rows of ``words``.
-
-    Returns ``(groups, objects, offsets)`` for the trials stored back to
-    back: vertex x of trial r (0-based in the batch) is vertex r*n + x, and
-    its sorted object ids are ``objects[offsets[r*n+x]:offsets[r*n+x+1]]``.
-    Every trial is the sample that ``sample_graph`` draws from its row.
-    """
+    params: ModelParams, master_seed: int, start: int, stop: int, scratch: np.random.PCG64 | None = None
+) -> GraphBatch:
+    """Realize trials [start, stop) of ``master_seed``, trial t from the
+    stream of ``SeedSpec(master_seed, t)``; ``scratch``, if given, is the
+    bit generator reseated for each trial."""
+    seed = SeedSpec(master_seed, start)
+    trials = _as_int("stop", stop) - seed.trial_index
+    if trials < 1:
+        raise InvalidParamsError(f"need start < stop, got start={start!r}, stop={stop!r}")
+    words = trial_state_words(seed.master_seed, seed.trial_index, seed.trial_index + trials)
     n, P, m = params.n, params.P, params.m
-    cum, Karr, ring_sizes = _sampling_consts(params)
-    trials = len(words)
     width = n * (1 + params.K[-1])
     U = np.empty((trials, width))
     bg = scratch if scratch is not None else np.random.PCG64(0)
@@ -185,10 +194,11 @@ def sample_batch(
         bg.state = _state_dict(*w)
         gen.random(out=row)
 
+    cum = np.cumsum(np.asarray(params.a, dtype=np.float64))
     groups = np.searchsorted(cum, U[:, :n], side="right").astype(np.int64).ravel()
     groups += 1
     np.minimum(groups, m, out=groups)
-    sizes = Karr[groups - 1]
+    sizes = np.asarray(params.K, dtype=np.int64)[groups - 1]
     offsets = np.zeros(trials * n + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     # a vertex's floats sit in its trial's row, after the n group floats, at
@@ -198,26 +208,16 @@ def sample_batch(
     starts = (local + row_start[:, None]).ravel()
     floats = U.ravel()
     objects = np.empty(int(offsets[-1]), dtype=np.int64)
-    for Kg in ring_sizes:
+    for Kg in sorted(set(params.K)):
         idx = np.flatnonzero(sizes == Kg)
         if len(idx) == 0:
             continue
         span = np.arange(Kg)
         objects[offsets[idx][:, None] + span] = _floyd_batch(P, Kg, floats[starts[idx][:, None] + span])
-    return groups, objects, offsets
+    return GraphBatch(groups, objects, offsets, trials, P, params.fingerprint())
 
 
-def sample_graph(params: ModelParams, seed: SeedSpec, *, scratch: np.random.PCG64 | None = None) -> GraphSample:
-    """Realize one graph; deterministic in (params, seed).
-
-    Vertices are sampled independently: a group via inverse CDF, then a
-    uniform K-subset of the pool.  This is ``sample_batch`` on one trial.
-    """
-    words = trial_state_words(seed.master_seed, seed.trial_index, seed.trial_index + 1)
-    groups, objects, offsets = sample_batch(params, words, scratch)
-    return GraphSample(
-        groups=groups,
-        objects=objects,
-        offsets=offsets,
-        params_hash=params.fingerprint(),
-    )
+def sample_graph(params: ModelParams, seed: SeedSpec, *, scratch: np.random.PCG64 | None = None) -> GraphBatch:
+    """Realize one graph, trial ``seed.trial_index`` of ``seed.master_seed``,
+    as a one-trial batch."""
+    return sample_batch(params, seed.master_seed, seed.trial_index, seed.trial_index + 1, scratch)

@@ -26,6 +26,7 @@ from typing import Any
 from .errors import InvalidParamsError
 from .model_core import (
     ModelParams,
+    _as_float,
     beta,
     diagnostics,
     exact_quantities,
@@ -119,11 +120,11 @@ def sweep_spec_from_dict(doc: dict[str, Any]) -> SweepSpec:
         args = dict(
             base_n=_integral(base["n"], "base n"),
             base_P=_integral(base["P"], "base P"),
-            a=tuple(_real(x, "every a_i") for x in base["a"]),
+            a=tuple(_as_float("every a_i", x) for x in base["a"]),
             base_K=tuple(_integral(k, "every K_i") for k in base["K"]) if "K" in base else None,
-            ratios=tuple(_real(r, "every ratio") for r in doc["ratios"]) if "ratios" in doc else None,
+            ratios=tuple(_as_float("every ratio", r) for r in doc["ratios"]) if "ratios" in doc else None,
             axis=str(doc["axis"]),
-            points=tuple(_real(p, "every point") for p in doc["points"]),
+            points=tuple(_as_float("every point", p) for p in doc["points"]),
             trials=_integral(doc["trials"], "trials"),
             master_seed=_integral(doc["master_seed"], "master_seed"),
             output_path=doc["output_path"],
@@ -135,25 +136,13 @@ def sweep_spec_from_dict(doc: dict[str, Any]) -> SweepSpec:
     return SweepSpec(**args)
 
 
-def _number(value, what: str) -> None:
-    """Only numbers pass: JSON ``true`` and ``"7"`` are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidParamsError(f"{what} must be a number, got {value!r}")
-
-
-def _real(value, what: str) -> float:
-    _number(value, what)
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal past the float range
-        raise InvalidParamsError(f"{what} must be finite, got {value}") from None
-
-
 def _integral(value, what: str) -> int:
-    """``value`` as an int: integral floats such as 2000.0 pass, fractional
-    and non-finite ones are refused."""
-    _number(value, what)
-    if isinstance(value, float) and not value.is_integer():  # also NaN and inf
+    """``value`` as an int: integral floats such as 2000.0 pass; fractional
+    and non-finite floats, bools and non-numbers such as ``"7"`` are refused."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    value = _as_float(what, value)
+    if not value.is_integer():  # also NaN and inf
         raise InvalidParamsError(f"{what} must be an integer, got {value}")
     return int(value)
 

@@ -1,38 +1,32 @@
-"""Shared fixtures: an independent adjacency-matrix/BFS analysis oracle,
-a hypothesis strategy for small valid parameter tuples, and process-pool
-stand-ins for the trial runner."""
+"""Shared helpers: a one-trial batch built from per-vertex sets, an
+independent adjacency-matrix/BFS analysis oracle, a hypothesis strategy for
+small valid parameter tuples, and process-pool stand-ins for the trial
+runner."""
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import rigraph.montecarlo as montecarlo
 from rigraph import ModelParams
-from rigraph.sampler import GraphSample
+from rigraph.sampler import GraphBatch
 
 _TEST_PID = os.getpid()
 
 
-def make_sample(groups: list[int], object_sets: list[list[int]], params_hash: str = "test") -> GraphSample:
-    """Build a GraphSample directly from per-vertex sets (tests only)."""
-    flat: list[int] = []
-    offsets = [0]
-    for s in object_sets:
-        flat.extend(sorted(s))
-        offsets.append(len(flat))
-    return GraphSample(
-        groups=np.asarray(groups, dtype=np.int64),
-        objects=np.asarray(flat, dtype=np.int64),
-        offsets=np.asarray(offsets, dtype=np.int64),
-        params_hash=params_hash,
-    )
+def make_sample(groups: list[int], object_sets: list[list[int]], P: int | None = None) -> GraphBatch:
+    """A one-trial batch from per-vertex sets, each sorted here; the pool
+    defaults to one past the largest id (tests only)."""
+    sets = [sorted(s) for s in object_sets]
+    if P is None:
+        P = max((o for s in sets for o in s), default=0) + 1
+    return GraphBatch.from_sets(groups, sets, P, params_hash="test")
 
 
-def naive_stats(sample: GraphSample) -> tuple[bool, int, int, int]:
+def naive_stats(sample: GraphBatch) -> tuple[bool, int, int, int]:
     """Independent oracle: O(n^2) pairwise set intersections + BFS.
 
     Returns (connected, component_count, isolated, group1_isolated).
@@ -75,16 +69,6 @@ def small_params(draw, max_m: int = 3, max_P: int = 12, min_n: int = 2, max_n: i
         K.append(k)
         lo = k
     return ModelParams(n=n, a=a, K=tuple(K), P=P)
-
-
-@pytest.fixture
-def sample_builder():
-    return make_sample
-
-
-@pytest.fixture
-def naive_oracle():
-    return naive_stats
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from bisect import bisect_right
 import numpy as np
 
 from rigraph import ModelParams, SeedSpec
-from rigraph.sampler import GraphSample, _state_dict, trial_state_words
+from rigraph.sampler import GraphBatch, _state_dict, trial_state_words
 
 _M64 = (1 << 64) - 1
 
@@ -57,7 +57,7 @@ def floyd_scalar(P: int, K: int, u: list[float], pos: int) -> list[int]:
     return sorted(sel)
 
 
-def sample_scalar(params: ModelParams, rng: np.random.Generator) -> GraphSample:
+def sample_scalar(params: ModelParams, rng: np.random.Generator) -> GraphBatch:
     """One graph from ``rng``: n group floats, then each vertex's ring."""
     n, P, K = params.n, params.P, params.K
     groups = [assign_group(params.a, u) for u in rng.random(n).tolist()]
@@ -70,19 +70,21 @@ def sample_scalar(params: ModelParams, rng: np.random.Generator) -> GraphSample:
         flat.extend(floyd_scalar(P, Kg, uo, pos))
         pos += Kg
         offsets.append(pos)
-    return GraphSample(
+    return GraphBatch(
         groups=np.asarray(groups, dtype=np.int64),
         objects=np.asarray(flat, dtype=np.int64),
         offsets=np.asarray(offsets, dtype=np.int64),
+        trials=1,
+        P=P,
         params_hash=params.fingerprint(),
     )
 
 
-def reference_sample(params: ModelParams, seed: SeedSpec) -> GraphSample:
+def reference_sample(params: ModelParams, seed: SeedSpec) -> GraphBatch:
     return sample_scalar(params, generator_for(seed))
 
 
-def build_inverted_index(sample: GraphSample) -> dict[int, list[int]]:
+def build_inverted_index(sample: GraphBatch) -> dict[int, list[int]]:
     """Map each object id to the ordered list of vertices holding it."""
     index: dict[int, list[int]] = {}
     objects = sample.objects.tolist()
@@ -118,7 +120,7 @@ def components_small(n: int, index: dict[int, list[int]]) -> int:
     return comp
 
 
-def isolation_from_index(sample: GraphSample, index: dict[int, list[int]]) -> tuple[int, int]:
+def isolation_from_index(sample: GraphBatch, index: dict[int, list[int]]) -> tuple[int, int]:
     """(#isolated, #isolated in group 1): vertices whose objects all have a
     single holder."""
     objects = sample.objects.tolist()
@@ -134,7 +136,7 @@ def isolation_from_index(sample: GraphSample, index: dict[int, list[int]]) -> tu
     return isolated, group1
 
 
-def reference_stats(sample: GraphSample) -> tuple[int, int, int]:
+def reference_stats(sample: GraphBatch) -> tuple[int, int, int]:
     """(component count, #isolated, #isolated in group 1)."""
     index = build_inverted_index(sample)
     return (components_small(sample.n, index), *isolation_from_index(sample, index))

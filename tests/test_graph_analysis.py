@@ -10,6 +10,7 @@ from rigraph import (
     SeedSpec,
     analyze,
     run_trials,
+    sample_batch,
     sample_graph,
 )
 from rigraph.errors import InvariantViolation
@@ -100,6 +101,11 @@ class TestAnalyze:
         with pytest.raises(InvalidParamsError):
             analyze(make_sample([1], [[0]]))
 
+    def test_rejects_multi_trial_batch(self):
+        batch = sample_batch(ModelParams(n=4, a=(1.0,), K=(2,), P=8), 1, 0, 2)
+        with pytest.raises(InvalidParamsError, match="one-trial"):
+            analyze(batch)
+
     def test_pure_function(self):
         s = make_sample([1, 2], [[0, 1], [1, 2]])
         assert analyze(s) == analyze(s)
@@ -130,7 +136,7 @@ def _random_tiny_sample(rng):
         k = rng.integers(1, P + 1)
         sets.append(sorted(rng.choice(P, size=k, replace=False).tolist()))
     groups = rng.integers(1, 3, size=n).tolist()
-    return make_sample(groups, sets)
+    return make_sample(groups, sets, P)
 
 
 class TestOracleEquivalence:
@@ -154,7 +160,7 @@ class TestOracleEquivalence:
             data.draw(st.lists(st.integers(0, P - 1), min_size=1, max_size=P, unique=True))
             for _ in range(n)
         ]
-        s = make_sample(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), sets)
+        s = make_sample(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), sets, P)
         comp, iso, g1 = reference_stats(s)
         st_ = analyze(s)
         assert (st_.component_count, st_.isolated_count, st_.group1_isolated_count) == (comp, iso, g1)

@@ -82,6 +82,12 @@ class TestModelParams:
         with pytest.raises(InvalidParamsError, match="K_i must be an integer"):
             ModelParams(n=2, a=(1.0,), K=(2.0,), P=3)
 
+    @pytest.mark.parametrize("a", [(10**400,), (0.5, -(10**400)), ("x",), ("0.5", "0.5"), (None,), (True,)],
+                             ids=["huge-int", "huge-negative-int", "word", "numeric-strings", "none", "bool"])
+    def test_rejects_weights_no_float_holds(self, a):
+        with pytest.raises(InvalidParamsError, match="group probability"):
+            ModelParams(n=2, a=a, K=(1,) * len(a), P=3)
+
     def test_numpy_integers_stored_as_python_ints(self):
         plain = ModelParams(n=5, a=(0.5, 0.5), K=(2, 3), P=7)
         for K in (np.array([2, 3], dtype=np.int32), (np.int64(2), np.int32(3))):
@@ -405,6 +411,18 @@ class TestSolveK1:
         with pytest.raises(InvalidParamsError):
             solve_k1(10, 20, (0.5, 0.5), (1.0, 2.0), math.inf)
 
+    @pytest.mark.parametrize("a, ratios, target", [
+        ((0.5, 0.5), (1, 10**400), 0.0),
+        ((0.5, 10**400), (1.0, 2.0), 0.0),
+        ((0.5, 0.5), (1.0, 2.0), 10**400),
+        ((0.5, 0.5), (1.0, "2"), 0.0),
+        ((0.5, 0.5), (1.0, 2.0), "0"),
+        ((0.5, 0.5), (1.0, 2.0), None),
+    ], ids=["huge-int-ratio", "huge-int-weight", "huge-int-target", "string-ratio", "string-target", "none-target"])
+    def test_rejects_inputs_no_float_holds(self, a, ratios, target):
+        with pytest.raises(InvalidParamsError):
+            solve_k1(100, 1000, a, ratios, target)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_plain_bisection(self, data):
@@ -471,6 +489,12 @@ class TestSolveK1:
         big = 10**200
         assert ring_sizes_for(big, (1.0, 1e300), big) == (big, big)
 
+    @pytest.mark.parametrize("ratios, want", [((1, 10**400), (2, 7)), ((-(10**400), 1), (2, 2))],
+                             ids=["huge-int", "huge-negative-int"])
+    def test_ring_sizes_integer_ratio_past_float_range_clamps(self, ratios, want):
+        # finite like 1e308, so it clamps the same way instead of overflowing
+        assert ring_sizes_for(2, ratios, 7) == want
+
     @pytest.mark.parametrize("ratio", [math.nan, math.inf])
     def test_ring_sizes_non_finite_ratio_refused(self, ratio):
         with pytest.raises(InvalidParamsError, match="ratios must be finite"):
@@ -500,6 +524,12 @@ class TestDiagnostics:
         big_ring = diagnostics(ModelParams(n=10, a=(1.0,), K=(10,), P=100))
         assert "ring_size" in big_ring.flags
         assert "beta_drift" in big_ring.flags  # K=10, P=100 is far supercritical
+
+    @pytest.mark.parametrize("window", ["0.1", None, True, 10**400, -0.1, math.nan, math.inf],
+                             ids=["string", "none", "bool", "huge-int", "negative", "nan", "inf"])
+    def test_rejects_window_no_finite_float_holds(self, window):
+        with pytest.raises(InvalidParamsError, match="critical window"):
+            diagnostics(ModelParams(n=100, a=(1.0,), K=(3,), P=200), window)
 
     def test_yagan_c_relation(self):
         p = ModelParams(n=400, a=(0.5, 0.5), K=(2, 4), P=800)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,9 +212,9 @@ class TestRunTrials:
         # wraparound would rarely show in the counts, so watch the batches
         key_ranges = []
 
-        def spy(groups, objects, offsets, trials, P):
-            key_ranges.append(trials * P)
-            return analyze_batch(groups, objects, offsets, trials, P)
+        def spy(batch):
+            key_ranges.append(batch.trials * batch.P)
+            return analyze_batch(batch)
 
         monkeypatch.setattr(montecarlo, "analyze_batch", spy)
         params = ModelParams(n=3, a=(1.0,), K=(2,), P=2**61 + 1)
@@ -228,6 +229,18 @@ class TestRunTrials:
             run_trials(ModelParams(n=1, a=(1.0,), K=(1,), P=2), 10, master_seed=1)
         with pytest.raises(InvalidParamsError):
             run_trials(SMALL, 10, master_seed=-1)
+
+    @pytest.mark.parametrize("trials, master_seed, workers", [
+        (10, 1.5, 1), (10, True, 1), (10, "7", 1), (10.0, 1, 1), (True, 1, 1), (10, 1, 1.5), (10, 1, True),
+    ])
+    def test_refuses_non_integer_counts_and_seeds(self, trials, master_seed, workers):
+        with pytest.raises(InvalidParamsError, match="must be an integer"):
+            run_trials(SMALL, trials, master_seed, workers)
+
+    def test_numpy_integers_pass(self):
+        agg = run_trials(SMALL, np.int64(10), np.uint64(7), np.int32(1))
+        assert agg == run_trials(SMALL, 10, 7, 1)
+        assert type(agg.master_seed) is int and type(agg.trials) is int
 
 
 def _assert_aggregate_matches(agg, counts):

@@ -1,18 +1,33 @@
 """The benchmark under ``perfbench/`` imports names from ``rigraph`` and swaps
 ``rigraph.sweeps`` globals to time the layers.  Its own tests cannot run in
 the same pytest run as these, so this checks, by reading its source,
-that every name it relies on still exists."""
+that every name it relies on still exists, and runs its trial-by-trial
+replay (what ``perfbench/run.py --trace 1`` compares with ``run_trials``) in
+a separate process."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
+
+REPLAY = """
+import sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import tracing, workloads
+from rigraph import ModelParams, run_trials
+params = ModelParams(**workloads.TINY_PARAMS)
+agg = run_trials(params, 20, {seed}, workers=1)
+counts = workloads.replay(tracing.Tracer(), workloads.Unit(params, 20, {seed}, agg), 0)
+print(workloads.replay_mismatch(agg, counts))
+"""
 
 
 def test_benchmark_sources_found():
@@ -45,3 +60,11 @@ def test_names_used_from_rigraph_exist(path):
             if name.value not in vars(module):
                 missing.append(f"{module.__name__}.{name.value} (swapped global)")
     assert missing == []
+
+
+def test_trace_replay_matches_run_trials():
+    src = str(PERFBENCH.parent / "src")
+    code = REPLAY.format(perfbench=str(PERFBENCH), src=src, seed=2024)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "None\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from itertools import combinations
@@ -20,7 +21,7 @@ from rigraph import (
 )
 import rigraph.montecarlo as montecarlo
 from rigraph.errors import InvariantViolation
-from rigraph.sampler import GAMMA, _floyd_batch, sample_batch, trial_state_words
+from rigraph.sampler import GAMMA, GraphBatch, _floyd_batch, sample_batch, trial_state_words
 
 from conftest import small_params
 from reference_trials import assign_group, generator_for, mix64, reference_sample
@@ -45,6 +46,18 @@ class TestSeeding:
             SeedSpec(1 << 64, 0)
         with pytest.raises(InvalidParamsError):
             SeedSpec(3, -1)
+
+    @pytest.mark.parametrize("master_seed, trial_index", [
+        (1.5, 0), (True, 0), ("7", 0), (7, 1.0), (7, False), (7, None),
+    ])
+    def test_seedspec_refuses_non_integers(self, master_seed, trial_index):
+        with pytest.raises(InvalidParamsError, match="must be an integer"):
+            SeedSpec(master_seed, trial_index).trial_seed()
+
+    def test_seedspec_stores_numpy_integers_as_python_ints(self):
+        spec = SeedSpec(np.uint64(2**64 - 1), np.int32(3))
+        assert spec == SeedSpec(2**64 - 1, 3)
+        assert type(spec.master_seed) is int and type(spec.trial_index) is int
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**70), st.integers(1, 5))
     @settings(max_examples=50, deadline=None)
@@ -153,35 +166,77 @@ class TestSampleGraph:
             assert np.array_equal(a, b), name
         assert got.params_hash == want.params_hash
 
-    @given(small_params(max_P=10, max_n=10), st.integers(0, 2**32))
+    @given(small_params(max_P=10, max_n=10), st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
-    def test_structural_invariants(self, params, seed):
-        s = sample_graph(params, SeedSpec(seed, 0))
-        s.validate(params)
+    def test_structural_invariants(self, params, seed, start, trials):
+        batch = sample_batch(params, seed, start, start + trials)
+        assert (batch.trials, batch.n, batch.P) == (trials, params.n, params.P)
+        batch.validate(params)
 
     def test_validate_catches_corruption(self):
-        p = ModelParams(n=3, a=(1.0,), K=(2,), P=6)
-        s = sample_graph(p, SeedSpec(2, 0))
-        bad = type(s)(
-            groups=s.groups,
-            objects=np.full_like(s.objects, 99),
-            offsets=s.offsets,
-            params_hash=s.params_hash,
-        )
-        with pytest.raises(InvariantViolation):
-            bad.validate(p)
+        # each corruption sits in vertex 1 of trial 2 of a three-trial batch
+        p = ModelParams(n=4, a=(0.5, 0.5), K=(2, 3), P=9)
+        batch = sample_batch(p, 5, 0, 3)
+        batch.validate(p)
+        v = 2 * p.n + 1
+        lo, hi = batch.offsets[v], batch.offsets[v + 1]
+
+        def corrupt(name, index, value):
+            arr = getattr(batch, name).copy()
+            arr[index] = value
+            return dataclasses.replace(batch, **{name: arr})
+
+        objects = batch.objects
+        cases = [
+            (corrupt("groups", v, 3), "group labels"),
+            (corrupt("groups", v, 0), "group labels"),
+            (corrupt("groups", v, 3 - batch.groups[v]), "sizes"),  # the other group's ring size
+            (corrupt("objects", hi - 1, p.P), "outside pool"),
+            (corrupt("objects", lo + 1, objects[lo]), "vertex 1 in trial 2"),  # a duplicate id
+            (corrupt("objects", [lo, lo + 1], objects[[lo + 1, lo]]), "vertex 1 in trial 2"),  # unsorted
+            (dataclasses.replace(batch, params_hash="0" * 16), "fingerprint"),
+            (dataclasses.replace(batch, P=p.P + 1), "shape"),
+            (dataclasses.replace(batch, trials=2), "shape"),
+        ]
+        for bad, match in cases:
+            with pytest.raises(InvariantViolation, match=match):
+                bad.validate(p)
+
+    def test_validate_allows_a_fall_between_sets(self):
+        # only the steps inside a set must rise, not those between vertices
+        # or between trials
+        p = ModelParams(n=2, a=(1.0,), K=(2,), P=9)
+        sets = [[5, 8], [0, 1], [3, 7], [2, 4]]
+        GraphBatch.from_sets([1, 1, 1, 1], sets, p.P, trials=2, params_hash=p.fingerprint()).validate(p)
 
     def test_group_independence_in_pairs(self):
         # joint (g_1, g_2) frequency factorizes to a_i * a_j
         p = ModelParams(n=2, a=(0.3, 0.7), K=(1, 1), P=10)
         trials = 20_000
-        groups, _, _ = sample_batch(p, trial_state_words(21, 0, trials))
+        groups = sample_batch(p, 21, 0, trials).groups
         counts = Counter(map(tuple, groups.reshape(trials, 2).tolist()))
         for gi, ai in enumerate(p.a, start=1):
             for gj, aj in enumerate(p.a, start=1):
                 want = ai * aj
                 sigma = math.sqrt(want * (1 - want) / trials)
                 assert abs(counts[(gi, gj)] / trials - want) <= 3.0 * sigma
+
+    @given(small_params(max_P=10, max_n=8), st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_batch_is_its_trials_back_to_back(self, params, seed, start, trials):
+        batch = sample_batch(params, seed, start, start + trials)
+        n = params.n
+        for r in range(trials):
+            one = reference_sample(params, SeedSpec(seed, start + r))
+            vertices = slice(r * n, (r + 1) * n)
+            assert np.array_equal(batch.groups[vertices], one.groups)
+            assert np.array_equal(batch.offsets[vertices] - batch.offsets[r * n], one.offsets[:-1])
+            assert np.array_equal(batch.objects[batch.offsets[r * n]:batch.offsets[(r + 1) * n]], one.objects)
+
+    @pytest.mark.parametrize("start, stop", [(3, 3), (3, 2), (-1, 2), (0, 1.5)])
+    def test_sample_batch_refuses_bad_ranges(self, start, stop):
+        with pytest.raises(InvalidParamsError):
+            sample_batch(ModelParams(n=3, a=(1.0,), K=(2,), P=6), 1, start, stop)
 
     def test_pair_edge_frequency_matches_closed_form(self):
         # n=2 connectivity is exactly "the two rings intersect"
