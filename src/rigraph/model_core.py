@@ -67,6 +67,8 @@ def _as_int(name: str, value) -> int:
 def _as_float(name: str, value) -> float:
     """``value`` as a Python float; bools, strings and other non-numbers,
     and integers past the float range are rejected."""
+    if type(value) is float:  # skips the numbers.Real test, which costs ~0.5 us
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParamsError(f"{name} must be a number, got {value!r}")
     try:
@@ -101,7 +103,7 @@ class ModelParams:
         P = _as_int("P", self.P)
         if P < 1:
             raise InvalidParamsError(f"P must be an integer >= 1, got {self.P!r}")
-        # floats skip the call: a ModelParams is built per beta evaluation
+        # floats skip even the call: a ModelParams is built per beta evaluation
         a = tuple(x if type(x) is float else _as_float("every group probability", x) for x in self.a)
         K = tuple(_as_int("every K_i", k) for k in self.K)
         if len(a) == 0 or len(a) != len(K):
