@@ -52,6 +52,8 @@ _LOG_UNDERFLOW = math.log(2.0**-1074) - 1.0
 _BOUND_MIN_TERMS = 64
 # exp(x) is finite exactly for x <= ln(max float)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# the closed forms take n and P as floats; an int comparison is the cheap test
+_INT_FLOAT_MAX = int(sys.float_info.max)
 
 
 def _as_int(name: str, value) -> int:
@@ -83,7 +85,7 @@ class ModelParams:
 
     Invariants enforced at construction:
       * n, P and every K_i are integers (numpy integers are stored as Python
-        ints; bools are rejected), n >= 1, P >= 1
+        ints; bools are rejected), and n and P lie in 1..max float
       * len(a) == len(K) == m >= 1, every a_i a finite number > 0 (bools and
         strings are rejected), sum(a) == 1 within 1e-9 (renormalized exactly
         to sum 1 on construction, rejected otherwise)
@@ -103,6 +105,9 @@ class ModelParams:
         P = _as_int("P", self.P)
         if P < 1:
             raise InvalidParamsError(f"P must be an integer >= 1, got {self.P!r}")
+        if n > _INT_FLOAT_MAX or P > _INT_FLOAT_MAX:
+            name = "n" if n > _INT_FLOAT_MAX else "P"
+            raise InvalidParamsError(f"{name} must be finite, got an integer past the float range")
         # floats skip even the call: a ModelParams is built per beta evaluation
         a = tuple(x if type(x) is float else _as_float("every group probability", x) for x in self.a)
         K = tuple(_as_int("every K_i", k) for k in self.K)

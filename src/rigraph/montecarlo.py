@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InvalidParamsError, InvariantViolation, WorkerCrashError
 from .graph_analysis import analyze_batch
 from .model_core import ModelParams, _as_int
-from .sampler import SeedSpec, sample_batch
+from .sampler import SeedSpec, _check_pool, sample_batch
 
 ENV_WORKERS = "RIG_THREADS"
 
@@ -137,7 +137,6 @@ def _plan(trials: int, workers: int) -> tuple[int, int]:
     """
     serial = workers == 1 or trials < 64
     chunk = trials if serial else -(-trials // (workers * 4))
-    chunk = min(chunk, 65536)  # bounds a range's table of state words
     return chunk, 0 if serial else min(workers, -(-trials // chunk))
 
 
@@ -189,6 +188,7 @@ def run_trials(
         raise InvalidParamsError(f"trials must be >= 1, got {trials}")
     if params.n < 2:
         raise InvalidParamsError(f"simulation needs n >= 2, got n={params.n}")
+    _check_pool(params)
     master_seed = SeedSpec(master_seed).master_seed  # validated early, as a Python int
     workers = resolve_workers(workers)
 

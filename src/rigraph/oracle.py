@@ -6,9 +6,8 @@ float-vs-float comparisons):
 * ``enumerate_pair_prob``: intersection probability of two independent
   uniform subsets, counted over every ordered subset pair.
 * ``enumerate_event_probs``: connectivity / isolation probabilities and the
-  expected isolated count, by summing the exact weight of every joint
-  (group, object set) assignment and evaluating the events with
-  ``graph_analysis``.
+  expected isolated count, summed over every n-tuple of object sets drawn
+  from the per-vertex set law, in chunks so that memory stays flat.
 
 Enumeration size is capped at 1e7 evaluations with a hard error so a typo'd
 instance cannot melt CI.
@@ -19,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .errors import EnumerationBudgetError, InvalidParamsError
 from .graph_analysis import analyze_batch
@@ -27,7 +26,7 @@ from .model_core import ModelParams
 from .sampler import GraphBatch
 
 BUDGET = 10_000_000
-# distinct tuples of sets analyzed per kernel call
+# tuples of sets analyzed per kernel call
 _ANALYSIS_BATCH = 4096
 
 
@@ -66,9 +65,11 @@ class EventProbs:
 def enumerate_event_probs(params: ModelParams) -> EventProbs:
     """Exact probabilities by full enumeration of the sample space.
 
-    Each vertex independently picks (group g, set S) with probability
-    a_g / C(P, K_g); every joint assignment is weighted accordingly and the
-    events evaluated with the same analysis kernel the simulator uses.
+    A vertex's group fixes only its ring size, and edges depend on the sets
+    alone, so each vertex independently draws a set S of size k with
+    probability sum_{g : K_g = k} a_g / C(P, k).  Every n-tuple of sets is
+    weighted by the product of its vertices' probabilities and its events
+    evaluated with the same analysis kernel the simulator uses.
     """
     if params.n < 2:
         raise InvalidParamsError(f"event enumeration needs n >= 2, got n={params.n}")
@@ -77,39 +78,27 @@ def enumerate_event_probs(params: ModelParams) -> EventProbs:
         raise EnumerationBudgetError(
             f"{per_vertex}^{params.n} joint assignments exceed the {BUDGET} budget"
         )
-    a_frac = [Fraction(x) for x in params.a]
-    a_total = sum(a_frac)
-    choices: list[tuple[int, tuple[int, ...], Fraction]] = []
-    for g, (ag, Kg) in enumerate(zip(a_frac, params.K), start=1):
-        w = (ag / a_total) / math.comb(params.P, Kg)
-        for subset in combinations(range(params.P), Kg):
-            choices.append((g, subset, w))
+    a_total = sum(map(Fraction, params.a))
+    set_prob: dict[int, Fraction] = {}  # per ring size, each set's probability
+    for ag, Kg in zip(params.a, params.K):
+        set_prob[Kg] = set_prob.get(Kg, 0) + Fraction(ag) / (a_total * math.comb(params.P, Kg))
+    # integer weights over one common denominator keep Fractions out of the loop
+    scale = math.lcm(*(w.denominator for w in set_prob.values()))
+    law = [(subset, int(w * scale))
+           for Kg, w in set_prob.items() for subset in combinations(range(params.P), Kg)]
 
-    # connectivity/isolation depend on the sets alone, so assignments that
-    # differ only in groups share one analysis: sum their weights per tuple
-    # of sets, then analyze the distinct tuples in batches
-    weights: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-    for combo in product(choices, repeat=params.n):
-        weight = Fraction(1)
-        for _, _, w in combo:
-            weight *= w
-        key = tuple(subset for _, subset, _ in combo)
-        weights[key] = weights.get(key, Fraction(0)) + weight
-
-    p_conn = Fraction(0)
-    p_noiso = Fraction(0)
-    e_iso = Fraction(0)
-    keys = list(weights)
-    for start in range(0, len(keys), _ANALYSIS_BATCH):
-        batch = keys[start:start + _ANALYSIS_BATCH]
-        sets = [subset for key in batch for subset in key]
-        comp, iso, _ = analyze_batch(GraphBatch.from_sets([1] * len(sets), sets, params.P, len(batch)))
-        for key, components, isolated in zip(batch, comp.tolist(), iso.tolist()):
-            weight = weights[key]
+    conn = noiso = iso_sum = 0
+    tuples = product(law, repeat=params.n)
+    while chunk := list(islice(tuples, _ANALYSIS_BATCH)):
+        sets = [subset for combo in chunk for subset, _ in combo]
+        comp, iso, _ = analyze_batch(GraphBatch.from_sets([1] * len(sets), sets, params.P, len(chunk)))
+        for combo, components, isolated in zip(chunk, comp.tolist(), iso.tolist()):
+            weight = math.prod(w for _, w in combo)
             if components == 1:
-                p_conn += weight
+                conn += weight
             if isolated == 0:
-                p_noiso += weight
+                noiso += weight
             else:
-                e_iso += weight * isolated
-    return EventProbs(p_connected=p_conn, p_no_isolated=p_noiso, expected_isolated=e_iso)
+                iso_sum += weight * isolated
+    total = scale ** params.n
+    return EventProbs(Fraction(conn, total), Fraction(noiso, total), Fraction(iso_sum, total))

@@ -99,7 +99,7 @@ class SeedSpec:
         return int(_trial_seeds(self.master_seed, self.trial_index, self.trial_index + 1)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class GraphBatch:
     """``trials`` realized graphs on n vertices each, stored back to back.
 
@@ -174,12 +174,18 @@ def _floyd_batch(P: int, K: int, U: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_pool(params: ModelParams) -> None:
+    if params.P > 1 << 53:  # Floyd maps a 53-bit uniform to an id, so it skips ids of larger pools
+        raise InvalidParamsError(f"simulation needs P <= 2^53, got P={params.P}")
+
+
 def sample_batch(
     params: ModelParams, master_seed: int, start: int, stop: int, scratch: np.random.PCG64 | None = None
 ) -> GraphBatch:
     """Realize trials [start, stop) of ``master_seed``, trial t from the
     stream of ``SeedSpec(master_seed, t)``; ``scratch``, if given, is the
     bit generator reseated for each trial."""
+    _check_pool(params)
     seed = SeedSpec(master_seed, start)
     trials = _as_int("stop", stop) - seed.trial_index
     if trials < 1:
@@ -210,8 +216,6 @@ def sample_batch(
     objects = np.empty(int(offsets[-1]), dtype=np.int64)
     for Kg in sorted(set(params.K)):
         idx = np.flatnonzero(sizes == Kg)
-        if len(idx) == 0:
-            continue
         span = np.arange(Kg)
         objects[offsets[idx][:, None] + span] = _floyd_batch(P, Kg, floats[starts[idx][:, None] + span])
     return GraphBatch(groups, objects, offsets, trials, P, params.fingerprint())

@@ -101,7 +101,7 @@ def load_sweep_spec(path: str) -> SweepSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8 or an int past the digit limit
         raise InvalidParamsError(f"cannot read sweep config {path!r}: {exc}") from exc
     return sweep_spec_from_dict(doc)
 

@@ -1,7 +1,7 @@
 """Shared helpers: a one-trial batch built from per-vertex sets, an
-independent adjacency-matrix/BFS analysis oracle, a hypothesis strategy for
-small valid parameter tuples, and process-pool stand-ins for the trial
-runner."""
+independent adjacency-matrix/BFS analysis oracle, the tiny instances of the
+event oracle, a hypothesis strategy for small valid parameter tuples, and
+process-pool stand-ins for the trial runner."""
 
 from __future__ import annotations
 
@@ -52,6 +52,18 @@ def naive_stats(sample: GraphBatch) -> tuple[bool, int, int, int]:
     iso = sum(isolated)
     g1 = sum(1 for v in range(n) if isolated[v] and sample.groups[v] == 1)
     return comps == 1, comps, iso, g1
+
+
+def tiny_instances() -> list[ModelParams]:
+    """The 64 instances of acceptance criterion 2: n in {2, 3}, P in 2..5."""
+    out = []
+    for n in (2, 3):
+        for P in (2, 3, 4, 5):
+            for a in ((1.0,), (0.5, 0.5), (0.2, 0.8)):
+                Ks = [(1,), (2,)] if len(a) == 1 else [(1, 1), (1, 2), (2, 2)]
+                for K in Ks:
+                    out.append(ModelParams(n=n, a=a, K=K, P=P))
+    return out
 
 
 @st.composite

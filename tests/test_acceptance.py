@@ -32,6 +32,8 @@ from rigraph import (
 import rigraph.montecarlo as montecarlo
 from rigraph.sweeps import run_sweep, sweep_spec_from_dict, write_sweep_csv
 
+from conftest import tiny_instances
+
 C2_TRIALS = 100_000
 C2_SEED_BASE = 2_000_000
 C3_SEED = 42
@@ -52,17 +54,6 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 def _pool_size() -> int:
     return max(1, min(4, os.cpu_count() or 1))
-
-
-def tiny_instances() -> list[ModelParams]:
-    out = []
-    for n in (2, 3):
-        for P in (2, 3, 4, 5):
-            for a in ((1.0,), (0.5, 0.5), (0.2, 0.8)):
-                Ks = [(1,), (2,)] if len(a) == 1 else [(1, 1), (1, 2), (2, 2)]
-                for K in Ks:
-                    out.append(ModelParams(n=n, a=a, K=K, P=P))
-    return out
 
 
 TINY = tiny_instances()

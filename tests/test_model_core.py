@@ -26,6 +26,7 @@ from rigraph import (
     solve_k1,
     solve_k1_nearest,
 )
+from rigraph.model_core import _INT_FLOAT_MAX
 from rigraph.oracle import enumerate_pair_prob
 
 import exact
@@ -87,6 +88,19 @@ class TestModelParams:
     def test_rejects_weights_no_float_holds(self, a):
         with pytest.raises(InvalidParamsError, match="group probability"):
             ModelParams(n=2, a=a, K=(1,) * len(a), P=3)
+
+    @pytest.mark.parametrize("n, P, name", [
+        (10**400, 3, "n"), (2, 10**400, "P"), (_INT_FLOAT_MAX + 1, 3, "n"), (2, _INT_FLOAT_MAX + 1, "P"),
+    ], ids=["huge-n", "huge-P", "n-past-max-float", "P-past-max-float"])
+    def test_rejects_n_and_P_no_float_holds(self, n, P, name):
+        # the closed forms take n and P as floats, and would overflow
+        with pytest.raises(InvalidParamsError, match=f"^{name} must be finite, got an integer past the float range$"):
+            ModelParams(n=n, a=(1.0,), K=(1,), P=P)
+
+    def test_largest_float_n_and_P_pass(self):
+        p = ModelParams(n=_INT_FLOAT_MAX, a=(0.5, 0.5), K=(1, 2), P=_INT_FLOAT_MAX)
+        q = exact_quantities(p)
+        assert all(math.isfinite(x) for x in (q.beta, q.expected_isolated, diagnostics(p).p_over_n))
 
     def test_numpy_integers_stored_as_python_ints(self):
         plain = ModelParams(n=5, a=(0.5, 0.5), K=(2, 3), P=7)
@@ -411,17 +425,19 @@ class TestSolveK1:
         with pytest.raises(InvalidParamsError):
             solve_k1(10, 20, (0.5, 0.5), (1.0, 2.0), math.inf)
 
-    @pytest.mark.parametrize("a, ratios, target", [
-        ((0.5, 0.5), (1, 10**400), 0.0),
-        ((0.5, 10**400), (1.0, 2.0), 0.0),
-        ((0.5, 0.5), (1.0, 2.0), 10**400),
-        ((0.5, 0.5), (1.0, "2"), 0.0),
-        ((0.5, 0.5), (1.0, 2.0), "0"),
-        ((0.5, 0.5), (1.0, 2.0), None),
-    ], ids=["huge-int-ratio", "huge-int-weight", "huge-int-target", "string-ratio", "string-target", "none-target"])
-    def test_rejects_inputs_no_float_holds(self, a, ratios, target):
+    @pytest.mark.parametrize("n, P, a, ratios, target", [
+        (100, 1000, (0.5, 0.5), (1, 10**400), 0.0),
+        (100, 1000, (0.5, 10**400), (1.0, 2.0), 0.0),
+        (100, 1000, (0.5, 0.5), (1.0, 2.0), 10**400),
+        (100, 1000, (0.5, 0.5), (1.0, "2"), 0.0),
+        (100, 1000, (0.5, 0.5), (1.0, 2.0), "0"),
+        (100, 1000, (0.5, 0.5), (1.0, 2.0), None),
+        (10**400, 1000, (0.5, 0.5), (1.0, 2.0), 0.0),
+    ], ids=["huge-int-ratio", "huge-int-weight", "huge-int-target", "string-ratio", "string-target", "none-target",
+            "huge-int-n"])
+    def test_rejects_inputs_no_float_holds(self, n, P, a, ratios, target):
         with pytest.raises(InvalidParamsError):
-            solve_k1(100, 1000, a, ratios, target)
+            solve_k1(n, P, a, ratios, target)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

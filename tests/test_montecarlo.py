@@ -115,8 +115,8 @@ class TestRunTrials:
         assert serial_pools == []
 
     def test_one_worker_opens_no_pool(self, serial_pools, monkeypatch, tmp_path):
-        # 65,537 trials make two ranges, yet one worker runs both here; a
-        # pool sized from the range count alone would open one of size 1
+        # one worker runs every trial of a run, however many, as one range
+        # in this process
         ranges = []
 
         def counted(params, master_seed, start, stop):
@@ -126,12 +126,12 @@ class TestRunTrials:
         monkeypatch.setattr(montecarlo, "_run_range", counted)
         tiny = ModelParams(n=2, a=(1.0,), K=(1,), P=2)
         run_trials(tiny, 65_537, master_seed=5, workers=1)
-        assert ranges == [(0, 65_536), (65_536, 65_537)]
+        assert ranges == [(0, 65_537)]
         spec = SweepSpec(base_n=2, base_P=2, a=(1.0,), base_K=(1,), ratios=None, axis="P",
                          points=(2.0, 3.0), trials=65_537, master_seed=7,
                          output_path=str(tmp_path / "rows.csv"))
         run_sweep(spec, workers=1)
-        assert len(ranges) == 6
+        assert len(ranges) == 3
         assert serial_pools == []
 
     def test_worker_crash_is_a_rigraph_error(self, monkeypatch):
@@ -208,19 +208,20 @@ class TestRunTrials:
         _assert_aggregate_matches(agg, reference_counts(params, 17, 0, 3))
 
     def test_huge_pool_keeps_keys_in_range(self, monkeypatch):
-        # t*P + o would pass 2^63 for a full batch, so batches shrink; int64
-        # wraparound would rarely show in the counts, so watch the batches
-        key_ranges = []
+        # at the largest pool the sampler takes, t*P + o would pass 2^63 for
+        # a full batch of 7,281 trials, so batches shrink to 2^62 / P = 512;
+        # int64 wraparound would rarely show in the counts, so watch the batches
+        batch_trials = []
 
         def spy(batch):
-            key_ranges.append(batch.trials * batch.P)
+            batch_trials.append(batch.trials)
             return analyze_batch(batch)
 
         monkeypatch.setattr(montecarlo, "analyze_batch", spy)
-        params = ModelParams(n=3, a=(1.0,), K=(2,), P=2**61 + 1)
-        agg = run_trials(params, 9, master_seed=23, workers=1)
-        assert key_ranges and max(key_ranges) < 2**63
-        _assert_aggregate_matches(agg, reference_counts(params, 23, 0, 9))
+        params = ModelParams(n=3, a=(1.0,), K=(2,), P=2**53)
+        agg = run_trials(params, 600, master_seed=23, workers=1)
+        assert batch_trials == [512, 88]
+        _assert_aggregate_matches(agg, reference_counts(params, 23, 0, 600))
 
     def test_validation(self):
         with pytest.raises(InvalidParamsError):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from rigraph import (
     EnumerationBudgetError,
@@ -11,6 +12,9 @@ from rigraph import (
     enumerate_pair_prob,
     expected_isolated,
 )
+
+from conftest import small_params, tiny_instances
+from reference_oracle import reference_event_probs
 
 
 class TestEnumeratePairProb:
@@ -73,6 +77,28 @@ class TestEnumerateEventProbs:
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetError):
             enumerate_event_probs(ModelParams(n=5, a=(0.5, 0.5), K=(2, 2), P=8))
+
+    def test_budget_counts_groups_not_sets(self):
+        # two groups of ring size 5 in a pool of 14 share one law of
+        # C(14, 5) = 2002 sets, but the budget counts (2 * 2002)^2 > 1e7
+        # assignments, as the group-labelled enumeration did
+        p = ModelParams(n=2, a=(0.5, 0.5), K=(5, 5), P=14)
+        for enumerate_events in (enumerate_event_probs, reference_event_probs):
+            with pytest.raises(EnumerationBudgetError, match="4004\\^2"):
+                enumerate_events(p)
+
+    @pytest.mark.parametrize("params", tiny_instances() + [
+        ModelParams(n=3, a=(0.2, 0.3, 0.5), K=(1, 2, 2), P=4),
+        ModelParams(n=2, a=(0.1, 0.3, 0.6), K=(1, 1, 3), P=5),
+    ], ids=repr)
+    def test_matches_group_labelled_enumeration(self, params):
+        # exact equality of Fractions, including groups that share a ring size
+        assert enumerate_event_probs(params) == reference_event_probs(params)
+
+    @given(small_params(max_P=5, max_n=3))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_group_labelled_enumeration_property(self, params):
+        assert enumerate_event_probs(params) == reference_event_probs(params)
 
     def test_rejects_single_vertex(self):
         with pytest.raises(InvalidParamsError):

@@ -238,6 +238,22 @@ class TestSampleGraph:
         with pytest.raises(InvalidParamsError):
             sample_batch(ModelParams(n=3, a=(1.0,), K=(2,), P=6), 1, start, stop)
 
+    @pytest.mark.parametrize("P", [2**53 + 1, 2**63, 2**64])
+    def test_pool_past_2_53_refused(self, P):
+        # 53-bit uniforms reach only every 2^(e-53)-th id of such a pool;
+        # past 2^63 the ids wrap negative, and past 2^64 numpy overflows
+        params = ModelParams(n=3, a=(1.0,), K=(2,), P=P)
+        with pytest.raises(InvalidParamsError, match="P <= 2\\^53"):
+            sample_batch(params, 1, 0, 2)
+        with pytest.raises(InvalidParamsError, match="P <= 2\\^53"):
+            run_trials(params, 2, master_seed=1)
+
+    def test_batches_compare_and_hash_by_identity(self):
+        p = ModelParams(n=3, a=(1.0,), K=(2,), P=6)
+        one, two = sample_batch(p, 1, 0, 2), sample_batch(p, 1, 0, 2)
+        assert one == one and one != two
+        assert len({one, two, one}) == 2
+
     def test_pair_edge_frequency_matches_closed_form(self):
         # n=2 connectivity is exactly "the two rings intersect"
         p = ModelParams(n=2, a=(0.5, 0.5), K=(1, 2), P=5)

@@ -572,6 +572,35 @@ class TestCli:
         code, out, err = run_cli(capsys, "diag", *argv)
         assert (code, out, err) == (0, stdout, "")
 
+    @pytest.mark.parametrize("argv, name", [
+        (["prob", "--n", "9" * 400, "--P", "400", "--a", "1", "--K", "3"], "n"),
+        (["diag", "--n", "9" * 400, "--P", "400", "--a", "1", "--K", "3"], "n"),
+        (["solve", "--n", "9" * 400, "--P", "400", "--a", "1", "--ratios", "1", "--target-beta", "0"], "n"),
+        (["diag", "--n", "200", "--P", "9" * 400, "--a", "1", "--K", "3"], "P"),
+    ], ids=["prob-n", "diag-n", "solve-n", "diag-P"])
+    def test_n_or_P_past_float_range_exit_2(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {name} must be finite, got an integer past the float range\n")
+
+    @pytest.mark.parametrize("P", [2**53 + 1, 2**64])
+    def test_simulate_pool_past_2_53_exit_2(self, capsys, tmp_path, P):
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "simulate", "--n", "3", "--P", str(P), "--a", "1", "--K", "2",
+                                 "--trials", "5", "--seed", "1", "--out", str(out_csv))
+        assert (code, out, err) == (2, "", f"error: simulation needs P <= 2^53, got P={P}\n")
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("content", [
+        json.dumps(spec_dict(master_seed="@")).replace('"@"', "7" * 5000).encode(),
+        b"\xff\xfe{}",
+    ], ids=["5000-digit-seed", "not-utf8"])
+    def test_sweep_unreadable_config_exit_2(self, capsys, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read sweep config {str(cfg)!r}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("window", ["-1", "-0.01", "nan", "inf"])
     def test_diag_bad_window_exit_2(self, capsys, window):
         code, out, err = run_cli(
