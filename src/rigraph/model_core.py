@@ -21,10 +21,13 @@ parameter tuple (n, a, K, P):
 Binomial-coefficient ratios are evaluated as products of K linear factors in
 log space; raw factorials are never formed, so P up to ~1e9 is fine.  A ratio
 whose exp would underflow is returned as 0.0 without the full sum, so one
-ratio costs O(min(K_i, K_j, sqrt(745 P))) terms, and the seeded ring-size
-search needs O(log K_1) of them near its answer.  An
-exact rational mirror of the same formulas lives in ``tests/exact.py`` and is
-used by the test suite as ground truth for the float path.
+ratio costs O(min(K_i, K_j, sqrt(745 P))) terms.  b, the p-matrix, the
+cross-moment denominator and the ring-size solver share one 4096-entry cache
+of ratios, so each (P, K_i, K_j) in it is computed once.  The solver validates
+its parameters once and then evaluates beta on those plain values, row 1 of b
+only, O(log K_1) times near its answer.  An exact rational mirror of the same
+formulas lives in ``tests/exact.py`` and is used by the test suite as ground
+truth for the float path.
 """
 
 from __future__ import annotations
@@ -177,6 +180,7 @@ def log_no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
     return math.fsum(math.log1p(-Ki / (P - t)) for t in range(Kj))
 
 
+@lru_cache(maxsize=4096, typed=True)
 def no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
     """Probability that a uniform Ki-subset and an independent uniform
     Kj-subset of a P-element pool are disjoint: C(P-Ki, Kj) / C(P, Kj).
@@ -185,6 +189,8 @@ def no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
     O(min(Ki, Kj, sqrt(745 P))) terms: each of the min(Ki, Kj) log terms is
     at most log1p(-max(Ki, Kj)/P), so once that many copies of the first
     term fall below the underflow cut-off, the result is 0.0 without the sum.
+    Cached by argument type, so an int argument is never served an entry
+    computed for a float.
     """
     small, large = (Ki, Kj) if Ki <= Kj else (Kj, Ki)
     # these two tests also ensure 0 < small <= large < P, which the bound
@@ -203,14 +209,16 @@ def pairwise_edge_prob(params: ModelParams, i: int, j: int) -> float:
     return 1.0 - no_overlap_ratio(params.P, params.K[i - 1], params.K[j - 1])
 
 
+def _b_row(P: int, a: tuple[float, ...], K: tuple[int, ...], Ki: int) -> float:
+    """b_i = sum_j a_j p_ij for the group whose ring size is Ki."""
+    return math.fsum(aj * (1.0 - no_overlap_ratio(P, Ki, Kj)) for aj, Kj in zip(a, K))
+
+
 @lru_cache(maxsize=512)
 def b_vector(params: ModelParams) -> tuple[float, ...]:
     """All group-conditioned edge probabilities b_i = sum_j a_j p_ij."""
     P, a, K = params.P, params.a, params.K
-    return tuple(
-        math.fsum(aj * (1.0 - no_overlap_ratio(P, Ki, Kj)) for aj, Kj in zip(a, K))
-        for Ki in K
-    )
+    return tuple(_b_row(P, a, K, Ki) for Ki in K)
 
 
 def edge_prob(params: ModelParams) -> float:
@@ -229,6 +237,12 @@ def beta_from_b1(n: int, b1: float) -> float:
 def beta(params: ModelParams) -> float:
     """Threshold deviation n*b_1 - ln n for this parameter point."""
     return beta_from_b1(params.n, b_vector(params)[0])
+
+
+def _ring_beta(n: int, P: int, a: tuple[float, ...], K: tuple[int, ...]) -> float:
+    """``beta(ModelParams(n, a, K, P))`` bit for bit from values that such a
+    ModelParams has validated (a normalized), computing row 1 of b only."""
+    return beta_from_b1(n, _b_row(P, a, K, K[0]))
 
 
 def _isolation_term(n: int, b: float) -> float:
@@ -348,6 +362,8 @@ def solve_k1(
     steps are valid because b_1 (hence beta) is nondecreasing in K_1, so the
     result is the one a bisection over all of [1, P] finds; near the answer
     the search costs O(log K_1) beta evaluations instead of O(log P).
+    One ModelParams validates n, P and a before the first evaluation; each
+    evaluation is then ``_ring_beta`` on its plain values.
     """
     a = tuple(_as_float("every group probability", x) for x in a)
     ratios = tuple(_as_float("every ratio", r) for r in ratios)
@@ -356,8 +372,11 @@ def solve_k1(
     if not math.isfinite(target_beta):
         raise InvalidParamsError(f"target beta must be finite, got {target_beta!r}")
 
+    params = ModelParams(n=n, a=a, K=(1,) * len(a), P=P)
+    n, P = params.n, params.P
+
     def beta_at(k1: int) -> float:
-        return beta(ModelParams(n=n, a=a, K=ring_sizes_for(k1, ratios, P), P=P))
+        return _ring_beta(n, P, params.a, ring_sizes_for(k1, ratios, P))
 
     if beta_at(P) < target_beta:
         raise UnachievableError(

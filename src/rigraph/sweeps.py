@@ -27,14 +27,14 @@ from .errors import InvalidParamsError
 from .model_core import (
     ModelParams,
     _as_float,
-    beta,
+    _ring_beta,
     diagnostics,
     exact_quantities,
     ring_sizes_for,
     solve_k1,
 )
 from .montecarlo import TrialAggregate, _trial_pool, resolve_workers, run_trials
-from .sampler import SeedSpec
+from .sampler import SeedSpec, _check_pool
 
 SCHEMA_VERSION = 1
 AXES = ("n", "P", "K1-scale", "beta-target")
@@ -49,13 +49,14 @@ def solve_k1_nearest(
     smaller vector.
     """
     upper = solve_k1(n, P, a, ratios, target_beta)
-
-    def achieved(K: tuple[int, ...]) -> float:
-        return beta(ModelParams(n=n, a=a, K=K, P=P))
-
     if upper[0] == 1:
         return upper
-    lower = ring_sizes_for(upper[0] - 1, ratios, P)
+    params = ModelParams(n=n, a=a, K=upper, P=P)
+
+    def achieved(K: tuple[int, ...]) -> float:
+        return _ring_beta(params.n, params.P, params.a, K)
+
+    lower = ring_sizes_for(upper[0] - 1, ratios, params.P)
     if abs(achieved(lower) - target_beta) <= abs(achieved(upper) - target_beta):
         return lower
     return upper
@@ -124,7 +125,7 @@ def sweep_spec_from_dict(doc: dict[str, Any]) -> SweepSpec:
             base_K=tuple(_integral(k, "every K_i") for k in base["K"]) if "K" in base else None,
             ratios=tuple(_as_float("every ratio", r) for r in doc["ratios"]) if "ratios" in doc else None,
             axis=str(doc["axis"]),
-            points=tuple(_as_float("every point", p) for p in doc["points"]),
+            points=tuple(_point(p) for p in doc["points"]),
             trials=_integral(doc["trials"], "trials"),
             master_seed=_integral(doc["master_seed"], "master_seed"),
             output_path=doc["output_path"],
@@ -145,6 +146,15 @@ def _integral(value, what: str) -> int:
     if not value.is_integer():  # also NaN and inf
         raise InvalidParamsError(f"{what} must be an integer, got {value}")
     return int(value)
+
+
+def _point(value) -> float:
+    """An axis point as a float; an integer no float holds exactly, such as
+    2^53 + 1, is refused rather than run at a neighbouring value."""
+    x = _as_float("every point", value)
+    if isinstance(value, numbers.Integral) and int(value) != x:
+        raise InvalidParamsError(f"every point must be a number a float holds exactly, got {value}")
+    return x
 
 
 def resolve_point(spec: SweepSpec, value: float) -> ModelParams:
@@ -248,9 +258,11 @@ def build_row(
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
-    """Resolve every axis point up front (config errors must precede any
-    simulation), then run them in order, all through one process pool."""
+    """Resolve and check every axis point up front (config errors and
+    pools the simulator refuses must precede any simulation), then run them in order, all through one process pool."""
     resolved = [(i, v, resolve_point(spec, v)) for i, v in enumerate(spec.points)]
+    for _, _, params in resolved:
+        _check_pool(params)
     workers = resolve_workers(workers)
     rows = []
     with _trial_pool(spec.trials, workers):

@@ -26,7 +26,9 @@ from rigraph import (
     solve_k1,
     solve_k1_nearest,
 )
-from rigraph.model_core import _INT_FLOAT_MAX
+import rigraph.model_core as model_core
+import rigraph.sweeps as sweeps
+from rigraph.model_core import _INT_FLOAT_MAX, _ring_beta
 from rigraph.oracle import enumerate_pair_prob
 
 import exact
@@ -433,8 +435,9 @@ class TestSolveK1:
         (100, 1000, (0.5, 0.5), (1.0, 2.0), "0"),
         (100, 1000, (0.5, 0.5), (1.0, 2.0), None),
         (10**400, 1000, (0.5, 0.5), (1.0, 2.0), 0.0),
+        (100, 10**400, (1.0,), (1.0,), 0.0),
     ], ids=["huge-int-ratio", "huge-int-weight", "huge-int-target", "string-ratio", "string-target", "none-target",
-            "huge-int-n"])
+            "huge-int-n", "huge-int-P"])
     def test_rejects_inputs_no_float_holds(self, n, P, a, ratios, target):
         with pytest.raises(InvalidParamsError):
             solve_k1(n, P, a, ratios, target)
@@ -470,13 +473,19 @@ class TestSolveK1:
     @pytest.mark.parametrize(
         "a, ratios", [((1.0,), (1.0,)), ((0.2, 0.3, 0.5), (1.0, 1.5, 3.0))]
     )
-    def test_huge_pool_needs_few_evaluations(self, a, ratios):
+    def test_huge_pool_needs_few_evaluations(self, a, ratios, monkeypatch):
         # the plain bisection's first probe, K_1 = P/2, alone sums 5e8 terms
         n, P, target = 10**6, 10**9, 0.0
-        before = b_vector.cache_info()
+        probes = []
+        ring_beta = model_core._ring_beta
+
+        def counted(n, P, a, K):
+            probes.append(K)
+            return ring_beta(n, P, a, K)
+
+        monkeypatch.setattr(model_core, "_ring_beta", counted)
         K = solve_k1(n, P, a, ratios, target)
-        after = b_vector.cache_info()
-        assert (after.hits + after.misses) - (before.hits + before.misses) <= 8
+        assert 0 < len(probes) <= 8
         assert K == ring_sizes_for(K[0], ratios, P)
 
         def exact_b1(k1):  # product of rationals, independent of model_core
@@ -491,6 +500,41 @@ class TestSolveK1:
             return beta(ModelParams(n=n, a=a, K=ring_sizes_for(k1, ratios, P), P=P))
 
         assert beta_at(K[0]) >= target > beta_at(K[0] - 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_ring_beta_is_beta_of_the_params(self, data):
+        m = data.draw(st.integers(1, 3))
+        extra = data.draw(st.lists(st.floats(1.0, 6.0), min_size=m - 1, max_size=m - 1))
+        ratios = (1.0, *sorted(extra))
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+        n = data.draw(st.integers(2, 10**6))
+        P = data.draw(st.integers(1, 10**6))
+        K = ring_sizes_for(data.draw(st.integers(1, P)), ratios, P)
+        params = ModelParams(n=n, a=tuple(w / sum(weights) for w in weights), K=K, P=P)
+        assert _ring_beta(params.n, params.P, params.a, K).hex() == beta(params).hex()
+
+    def test_solve_validates_once_and_skips_b_vector(self, monkeypatch):
+        built, looked_up = [], []
+
+        def spy_params(*args, **kwargs):
+            built.append(kwargs["K"])
+            return ModelParams(*args, **kwargs)
+
+        def spy_b_vector(params):
+            looked_up.append(params)
+            return b_vector(params)
+
+        for module in (model_core, sweeps):
+            monkeypatch.setattr(module, "ModelParams", spy_params)
+        monkeypatch.setattr(model_core, "b_vector", spy_b_vector)
+        args = (1000, 10**6, (0.2, 0.3, 0.5), (1.0, 1.5, 3.0), 0.0)
+        K = solve_k1(*args)
+        assert (built, looked_up) == ([(1, 1, 1)], [])
+        built.clear()
+        nearest = sweeps.solve_k1_nearest(*args)
+        assert (built, looked_up) == ([(1, 1, 1), K], [])
+        assert nearest in (K, ring_sizes_for(K[0] - 1, args[3], args[1]))
 
     def test_ring_sizes_round_half_up(self):
         assert ring_sizes_for(3, (1.0, 1.5), 100) == (3, 5)  # 4.5 rounds up

@@ -18,6 +18,7 @@ from rigraph import (
     solve_k1_nearest,
 )
 import rigraph.montecarlo as montecarlo
+import rigraph.sweeps as sweeps
 from rigraph.cli import main
 from rigraph.model_core import CRITICAL_WINDOW, _regime
 from rigraph.sweeps import (
@@ -577,7 +578,8 @@ class TestCli:
         (["diag", "--n", "9" * 400, "--P", "400", "--a", "1", "--K", "3"], "n"),
         (["solve", "--n", "9" * 400, "--P", "400", "--a", "1", "--ratios", "1", "--target-beta", "0"], "n"),
         (["diag", "--n", "200", "--P", "9" * 400, "--a", "1", "--K", "3"], "P"),
-    ], ids=["prob-n", "diag-n", "solve-n", "diag-P"])
+        (["solve", "--n", "100", "--P", "9" * 400, "--a", "1", "--ratios", "1", "--target-beta", "0"], "P"),
+    ], ids=["prob-n", "diag-n", "solve-n", "diag-P", "solve-P"])
     def test_n_or_P_past_float_range_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {name} must be finite, got an integer past the float range\n")
@@ -589,6 +591,30 @@ class TestCli:
                                  "--trials", "5", "--seed", "1", "--out", str(out_csv))
         assert (code, out, err) == (2, "", f"error: simulation needs P <= 2^53, got P={P}\n")
         assert not out_csv.exists()
+
+    def test_sweep_pool_past_2_53_refused_before_any_point_runs(self, capsys, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(sweeps, "run_trials", lambda *args: ran.append(args))
+        doc = spec_dict(axis="P", points=[100, 2**54], trials=20_000, output_path=str(tmp_path / "x.csv"))
+        with pytest.raises(InvalidParamsError, match="P <= 2\\^53"):
+            run_sweep(sweep_spec_from_dict(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        assert (code, out, err) == (2, "", f"error: simulation needs P <= 2^53, got P={2**54}\n")
+        assert ran == []
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("axis", ["n", "P", "beta-target"])
+    def test_sweep_point_no_float_holds_exit_2(self, capsys, tmp_path, axis):
+        # 2^53 + 1 would round to 2^53 and run there
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(spec_dict(axis=axis, points=[1, 2**53 + 1], ratios=[1, 2],
+                                            output_path=str(tmp_path / "x.csv"))))
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: every point must be a number a float holds exactly, got {2**53 + 1}\n"
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("content", [
         json.dumps(spec_dict(master_seed="@")).replace('"@"', "7" * 5000).encode(),
