@@ -259,7 +259,8 @@ def build_row(
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
     """Resolve and check every axis point up front (config errors and
-    pools the simulator refuses must precede any simulation), then run them in order, all through one process pool."""
+    pools the simulator refuses must precede any simulation), then run them
+    in order, all through one process pool."""
     resolved = [(i, v, resolve_point(spec, v)) for i, v in enumerate(spec.points)]
     for _, _, params in resolved:
         _check_pool(params)
