@@ -46,6 +46,12 @@ def _params_from(args: argparse.Namespace) -> ModelParams:
     return ModelParams(n=args.n, a=args.a, K=args.K, P=args.P)
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse a CSV path in a directory that does not exist before any trial runs."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise InvalidParamsError(f"the directory of output path {path!r} does not exist")
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -113,6 +119,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = _params_from(args)
+    _check_out_dir(args.out)
     row, agg = simulate_row(params, args.trials, args.seed, workers=None)
     write_sweep_csv([row], args.out)
     _emit(
@@ -133,6 +140,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.config)
+    _check_out_dir(spec.output_path)
     rows = run_sweep(spec, workers=None)
     write_sweep_csv(rows, spec.output_path)
     _emit({"out": spec.output_path, "rows": len(rows), "bytes": os.path.getsize(spec.output_path)})

@@ -23,11 +23,12 @@ log space; raw factorials are never formed, so P up to ~1e9 is fine.  A ratio
 whose exp would underflow is returned as 0.0 without the full sum, so one
 ratio costs O(min(K_i, K_j, sqrt(745 P))) terms.  b, the p-matrix, the
 cross-moment denominator and the ring-size solver share one 4096-entry cache
-of ratios, so each (P, K_i, K_j) in it is computed once.  The solver validates
-its parameters once and then evaluates beta on those plain values, row 1 of b
-only, O(log K_1) times near its answer.  An exact rational mirror of the same
-formulas lives in ``tests/exact.py`` and is used by the test suite as ground
-truth for the float path.
+of ratios, so each (P, K_i, K_j) in it is computed once, and
+``exact_quantities`` takes every quantity built on b from one b.  One function
+checks n, a and P for ``ModelParams`` and for the solver, which then evaluates
+beta on those plain values, row 1 of b only, O(log K_1) times near its answer.
+An exact rational mirror of the same formulas lives in ``tests/exact.py`` and
+is used by the test suite as ground truth for the float path.
 """
 
 from __future__ import annotations
@@ -82,6 +83,27 @@ def _as_float(name: str, value) -> float:
         raise InvalidParamsError(f"{name} must be finite, got an integer past the float range") from None
 
 
+def _model_inputs(n, a, P) -> tuple[int, tuple[float, ...], int]:
+    """The n, a and P that a ``ModelParams`` stores (a renormalized), or
+    ``InvalidParamsError`` if they break its invariants (an empty a sums to 0)."""
+    n, P = _as_int("n", n), _as_int("P", P)
+    for name, value in (("n", n), ("P", P)):
+        if value < 1:
+            raise InvalidParamsError(f"{name} must be an integer >= 1, got {value}")
+        if value > _INT_FLOAT_MAX:
+            raise InvalidParamsError(f"{name} must be finite, got an integer past the float range")
+    a = tuple(_as_float("every group probability", x) for x in a)
+    if not all(0.0 < x < math.inf for x in a):  # also false for NaN
+        raise InvalidParamsError(f"every group probability must be finite and > 0, got {a}")
+    try:
+        total = math.fsum(a)
+    except OverflowError:  # finite weights whose sum leaves the float range
+        total = math.inf
+    if abs(total - 1.0) > _SUM_TOL:
+        raise InvalidParamsError(f"group probabilities must sum to 1 within {_SUM_TOL}, got sum {total!r}")
+    return n, tuple(x / total for x in a), P
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Immutable parameter tuple (n, a, K, P); single source of truth.
@@ -102,33 +124,10 @@ class ModelParams:
     P: int
 
     def __post_init__(self) -> None:
-        n = _as_int("n", self.n)
-        if n < 1:
-            raise InvalidParamsError(f"n must be an integer >= 1, got {self.n!r}")
-        P = _as_int("P", self.P)
-        if P < 1:
-            raise InvalidParamsError(f"P must be an integer >= 1, got {self.P!r}")
-        if n > _INT_FLOAT_MAX or P > _INT_FLOAT_MAX:
-            name = "n" if n > _INT_FLOAT_MAX else "P"
-            raise InvalidParamsError(f"{name} must be finite, got an integer past the float range")
-        # floats skip even the call: a ModelParams is built per beta evaluation
-        a = tuple(x if type(x) is float else _as_float("every group probability", x) for x in self.a)
+        n, a, P = _model_inputs(self.n, self.a, self.P)
         K = tuple(_as_int("every K_i", k) for k in self.K)
-        if len(a) == 0 or len(a) != len(K):
-            raise InvalidParamsError(
-                f"a and K must be nonempty and equally long, got {len(a)} and {len(K)}"
-            )
-        if not all(0.0 < x < math.inf for x in a):  # also false for NaN
-            raise InvalidParamsError(f"every group probability must be finite and > 0, got {a}")
-        try:
-            total = math.fsum(a)
-        except OverflowError:  # finite weights whose sum leaves the float range
-            total = math.inf
-        if abs(total - 1.0) > _SUM_TOL:
-            raise InvalidParamsError(
-                f"group probabilities must sum to 1 within {_SUM_TOL}, got sum {total!r}"
-            )
-        a = tuple(x / total for x in a)
+        if len(a) != len(K):
+            raise InvalidParamsError(f"a and K must be equally long, got {len(a)} and {len(K)}")
         for i, k in enumerate(K):
             if k < 1 or k > P:
                 raise InvalidParamsError(f"need 1 <= K_{i + 1} <= P, got K={K}, P={P}")
@@ -240,8 +239,8 @@ def beta(params: ModelParams) -> float:
 
 
 def _ring_beta(n: int, P: int, a: tuple[float, ...], K: tuple[int, ...]) -> float:
-    """``beta(ModelParams(n, a, K, P))`` bit for bit from values that such a
-    ModelParams has validated (a normalized), computing row 1 of b only."""
+    """``beta(ModelParams(n, a, K, P))`` bit for bit from the n, a and P that
+    ``_model_inputs`` returns, computing row 1 of b only."""
     return beta_from_b1(n, _b_row(P, a, K, K[0]))
 
 
@@ -326,11 +325,13 @@ def ring_sizes_for(K1: int, ratios: tuple[float, ...], P: int) -> tuple[int, ...
         return tuple(P if r * K1 >= P else max(K1, _round_half_up(max(r, 0.0) * K1)) for r in ratios)
 
 
-def _check_ratios(a: tuple[float, ...], ratios: tuple[float, ...]) -> None:
+def _solver_inputs(n, P, a, ratios, target_beta) -> tuple[int, int, tuple[float, ...], tuple[float, ...], float]:
+    """The checked (n, P, a, ratios, target_beta) of a ring-size solve: n, a
+    and P as a ``ModelParams`` stores them, the ratios and target as floats."""
+    n, a, P = _model_inputs(n, a, P)
+    ratios = tuple(_as_float("every ratio", r) for r in ratios)
     if len(ratios) != len(a):
-        raise InvalidParamsError(
-            f"ratios must have one entry per group, got {len(ratios)} for m={len(a)}"
-        )
+        raise InvalidParamsError(f"ratios must have one entry per group, got {len(ratios)} for m={len(a)}")
     if not all(math.isfinite(r) for r in ratios):
         raise InvalidParamsError(f"ratios must be finite, got {ratios}")
     if abs(ratios[0] - 1.0) > 1e-12:
@@ -339,6 +340,10 @@ def _check_ratios(a: tuple[float, ...], ratios: tuple[float, ...]) -> None:
         raise InvalidParamsError(f"every ratio must be >= 1, got {ratios}")
     if any(ratios[i] > ratios[i + 1] for i in range(len(ratios) - 1)):
         raise InvalidParamsError(f"ratios must be nondecreasing, got {ratios}")
+    target_beta = _as_float("target beta", target_beta)
+    if not math.isfinite(target_beta):
+        raise InvalidParamsError(f"target beta must be finite, got {target_beta!r}")
+    return n, P, a, ratios, target_beta
 
 
 def solve_k1(
@@ -362,26 +367,17 @@ def solve_k1(
     steps are valid because b_1 (hence beta) is nondecreasing in K_1, so the
     result is the one a bisection over all of [1, P] finds; near the answer
     the search costs O(log K_1) beta evaluations instead of O(log P).
-    One ModelParams validates n, P and a before the first evaluation; each
-    evaluation is then ``_ring_beta`` on its plain values.
+    ``_solver_inputs`` checks the arguments once; each evaluation is then
+    ``_ring_beta`` on the plain values it returns.
     """
-    a = tuple(_as_float("every group probability", x) for x in a)
-    ratios = tuple(_as_float("every ratio", r) for r in ratios)
-    _check_ratios(a, ratios)
-    target_beta = _as_float("target beta", target_beta)
-    if not math.isfinite(target_beta):
-        raise InvalidParamsError(f"target beta must be finite, got {target_beta!r}")
-
-    params = ModelParams(n=n, a=a, K=(1,) * len(a), P=P)
-    n, P = params.n, params.P
+    n, P, a, ratios, target_beta = _solver_inputs(n, P, a, ratios, target_beta)
 
     def beta_at(k1: int) -> float:
-        return _ring_beta(n, P, params.a, ring_sizes_for(k1, ratios, P))
+        return _ring_beta(n, P, a, ring_sizes_for(k1, ratios, P))
 
-    if beta_at(P) < target_beta:
-        raise UnachievableError(
-            f"target beta {target_beta} unachievable: even K=(P,...,P) gives beta {beta_at(P)}"
-        )
+    top = beta_at(P)
+    if top < target_beta:
+        raise UnachievableError(f"target beta {target_beta} unachievable: even K=(P,...,P) gives beta {top}")
     lo, hi = 1, P  # invariant: beta_at(lo) < target <= beta_at(hi)
     if beta_at(lo) >= target_beta:
         return ring_sizes_for(lo, ratios, P)
@@ -500,26 +496,23 @@ class ExactQuantities:
 
 
 def exact_quantities(params: ModelParams) -> ExactQuantities:
-    """Evaluate all closed forms at one parameter point (needs n >= 2)."""
-    if params.n < 2:
-        raise InvalidParamsError(f"exact quantities need n >= 2, got n={params.n}")
-    m = params.m
-    p = tuple(
-        tuple(pairwise_edge_prob(params, i, j) for j in range(1, m + 1))
-        for i in range(1, m + 1)
-    )
+    """Evaluate all closed forms at one parameter point (needs n >= 2); the
+    edge probability, beta and the isolation terms all come from one b."""
+    n, P, a, K = params.n, params.P, params.a, params.K
+    if n < 2:
+        raise InvalidParamsError(f"exact quantities need n >= 2, got n={n}")
     b = b_vector(params)
-    e_j, e_i = expected_isolated(params)
+    e_j, e_i = expected_isolated_from_b(n, a, b)
     cmr: float | None
     try:
         cmr = cross_moment_ratio(params)
     except (RegimeViolationError, InvalidParamsError):
         cmr = None
     return ExactQuantities(
-        p=p,
+        p=tuple(tuple(1.0 - no_overlap_ratio(P, Ki, Kj) for Kj in K) for Ki in K),
         b=b,
-        edge_prob=edge_prob(params),
-        beta=beta(params),
+        edge_prob=math.fsum(ai * bi for ai, bi in zip(a, b)),
+        beta=beta_from_b1(n, b[0]),
         expected_isolated=e_j,
         expected_group1_isolated=e_i,
         cross_moment_ratio=cmr,

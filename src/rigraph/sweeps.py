@@ -28,6 +28,7 @@ from .model_core import (
     ModelParams,
     _as_float,
     _ring_beta,
+    _solver_inputs,
     diagnostics,
     exact_quantities,
     ring_sizes_for,
@@ -46,18 +47,15 @@ def solve_k1_nearest(
 
     Candidates are the ``solve_k1`` result (smallest vector at or above the
     target) and its base-size-minus-one sibling (just below); ties go to the
-    smaller vector.
+    smaller vector.  Both are shaped, and both distances measured, on the
+    checked float values that ``solve_k1`` solved on.
     """
     upper = solve_k1(n, P, a, ratios, target_beta)
     if upper[0] == 1:
         return upper
-    params = ModelParams(n=n, a=a, K=upper, P=P)
-
-    def achieved(K: tuple[int, ...]) -> float:
-        return _ring_beta(params.n, params.P, params.a, K)
-
-    lower = ring_sizes_for(upper[0] - 1, ratios, params.P)
-    if abs(achieved(lower) - target_beta) <= abs(achieved(upper) - target_beta):
+    n, P, a, ratios, target_beta = _solver_inputs(n, P, a, ratios, target_beta)
+    lower = ring_sizes_for(upper[0] - 1, ratios, P)
+    if abs(_ring_beta(n, P, a, lower) - target_beta) <= abs(_ring_beta(n, P, a, upper) - target_beta):
         return lower
     return upper
 

@@ -33,6 +33,7 @@ from rigraph.oracle import enumerate_pair_prob
 
 import exact
 from conftest import small_params
+from reference_closed_forms import reference_exact_quantities
 from reference_solver import bisect_solve_k1, bisect_solve_k1_nearest, full_sum_no_overlap_ratio
 
 
@@ -427,6 +428,12 @@ class TestSolveK1:
         with pytest.raises(InvalidParamsError):
             solve_k1(10, 20, (0.5, 0.5), (1.0, 2.0), math.inf)
 
+    @pytest.mark.parametrize("solve", [solve_k1, solve_k1_nearest])
+    def test_empty_groups_refused(self, solve):
+        # a is checked before the ratios, whose first entry an empty tuple lacks
+        with pytest.raises(InvalidParamsError, match="sum to 1"):
+            solve(10, 20, (), (), 0.0)
+
     @pytest.mark.parametrize("n, P, a, ratios, target", [
         (100, 1000, (0.5, 0.5), (1, 10**400), 0.0),
         (100, 1000, (0.5, 10**400), (1.0, 2.0), 0.0),
@@ -515,7 +522,7 @@ class TestSolveK1:
         assert _ring_beta(params.n, params.P, params.a, K).hex() == beta(params).hex()
 
     def test_solve_validates_once_and_skips_b_vector(self, monkeypatch):
-        built, looked_up = [], []
+        built, looked_up, checked = [], [], []
 
         def spy_params(*args, **kwargs):
             built.append(kwargs["K"])
@@ -525,16 +532,23 @@ class TestSolveK1:
             looked_up.append(params)
             return b_vector(params)
 
+        def spy_inputs(*args):
+            checked.append(args)
+            return solver_inputs(*args)
+
+        solver_inputs = model_core._solver_inputs
         for module in (model_core, sweeps):
             monkeypatch.setattr(module, "ModelParams", spy_params)
+            monkeypatch.setattr(module, "_solver_inputs", spy_inputs)
         monkeypatch.setattr(model_core, "b_vector", spy_b_vector)
         args = (1000, 10**6, (0.2, 0.3, 0.5), (1.0, 1.5, 3.0), 0.0)
         K = solve_k1(*args)
-        assert (built, looked_up) == ([(1, 1, 1)], [])
-        built.clear()
+        assert (built, looked_up, checked) == ([], [], [args])
+        checked.clear()
         nearest = sweeps.solve_k1_nearest(*args)
-        assert (built, looked_up) == ([(1, 1, 1), K], [])
-        assert nearest in (K, ring_sizes_for(K[0] - 1, args[3], args[1]))
+        # once inside solve_k1, once for the two candidates
+        assert (built, looked_up, checked) == ([], [], [args, args])
+        assert K[0] > 1 and nearest in (K, ring_sizes_for(K[0] - 1, args[3], args[1]))
 
     def test_ring_sizes_round_half_up(self):
         assert ring_sizes_for(3, (1.0, 1.5), 100) == (3, 5)  # 4.5 rounds up
@@ -623,6 +637,49 @@ class TestExactQuantities:
                 assert 0.0 <= v <= 1.0
         assert all(0.0 <= bi <= 1.0 for bi in q.b)
         assert 0.0 <= q.edge_prob <= 1.0
+
+
+def _hex(value):
+    """Floats as ``.hex()`` strings, through nested tuples; None as is."""
+    if isinstance(value, tuple):
+        return tuple(_hex(x) for x in value)
+    return None if value is None else value.hex()
+
+
+@st.composite
+def wide_params(draw) -> ModelParams:
+    """m <= 3, n up to 1e6 and P up to 1e9, with ring sizes anywhere in 1..P."""
+    m = draw(st.integers(1, 3))
+    P = draw(st.one_of(st.integers(1, 60), st.integers(1, 10**9)))
+    K = sorted(draw(st.lists(st.integers(1, P), min_size=m, max_size=m)))
+    weights = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    n = draw(st.one_of(st.integers(2, 8), st.integers(2, 10**6)))
+    return ModelParams(n=n, a=tuple(w / sum(weights) for w in weights), K=tuple(K), P=P)
+
+
+class TestExactQuantitiesOnePass:
+    @given(st.one_of(small_params(), wide_params()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_bit_for_bit(self, params):
+        got, want = exact_quantities(params), reference_exact_quantities(params)
+        assert [_hex(getattr(got, f)) for f in got.__dataclass_fields__] == \
+            [_hex(getattr(want, f)) for f in want.__dataclass_fields__]
+
+    def test_one_b_vector_lookup_and_no_pairwise_call(self, monkeypatch):
+        looked_up = []
+
+        def spy_b_vector(params):
+            looked_up.append(params)
+            return b_vector(params)
+
+        def no_pairwise(*args):
+            raise AssertionError("pairwise_edge_prob called")
+
+        monkeypatch.setattr(model_core, "b_vector", spy_b_vector)
+        monkeypatch.setattr(model_core, "pairwise_edge_prob", no_pairwise)
+        params = ModelParams(n=10, a=(0.2, 0.3, 0.5), K=(2, 3, 4), P=40)
+        exact_quantities(params)
+        assert looked_up == [params]
 
 
 # ---------------------------------------------------------------- float path against exact rationals

@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from rigraph import (
@@ -100,6 +101,23 @@ class TestSolveK1Nearest:
                 key=lambda k1: (abs(beta(ModelParams(n=n, a=a, K=(k1,), P=P)) - target), k1),
             )
             assert got == (best,)
+
+    def test_float32_ratio_gives_the_shape_solve_k1_probed(self):
+        # 1.05 * 10 rounds to 10.5 in float32 and up to 11, while the float
+        # value of np.float32(1.05), 1.0499999523..., gives 10 and is what
+        # solve_k1 probes at K_1 = 10
+        ratio = np.float32(1.05)
+        got = solve_k1_nearest(100, 2000, (0.5, 0.5), (1.0, ratio), 0.5)
+        assert got == solve_k1_nearest(100, 2000, (0.5, 0.5), (1.0, float(ratio)), 0.5) == (10, 10)
+
+    def test_float32_target_compared_as_float(self):
+        # the candidates' betas, -1.919 (K_1 = 9) and -1.462 (K_1 = 10), lie
+        # 0.22851982 and 0.22851976 from this target: K_1 = 10 is nearer, but
+        # in float32 arithmetic both distances are 0.2285198, a tie that would
+        # go to the smaller vector
+        target = np.float32(-1.6906556)
+        got = solve_k1_nearest(50, 2000, (1.0,), (1.0,), target)
+        assert got == solve_k1_nearest(50, 2000, (1.0,), (1.0,), float(target)) == (10,)
 
 
 # ---------------------------------------------------------------- spec validation
@@ -604,6 +622,34 @@ class TestCli:
         assert (code, out, err) == (2, "", f"error: simulation needs P <= 2^53, got P={2**54}\n")
         assert ran == []
         assert not (tmp_path / "x.csv").exists()
+
+    def test_sweep_empty_groups_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(spec_dict(base={"n": 40, "P": 60, "a": []}, ratios=[], axis="beta-target",
+                                            points=[0], output_path=str(tmp_path / "x.csv"))))
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: group probabilities must sum to 1 within 1e-09, got sum 0.0\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_output_in_missing_directory_refused_before_any_trial_runs(self, capsys, tmp_path, monkeypatch,
+                                                                       command):
+        ran = []
+        monkeypatch.setattr(sweeps, "run_trials", lambda *args: ran.append(args))
+        path = tmp_path / "missing" / "x.csv"
+        if command == "sweep":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(spec_dict(output_path=str(path))))
+            argv = ["sweep", str(cfg)]
+        else:
+            argv = ["simulate", "--n", "40", "--P", "60", "--a", "0.5,0.5", "--K", "2,3",
+                    "--trials", "50", "--seed", "7", "--out", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: the directory of output path {str(path)!r} does not exist\n"
+        assert ran == []
+        assert os.listdir(tmp_path) == (["cfg.json"] if command == "sweep" else [])
 
     @pytest.mark.parametrize("axis", ["n", "P", "beta-target"])
     def test_sweep_point_no_float_holds_exit_2(self, capsys, tmp_path, axis):
