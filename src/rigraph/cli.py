@@ -46,10 +46,10 @@ def _params_from(args: argparse.Namespace) -> ModelParams:
     return ModelParams(n=args.n, a=args.a, K=args.K, P=args.P)
 
 
-def _check_out_dir(path: str) -> None:
-    """Refuse a CSV path in a directory that does not exist before any trial runs."""
-    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        raise InvalidParamsError(f"the directory of output path {path!r} does not exist")
+def _check_out_path(path: str) -> None:
+    """Refuse, before any trial runs, a CSV path that names no file in a directory that exists."""
+    if not os.path.basename(path) or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise InvalidParamsError(f"output path {path!r} must name a file in a directory that exists")
 
 
 def _emit(obj) -> None:
@@ -119,7 +119,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = _params_from(args)
-    _check_out_dir(args.out)
+    _check_out_path(args.out)
     row, agg = simulate_row(params, args.trials, args.seed, workers=None)
     write_sweep_csv([row], args.out)
     _emit(
@@ -140,7 +140,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.config)
-    _check_out_dir(spec.output_path)
+    _check_out_path(spec.output_path)
     rows = run_sweep(spec, workers=None)
     write_sweep_csv(rows, spec.output_path)
     _emit({"out": spec.output_path, "rows": len(rows), "bytes": os.path.getsize(spec.output_path)})

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -428,7 +429,7 @@ class TestSolveK1:
         with pytest.raises(InvalidParamsError):
             solve_k1(10, 20, (0.5, 0.5), (1.0, 2.0), math.inf)
 
-    @pytest.mark.parametrize("solve", [solve_k1, solve_k1_nearest])
+    @pytest.mark.parametrize("solve", [solve_k1, solve_k1_nearest], ids=["solve_k1", "solve_k1_nearest"])
     def test_empty_groups_refused(self, solve):
         # a is checked before the ratios, whose first entry an empty tuple lacks
         with pytest.raises(InvalidParamsError, match="sum to 1"):
@@ -523,6 +524,7 @@ class TestSolveK1:
 
     def test_solve_validates_once_and_skips_b_vector(self, monkeypatch):
         built, looked_up, checked = [], [], []
+        solver_inputs = model_core._solver_inputs
 
         def spy_params(*args, **kwargs):
             built.append(kwargs["K"])
@@ -536,7 +538,6 @@ class TestSolveK1:
             checked.append(args)
             return solver_inputs(*args)
 
-        solver_inputs = model_core._solver_inputs
         for module in (model_core, sweeps):
             monkeypatch.setattr(module, "ModelParams", spy_params)
             monkeypatch.setattr(module, "_solver_inputs", spy_inputs)
@@ -661,9 +662,7 @@ class TestExactQuantitiesOnePass:
     @given(st.one_of(small_params(), wide_params()))
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_bit_for_bit(self, params):
-        got, want = exact_quantities(params), reference_exact_quantities(params)
-        assert [_hex(getattr(got, f)) for f in got.__dataclass_fields__] == \
-            [_hex(getattr(want, f)) for f in want.__dataclass_fields__]
+        assert _hex(astuple(exact_quantities(params))) == _hex(astuple(reference_exact_quantities(params)))
 
     def test_one_b_vector_lookup_and_no_pairwise_call(self, monkeypatch):
         looked_up = []

@@ -632,24 +632,27 @@ class TestCli:
         assert err == "error: group probabilities must sum to 1 within 1e-09, got sum 0.0\n"
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("command", ["sweep", "simulate"])
-    def test_output_in_missing_directory_refused_before_any_trial_runs(self, capsys, tmp_path, monkeypatch,
-                                                                       command):
+    @pytest.mark.parametrize("command, where", [
+        ("sweep", "missing/x.csv"), ("simulate", "missing/x.csv"), ("sweep", "."), ("simulate", "."),
+        ("sweep", "missing/"), ("simulate", ""),
+    ], ids=["sweep-missing-dir", "simulate-missing-dir", "sweep-dir", "simulate-dir", "sweep-trailing-slash",
+            "simulate-empty"])
+    def test_output_path_refused_before_any_trial_runs(self, capsys, tmp_path, monkeypatch, command, where):
         ran = []
         monkeypatch.setattr(sweeps, "run_trials", lambda *args: ran.append(args))
-        path = tmp_path / "missing" / "x.csv"
+        monkeypatch.chdir(tmp_path)
         if command == "sweep":
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(spec_dict(output_path=str(path))))
-            argv = ["sweep", str(cfg)]
+            (tmp_path / "cfg.json").write_text(json.dumps(spec_dict(output_path=where)))
+            argv = ["sweep", "cfg.json"]
         else:
             argv = ["simulate", "--n", "40", "--P", "60", "--a", "0.5,0.5", "--K", "2,3",
-                    "--trials", "50", "--seed", "7", "--out", str(path)]
+                    "--trials", "50", "--seed", "7", "--out", where]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: the directory of output path {str(path)!r} does not exist\n"
+        assert err == f"error: output path {where!r} must name a file in a directory that exists\n"
         assert ran == []
         assert os.listdir(tmp_path) == (["cfg.json"] if command == "sweep" else [])
+        assert not any(name.startswith(".sweep-") for name in os.listdir(tmp_path.parent))
 
     @pytest.mark.parametrize("axis", ["n", "P", "beta-target"])
     def test_sweep_point_no_float_holds_exit_2(self, capsys, tmp_path, axis):
