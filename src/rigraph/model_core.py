@@ -25,8 +25,11 @@ ratio costs O(min(K_i, K_j, sqrt(745 P))) terms.  b, the p-matrix, the
 cross-moment denominator and the ring-size solver share one 4096-entry cache
 of ratios, so each (P, K_i, K_j) in it is computed once, and
 ``exact_quantities`` takes every quantity built on b from one b.  One function
-checks n, a and P for ``ModelParams`` and for the solver, which then evaluates
-beta on those plain values, row 1 of b only, O(log K_1) times near its answer.
+checks n, a and P for ``ModelParams`` and for the solver, walking each tuple
+once.  The solver then evaluates beta on those plain values, row 1 of b only,
+O(log K_1) times near its answer and twice when its starting estimate is
+within one of it; it evaluates the ends of [1, P] only when its search
+reaches them.
 An exact rational mirror of the same formulas lives in ``tests/exact.py`` and
 is used by the test suite as ground truth for the float path.
 """
@@ -85,15 +88,28 @@ def _as_float(name: str, value) -> float:
 
 def _model_inputs(n, a, P) -> tuple[int, tuple[float, ...], int]:
     """The n, a and P that a ``ModelParams`` stores (a renormalized), or
-    ``InvalidParamsError`` if they break its invariants (an empty a sums to 0)."""
-    n, P = _as_int("n", n), _as_int("P", P)
-    for name, value in (("n", n), ("P", P)):
-        if value < 1:
-            raise InvalidParamsError(f"{name} must be an integer >= 1, got {value}")
-        if value > _INT_FLOAT_MAX:
-            raise InvalidParamsError(f"{name} must be finite, got an integer past the float range")
-    a = tuple(_as_float("every group probability", x) for x in a)
-    if not all(0.0 < x < math.inf for x in a):  # also false for NaN
+    ``InvalidParamsError`` if they break its invariants (an empty a sums to 0).
+    Plain ints and floats skip conversion, and a is walked once."""
+    if type(n) is not int:
+        n = _as_int("n", n)
+    if type(P) is not int:
+        P = _as_int("P", P)
+    if not (1 <= n <= _INT_FLOAT_MAX and 1 <= P <= _INT_FLOAT_MAX):
+        for name, value in (("n", n), ("P", P)):
+            if value < 1:
+                raise InvalidParamsError(f"{name} must be an integer >= 1, got {value}")
+            if value > _INT_FLOAT_MAX:
+                raise InvalidParamsError(f"{name} must be finite, got an integer past the float range")
+    weights = []
+    in_range = True
+    for x in a:
+        if type(x) is not float:
+            x = _as_float("every group probability", x)
+        if not 0.0 < x < math.inf:  # also true for NaN
+            in_range = False
+        weights.append(x)
+    a = tuple(weights)
+    if not in_range:
         raise InvalidParamsError(f"every group probability must be finite and > 0, got {a}")
     try:
         total = math.fsum(a)
@@ -101,7 +117,9 @@ def _model_inputs(n, a, P) -> tuple[int, tuple[float, ...], int]:
         total = math.inf
     if abs(total - 1.0) > _SUM_TOL:
         raise InvalidParamsError(f"group probabilities must sum to 1 within {_SUM_TOL}, got sum {total!r}")
-    return n, tuple(x / total for x in a), P
+    if total != 1.0:  # x / 1.0 is x, so a sum of exactly 1 needs no second pass
+        a = tuple([x / total for x in a])
+    return n, a, P
 
 
 @dataclass(frozen=True)
@@ -125,13 +143,23 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         n, a, P = _model_inputs(self.n, self.a, self.P)
-        K = tuple(_as_int("every K_i", k) for k in self.K)
+        sizes = []
+        ordered = True  # every K_i in [1, P] and none below the one before
+        low = 1
+        for k in self.K:
+            if type(k) is not int:
+                k = _as_int("every K_i", k)
+            if not low <= k <= P:
+                ordered = False
+            low = k
+            sizes.append(k)
+        K = tuple(sizes)
         if len(a) != len(K):
             raise InvalidParamsError(f"a and K must be equally long, got {len(a)} and {len(K)}")
-        for i, k in enumerate(K):
-            if k < 1 or k > P:
-                raise InvalidParamsError(f"need 1 <= K_{i + 1} <= P, got K={K}, P={P}")
-        if any(K[i] > K[i + 1] for i in range(len(K) - 1)):
+        if not ordered:  # name the first rule broken, range before order
+            for i, k in enumerate(K):
+                if k < 1 or k > P:
+                    raise InvalidParamsError(f"need 1 <= K_{i + 1} <= P, got K={K}, P={P}")
             raise InvalidParamsError(f"ring sizes must be nondecreasing, got {K}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "P", P)
@@ -210,7 +238,7 @@ def pairwise_edge_prob(params: ModelParams, i: int, j: int) -> float:
 
 def _b_row(P: int, a: tuple[float, ...], K: tuple[int, ...], Ki: int) -> float:
     """b_i = sum_j a_j p_ij for the group whose ring size is Ki."""
-    return math.fsum(aj * (1.0 - no_overlap_ratio(P, Ki, Kj)) for aj, Kj in zip(a, K))
+    return math.fsum([aj * (1.0 - no_overlap_ratio(P, Ki, Kj)) for aj, Kj in zip(a, K)])
 
 
 @lru_cache(maxsize=512)
@@ -303,10 +331,6 @@ def cross_moment_ratio(params: ModelParams) -> float:
     return math.exp(log_ratio)
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
 def ring_sizes_for(K1: int, ratios: tuple[float, ...], P: int) -> tuple[int, ...]:
     """Ring-size vector generated by a base size and fixed ratios.
 
@@ -315,33 +339,53 @@ def ring_sizes_for(K1: int, ratios: tuple[float, ...], P: int) -> tuple[int, ...
     product with K1 overflows gives P (or K1 below 0); non-finite ones are
     refused.
     """
+    sizes = []
     try:
-        return tuple(min(P, max(K1, _round_half_up(r * K1))) for r in ratios)
+        for r in ratios:
+            k = math.floor(r * K1 + 0.5)
+            if k <= K1:
+                k = K1
+            if k >= P:
+                k = P
+            sizes.append(k)
     except (OverflowError, ValueError):  # floor of an infinite or NaN product
         # a comparison, unlike math.isfinite, takes an int past the float range
         if not all(-math.inf < r < math.inf for r in ratios):
             raise InvalidParamsError(f"ratios must be finite, got {ratios}") from None
         # the same sizes, without rounding a product at or past P, or below 0
-        return tuple(P if r * K1 >= P else max(K1, _round_half_up(max(r, 0.0) * K1)) for r in ratios)
+        return tuple(P if r * K1 >= P else max(K1, math.floor(max(r, 0.0) * K1 + 0.5)) for r in ratios)
+    return tuple(sizes)
 
 
 def _solver_inputs(n, P, a, ratios, target_beta) -> tuple[int, int, tuple[float, ...], tuple[float, ...], float]:
     """The checked (n, P, a, ratios, target_beta) of a ring-size solve: n, a
-    and P as a ``ModelParams`` stores them, the ratios and target as floats."""
+    and P as a ``ModelParams`` stores them, the ratios and target as floats.
+    Plain floats skip conversion, and the ratios are walked once."""
     n, a, P = _model_inputs(n, a, P)
-    ratios = tuple(_as_float("every ratio", r) for r in ratios)
+    checked = []
+    ordered = True  # every ratio finite, none below 1 or the one before
+    low = 1.0
+    for r in ratios:
+        if type(r) is not float:
+            r = _as_float("every ratio", r)
+        if not low <= r < math.inf:
+            ordered = False
+        low = r
+        checked.append(r)
+    ratios = tuple(checked)
     if len(ratios) != len(a):
         raise InvalidParamsError(f"ratios must have one entry per group, got {len(ratios)} for m={len(a)}")
-    if not all(math.isfinite(r) for r in ratios):
-        raise InvalidParamsError(f"ratios must be finite, got {ratios}")
-    if abs(ratios[0] - 1.0) > 1e-12:
-        raise InvalidParamsError(f"ratios[0] must be 1, got {ratios[0]!r}")
-    if any(r < 1.0 for r in ratios):
-        raise InvalidParamsError(f"every ratio must be >= 1, got {ratios}")
-    if any(ratios[i] > ratios[i + 1] for i in range(len(ratios) - 1)):
+    if not ordered or ratios[0] - 1.0 > 1e-12:  # name the first rule broken
+        if not all(math.isfinite(r) for r in ratios):
+            raise InvalidParamsError(f"ratios must be finite, got {ratios}")
+        if abs(ratios[0] - 1.0) > 1e-12:
+            raise InvalidParamsError(f"ratios[0] must be 1, got {ratios[0]!r}")
+        if any(r < 1.0 for r in ratios):
+            raise InvalidParamsError(f"every ratio must be >= 1, got {ratios}")
         raise InvalidParamsError(f"ratios must be nondecreasing, got {ratios}")
-    target_beta = _as_float("target beta", target_beta)
-    if not math.isfinite(target_beta):
+    if type(target_beta) is not float:
+        target_beta = _as_float("target beta", target_beta)
+    if not -math.inf < target_beta < math.inf:
         raise InvalidParamsError(f"target beta must be finite, got {target_beta!r}")
     return n, P, a, ratios, target_beta
 
@@ -366,7 +410,12 @@ def solve_k1(
     beta(lo) < target <= beta(hi), then bisects inside that bracket.  Both
     steps are valid because b_1 (hence beta) is nondecreasing in K_1, so the
     result is the one a bisection over all of [1, P] finds; near the answer
-    the search costs O(log K_1) beta evaluations instead of O(log P).
+    the search costs O(log K_1) beta evaluations instead of O(log P), two
+    when the estimate is off by less than one.  The ends of [1, P] are
+    evaluated only when the search reaches them: beta(P) when the estimate
+    is P or the bracket closes at P, beta(1) when it closes at (1, 2].  An
+    estimate past the float range is refused with ``InvalidParamsError``
+    unless beta(P) or beta(1) alone decides the answer.
     ``_solver_inputs`` checks the arguments once; each evaluation is then
     ``_ring_beta`` on the plain values it returns.
     """
@@ -375,35 +424,51 @@ def solve_k1(
     def beta_at(k1: int) -> float:
         return _ring_beta(n, P, a, ring_sizes_for(k1, ratios, P))
 
-    top = beta_at(P)
-    if top < target_beta:
-        raise UnachievableError(f"target beta {target_beta} unachievable: even K=(P,...,P) gives beta {top}")
-    lo, hi = 1, P  # invariant: beta_at(lo) < target <= beta_at(hi)
-    if beta_at(lo) >= target_beta:
-        return ring_sizes_for(lo, ratios, P)
-    mean_ratio = math.fsum(aj * r for aj, r in zip(a, ratios))
+    def unachievable(top: float) -> UnachievableError:
+        return UnachievableError(f"target beta {target_beta} unachievable: even K=(P,...,P) gives beta {top}")
+
+    mean_ratio = math.fsum([aj * r for aj, r in zip(a, ratios)])
     estimate = math.sqrt(max(0.0, P * (math.log(n) + target_beta) / (n * mean_ratio)))
+    if estimate == math.inf:
+        top = beta_at(P)
+        if top < target_beta:
+            raise unachievable(top)
+        if beta_at(1) >= target_beta:
+            return ring_sizes_for(1, ratios, P)
+        raise InvalidParamsError(
+            f"cannot solve for target beta {target_beta} at n={n}, P={P:.6g}: "
+            "the estimate of K_1 is past the float range"
+        )
     k = min(P, max(2, math.ceil(estimate)))
+    lo, hi = 1, P  # invariant: beta_at(lo) < target <= beta_at(hi), once 1 and P are evaluated
     step = 1
-    if k < P:
-        if beta_at(k) >= target_beta:
-            hi = k
-            while hi - step > lo and beta_at(hi - step) >= target_beta:
-                hi -= step
-                step *= 2
-            lo = max(lo, hi - step)
-        else:
-            lo = k
-            while lo + step < hi and beta_at(lo + step) < target_beta:
-                lo += step
-                step *= 2
-            hi = min(hi, lo + step)
+    at_k = beta_at(k)
+    if at_k >= target_beta:
+        hi = k
+        while hi - step > lo and beta_at(hi - step) >= target_beta:
+            hi -= step
+            step *= 2
+        lo = max(lo, hi - step)
+    elif k == P:
+        raise unachievable(at_k)
+    else:
+        lo = k
+        while lo + step < hi and beta_at(lo + step) < target_beta:
+            lo += step
+            step *= 2
+        hi = min(hi, lo + step)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if beta_at(mid) >= target_beta:
             hi = mid
         else:
             lo = mid
+    if hi == P and k < P:  # the bracket closed at P, which no probe reached
+        top = beta_at(P)
+        if top < target_beta:
+            raise unachievable(top)
+    elif hi == 2 and beta_at(1) >= target_beta:  # lo == 1 here, and k >= 2
+        hi = 1
     return ring_sizes_for(hi, ratios, P)
 
 

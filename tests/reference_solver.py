@@ -2,10 +2,11 @@
 
 ``bisect_solve_k1`` is the plain integer bisection over [1, P] that
 ``solve_k1`` used before its search was seeded; ``bisect_solve_k1_nearest``
-is ``solve_k1_nearest`` built on it.  ``full_sum_no_overlap_ratio`` is
-``no_overlap_ratio`` without its underflow bound: the exp of the full
-compensated log sum.  The tests require the fast paths to match these
-exactly.
+is ``solve_k1_nearest`` built on it.  Both evaluate beta(P) and beta(1)
+first, and raise ``solve_k1``'s message for an unachievable target.
+``full_sum_no_overlap_ratio`` is ``no_overlap_ratio`` without its underflow
+bound: the exp of the full compensated log sum.  The tests require the fast
+paths to match these exactly.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ def bisect_solve_k1(
 ) -> tuple[int, ...]:
     a = tuple(float(x) for x in a)
     ratios = tuple(float(r) for r in ratios)
+    target_beta = float(target_beta)
 
     def beta_at(k1: int) -> float:
         return beta(ModelParams(n=n, a=a, K=ring_sizes_for(k1, ratios, P), P=P))
 
-    if beta_at(P) < target_beta:
-        raise UnachievableError(f"target beta {target_beta} unachievable")
+    top = beta_at(P)
+    if top < target_beta:
+        raise UnachievableError(f"target beta {target_beta} unachievable: even K=(P,...,P) gives beta {top}")
     lo, hi = 1, P
     if beta_at(lo) >= target_beta:
         return ring_sizes_for(lo, ratios, P)

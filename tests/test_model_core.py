@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -36,6 +37,23 @@ import exact
 from conftest import small_params
 from reference_closed_forms import reference_exact_quantities
 from reference_solver import bisect_solve_k1, bisect_solve_k1_nearest, full_sum_no_overlap_ratio
+
+
+@contextmanager
+def probed_base_sizes():
+    """Collect the K_1 of every beta evaluation the solver makes."""
+    probes = []
+    ring_beta = model_core._ring_beta
+
+    def counted(n, P, a, K):
+        probes.append(K[0])
+        return ring_beta(n, P, a, K)
+
+    model_core._ring_beta = counted
+    try:
+        yield probes
+    finally:
+        model_core._ring_beta = ring_beta
 
 
 # ---------------------------------------------------------------- params
@@ -481,19 +499,12 @@ class TestSolveK1:
     @pytest.mark.parametrize(
         "a, ratios", [((1.0,), (1.0,)), ((0.2, 0.3, 0.5), (1.0, 1.5, 3.0))]
     )
-    def test_huge_pool_needs_few_evaluations(self, a, ratios, monkeypatch):
+    def test_huge_pool_needs_few_evaluations(self, a, ratios):
         # the plain bisection's first probe, K_1 = P/2, alone sums 5e8 terms
         n, P, target = 10**6, 10**9, 0.0
-        probes = []
-        ring_beta = model_core._ring_beta
-
-        def counted(n, P, a, K):
-            probes.append(K)
-            return ring_beta(n, P, a, K)
-
-        monkeypatch.setattr(model_core, "_ring_beta", counted)
-        K = solve_k1(n, P, a, ratios, target)
-        assert 0 < len(probes) <= 8
+        with probed_base_sizes() as probes:
+            K = solve_k1(n, P, a, ratios, target)
+        assert 0 < len(probes) <= 2
         assert K == ring_sizes_for(K[0], ratios, P)
 
         def exact_b1(k1):  # product of rationals, independent of model_core
@@ -508,6 +519,93 @@ class TestSolveK1:
             return beta(ModelParams(n=n, a=a, K=ring_sizes_for(k1, ratios, P), P=P))
 
         assert beta_at(K[0]) >= target > beta_at(K[0] - 1)
+
+    def test_estimate_past_float_range_refused(self):
+        # P (ln n + target) overflows, so the search has no finite start;
+        # beta(P) reaches the target and beta(1) does not, so neither decides
+        msg = "cannot solve for target beta 0.0 at n=100, P=1e+308: the estimate of K_1 is past the float range"
+        for solve in (solve_k1, solve_k1_nearest):
+            with pytest.raises(InvalidParamsError) as err:
+                solve(100, 10**308, (1.0,), (1.0,), 0.0)
+            assert str(err.value) == msg
+        # the estimate overflows here too, but beta(1) reaches the target
+        n = P = 10**308
+        a, ratios = (1e-3, 1 - 1e-3), (1.0, 1.5)
+        target = beta(ModelParams(n=n, a=a, K=ring_sizes_for(1, ratios, P), P=P))
+        assert solve_k1(n, P, a, ratios, target) == (1, 2)
+
+    @pytest.mark.parametrize("n, P, a, ratios", [
+        (10, 10, (1.0,), (1.0,)),
+        (50, 1, (1.0,), (1.0,)),
+        (50, 2, (0.5, 0.5), (1.0, 2.0)),
+        (50, 3, (0.5, 0.5), (1.0, 2.0)),
+        (50, 3, (1.0,), (1.0,)),
+        (1000, 10**6, (0.2, 0.3, 0.5), (1.0, 1.5, 3.0)),
+    ], ids=["n10-P10", "P1", "P2", "P3", "P3-m1", "P1e6"])
+    @pytest.mark.parametrize("where", [
+        "huge", "-huge", "above-beta(P)", "beta(P)", "below-beta(P)", "above-beta(1)", "beta(1)", "below-beta(1)",
+    ])
+    def test_targets_at_the_ends_match_reference(self, n, P, a, ratios, where):
+        # the ends of [1, P] are probed only when the search reaches them,
+        # so the K or the error must still be the full bisection's
+        def beta_at(k1):
+            return beta(ModelParams(n=n, a=a, K=ring_sizes_for(k1, ratios, P), P=P))
+
+        targets = {
+            "huge": 1.7e308,
+            "-huge": -1.7e308,
+            "above-beta(P)": math.nextafter(beta_at(P), math.inf),
+            "beta(P)": beta_at(P),
+            "below-beta(P)": math.nextafter(beta_at(P), -math.inf),
+            "above-beta(1)": math.nextafter(beta_at(1), math.inf),
+            "beta(1)": beta_at(1),
+            "below-beta(1)": math.nextafter(beta_at(1), -math.inf),
+        }
+        target = targets[where]
+
+        def outcome(solve):
+            try:
+                return solve(n, P, a, ratios, target)
+            except UnachievableError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(solve_k1) == outcome(bisect_solve_k1)
+        assert outcome(solve_k1_nearest) == outcome(bisect_solve_k1_nearest)
+
+    @pytest.mark.parametrize("args", [
+        (10**6, 10**9, (1.0,), (1.0,), 0.0),
+        (10**6, 10**9, (0.2, 0.3, 0.5), (1.0, 1.5, 3.0), -5.0),
+        (1000, 10**6, (0.2, 0.3, 0.5), (1.0, 1.5, 3.0), 0.0),
+        (120, 2000, (0.6, 0.4), (1.0, 1.5), 1.5),
+    ])
+    def test_inner_answer_never_probes_the_ends(self, args):
+        with probed_base_sizes() as probes:
+            K1 = solve_k1(*args)[0]
+        P = args[1]
+        assert 2 < K1 < P - 1
+        assert probes and 1 not in probes and P not in probes
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_ends_probed_only_next_to_the_answer(self, data):
+        # deciding K_1 = 2 needs beta(1), and the estimate reaches P only
+        # when the answer is P - 1 or P; any other answer needs neither end
+        m = data.draw(st.integers(1, 3))
+        extra = data.draw(st.lists(st.floats(1.0, 6.0), min_size=m - 1, max_size=m - 1))
+        ratios = (1.0, *sorted(extra))
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+        a = tuple(w / sum(weights) for w in weights)
+        n = data.draw(st.integers(2, 10**6))
+        P = data.draw(st.integers(4, 10**5))
+        target = data.draw(st.floats(-20.0, 40.0))
+        with probed_base_sizes() as probes:
+            try:
+                K1 = solve_k1(n, P, a, ratios, target)[0]
+            except UnachievableError:
+                K1 = P + 1
+        if 2 < K1 < P - 1:
+            assert 1 not in probes and P not in probes
+        assert len(probes) == len(set(probes))  # nothing is evaluated twice
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -581,6 +679,109 @@ class TestSolveK1:
         args = (100, 1000, (0.5, 0.5))
         assert solve_k1(*args, (1.0, 1e308), target) == solve_k1(*args, (1.0, 1000.0), target)
         assert solve_k1_nearest(*args, (1.0, 1e308), target) == solve_k1_nearest(*args, (1.0, 1000.0), target)
+
+
+# ---------------------------------------------------------------- input checks
+
+HUGE = 10**400  # an integer no float holds
+MODEL_BASE = dict(n=10, a=(0.5, 0.5), K=(2, 3), P=20)
+SOLVER_BASE = dict(n=100, P=1000, a=(0.25, 0.25, 0.5), ratios=(1.0, 2.0, 3.0), target_beta=0.0)
+
+
+class TestInputChecks:
+    """One bad value per case; each check keeps its exception and message."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", True, "n must be an integer, got True"),
+        ("n", "10", "n must be an integer, got '10'"),
+        ("n", None, "n must be an integer, got None"),
+        ("n", 10.0, "n must be an integer, got 10.0"),
+        ("n", HUGE, "n must be finite, got an integer past the float range"),
+        ("n", 0, "n must be an integer >= 1, got 0"),
+        ("P", True, "P must be an integer, got True"),
+        ("P", None, "P must be an integer, got None"),
+        ("P", HUGE, "P must be finite, got an integer past the float range"),
+        ("a", (True, 0.5), "every group probability must be a number, got True"),
+        ("a", ("0.5", 0.5), "every group probability must be a number, got '0.5'"),
+        ("a", (None, 0.5), "every group probability must be a number, got None"),
+        ("a", (math.nan, 0.5), "every group probability must be finite and > 0, got (nan, 0.5)"),
+        ("a", (0.5, math.inf), "every group probability must be finite and > 0, got (0.5, inf)"),
+        ("a", (0.5, HUGE), "every group probability must be finite, got an integer past the float range"),
+        ("a", (0.5, -0.5), "every group probability must be finite and > 0, got (0.5, -0.5)"),
+        ("a", (0.4, 0.4), "group probabilities must sum to 1 within 1e-09, got sum 0.8"),
+        ("K", (True, 3), "every K_i must be an integer, got True"),
+        ("K", ("2", 3), "every K_i must be an integer, got '2'"),
+        ("K", (None, 3), "every K_i must be an integer, got None"),
+        ("K", (math.nan, 3), "every K_i must be an integer, got nan"),
+        ("K", (2, math.inf), "every K_i must be an integer, got inf"),
+        ("K", (2, HUGE), "need 1 <= K_2 <= P, got K=(2, 1" + "0" * 400 + "), P=20"),
+        ("K", (), "a and K must be equally long, got 2 and 0"),
+        ("K", (3, 2), "ring sizes must be nondecreasing, got (3, 2)"),
+        ("K", (2, 21), "need 1 <= K_2 <= P, got K=(2, 21), P=20"),
+        ("K", (0, 3), "need 1 <= K_1 <= P, got K=(0, 3), P=20"),
+        ("K", (21, 2), "need 1 <= K_1 <= P, got K=(21, 2), P=20"),
+    ])
+    def test_model_params_refuses(self, field, value, message):
+        with pytest.raises(InvalidParamsError) as err:
+            ModelParams(**dict(MODEL_BASE, **{field: value}))
+        assert str(err.value) == message
+
+    def test_model_params_refuses_empty_groups(self):
+        with pytest.raises(InvalidParamsError) as err:
+            ModelParams(n=10, a=(), K=(), P=20)
+        assert str(err.value) == "group probabilities must sum to 1 within 1e-09, got sum 0.0"
+
+    @pytest.mark.parametrize("solve", [solve_k1, solve_k1_nearest], ids=["solve_k1", "solve_k1_nearest"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", True, "n must be an integer, got True"),
+        ("n", "100", "n must be an integer, got '100'"),
+        ("n", None, "n must be an integer, got None"),
+        ("n", HUGE, "n must be finite, got an integer past the float range"),
+        ("n", 0, "n must be an integer >= 1, got 0"),
+        ("P", True, "P must be an integer, got True"),
+        ("P", None, "P must be an integer, got None"),
+        ("P", HUGE, "P must be finite, got an integer past the float range"),
+        ("a", (0.25, True, 0.5), "every group probability must be a number, got True"),
+        ("a", (0.25, "0.25", 0.5), "every group probability must be a number, got '0.25'"),
+        ("a", (0.25, None, 0.5), "every group probability must be a number, got None"),
+        ("a", (0.25, math.nan, 0.5), "every group probability must be finite and > 0, got (0.25, nan, 0.5)"),
+        ("a", (0.25, 0.25, math.inf), "every group probability must be finite and > 0, got (0.25, 0.25, inf)"),
+        ("a", (0.25, 0.25, HUGE), "every group probability must be finite, got an integer past the float range"),
+        ("a", (), "group probabilities must sum to 1 within 1e-09, got sum 0.0"),
+        ("ratios", (1.0, True, 3.0), "every ratio must be a number, got True"),
+        ("ratios", (1.0, "2", 3.0), "every ratio must be a number, got '2'"),
+        ("ratios", (1.0, None, 3.0), "every ratio must be a number, got None"),
+        ("ratios", (1.0, math.nan, 3.0), "ratios must be finite, got (1.0, nan, 3.0)"),
+        ("ratios", (1.0, 2.0, math.inf), "ratios must be finite, got (1.0, 2.0, inf)"),
+        ("ratios", (1.0, 2.0, HUGE), "every ratio must be finite, got an integer past the float range"),
+        ("ratios", (), "ratios must have one entry per group, got 0 for m=3"),
+        ("ratios", (1.0, 3.0, 2.0), "ratios must be nondecreasing, got (1.0, 3.0, 2.0)"),
+        ("ratios", (2.0, 2.0, 3.0), "ratios[0] must be 1, got 2.0"),
+        ("ratios", (1.0, 0.5, 3.0), "every ratio must be >= 1, got (1.0, 0.5, 3.0)"),
+        ("ratios", (1.0 - 1e-13, 2.0, 3.0), "every ratio must be >= 1, got (0.9999999999999, 2.0, 3.0)"),
+        ("target_beta", True, "target beta must be a number, got True"),
+        ("target_beta", "0", "target beta must be a number, got '0'"),
+        ("target_beta", None, "target beta must be a number, got None"),
+        ("target_beta", math.nan, "target beta must be finite, got nan"),
+        ("target_beta", -math.inf, "target beta must be finite, got -inf"),
+        ("target_beta", HUGE, "target beta must be finite, got an integer past the float range"),
+    ])
+    def test_solvers_refuse(self, solve, field, value, message):
+        with pytest.raises(InvalidParamsError) as err:
+            solve(**dict(SOLVER_BASE, **{field: value}))
+        assert str(err.value) == message
+
+    def test_numpy_scalars_act_as_python_values(self):
+        weights = (np.float32(0.3), np.float32(0.7))
+        plain_weights = tuple(float(x) for x in weights)
+        got = ModelParams(n=np.int64(50), a=weights, K=(np.int32(3), np.int64(5)), P=np.int64(400))
+        assert got == ModelParams(n=50, a=plain_weights, K=(3, 5), P=400)
+        assert all(type(x) is float for x in got.a)
+        for solve in (solve_k1, solve_k1_nearest):
+            for ratios, target in [((np.float64(1.0), np.float32(1.6)), np.float32(0.3)),
+                                   ((1.0, np.float64(1.6)), np.float64(-1.2))]:
+                want = solve(500, 4000, plain_weights, tuple(float(r) for r in ratios), float(target))
+                assert solve(np.int64(500), np.int32(4000), weights, ratios, target) == want
 
 
 # ---------------------------------------------------------------- diagnostics

@@ -10,6 +10,7 @@ from rigraph import (
     InvalidParamsError,
     ModelParams,
     SweepRow,
+    UnachievableError,
     b_vector,
     beta,
     diagnostics,
@@ -32,6 +33,7 @@ from rigraph.sweeps import (
 )
 
 from conftest import exit_in_worker, small_params
+from reference_solver import bisect_solve_k1
 from hypothesis import given, settings
 
 
@@ -622,6 +624,33 @@ class TestCli:
         assert (code, out, err) == (2, "", f"error: simulation needs P <= 2^53, got P={2**54}\n")
         assert ran == []
         assert not (tmp_path / "x.csv").exists()
+
+    def test_estimate_past_float_range_exit_2(self, capsys, tmp_path):
+        # P (ln n + target) overflows: one line and exit 2, not a traceback
+        want = (2, "", "error: cannot solve for target beta 0.0 at n=100, P=1e+308: "
+                       "the estimate of K_1 is past the float range\n")
+        argv = ["solve", "--n", "100", "--P", str(10**308), "--a", "1", "--ratios", "1", "--target-beta", "0"]
+        assert run_cli(capsys, *argv) == want
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(spec_dict(base={"n": 100, "P": 10**308, "a": [1.0]}, ratios=[1.0],
+                                            axis="beta-target", points=[0], output_path=str(tmp_path / "x.csv"))))
+        assert run_cli(capsys, "sweep", str(cfg)) == want
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("where", ["huge", "-huge", "above-beta(P)"])
+    def test_solve_targets_past_the_ends_match_reference(self, capsys, where):
+        n, P = 10, 10
+        top = beta(ModelParams(n=n, a=(1.0,), K=(P,), P=P))
+        target = {"huge": 1.7e308, "-huge": -1.7e308, "above-beta(P)": math.nextafter(top, math.inf)}[where]
+        code, out, err = run_cli(capsys, "solve", "--n", str(n), "--P", str(P), "--a", "1", "--ratios", "1",
+                                 f"--target-beta={target!r}")
+        try:
+            K = bisect_solve_k1(n, P, (1.0,), (1.0,), target)
+        except UnachievableError as exc:
+            assert (code, out, err) == (2, "", f"error: {exc}\n")
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["K"] == list(K)
 
     def test_sweep_empty_groups_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
