@@ -21,12 +21,10 @@ from .model_core import (
     beta_from_b1,
     cross_moment_ratio,
     diagnostics,
-    edge_prob,
     exact_quantities,
     expected_isolated,
     expected_isolated_from_b,
     no_overlap_ratio,
-    pairwise_edge_prob,
     ring_sizes_for,
     solve_k1,
 )
@@ -43,4 +41,4 @@ from .sweeps import (
     write_sweep_csv,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

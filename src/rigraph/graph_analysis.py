@@ -70,10 +70,13 @@ def _component_counts(offsets: np.ndarray, nodes: np.ndarray, node_count: int, t
 def analyze_batch(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial component, isolated and group-1 isolated counts.
 
-    Raises ``InvariantViolation`` if a sample is reported connected while
-    having an isolated vertex.
+    Needs n >= 2 vertices per trial, as every ``ModelParams`` has: a lone
+    vertex is connected and isolated at once.  Raises ``InvariantViolation``
+    if a sample is reported connected while having an isolated vertex.
     """
     offsets, trials, P, n = batch.offsets, batch.trials, batch.P, batch.n
+    if n < 2:
+        raise InvalidParamsError(f"analysis needs n >= 2 vertices per trial, got n={n}")
     tags = np.repeat(np.arange(0, trials * P, P, dtype=np.int64), np.diff(offsets[::n]))
     nodes, held, node_count = _object_nodes(tags + batch.objects, trials * P)
     shared = np.concatenate(([0], np.cumsum(held > 1)))
@@ -95,8 +98,6 @@ def analyze(batch: GraphBatch) -> TrialStats:
     connectivity=>no-isolation implication asserted before returning."""
     if batch.trials != 1:
         raise InvalidParamsError(f"analyze takes a one-trial batch, got {batch.trials} trials")
-    if batch.n < 2:
-        raise InvalidParamsError(f"analyze needs n >= 2, got n={batch.n}")
     comp, isolated, group1 = (int(c[0]) for c in analyze_batch(batch))
     connected = comp == 1
     return TrialStats(

@@ -18,15 +18,20 @@ parameter tuple (n, a, K, P):
 * a second-moment diagnostic for the pair-isolation probability of two
   group-1 vertices (see ``cross_moment_ratio``).
 
-Binomial-coefficient ratios are evaluated as products of K linear factors in
-log space; raw factorials are never formed, so P up to ~1e9 is fine.  A ratio
-whose exp would underflow is returned as 0.0 without the full sum, so one
-ratio costs O(min(K_i, K_j, sqrt(745 P))) terms.  b, the p-matrix, the
-cross-moment denominator and the ring-size solver share one 4096-entry cache
-of ratios, so each (P, K_i, K_j) in it is computed once, and
-``exact_quantities`` takes every quantity built on b from one b.  One function
-checks n, a and P for ``ModelParams`` and for the solver, walking each tuple
-once.  The solver then evaluates beta on those plain values, row 1 of b only,
+Each formula has one function.  ``no_overlap_ratio`` evaluates a
+binomial-coefficient ratio as a product of K linear factors in log space;
+raw factorials are never formed, so P up to ~1e9 is fine.  A ratio whose exp
+would underflow is returned as 0.0 without the full sum, so one ratio costs
+O(min(K_i, K_j, sqrt(745 P))) terms.  b, the p-matrix, the cross-moment
+denominator and the ring-size solver share its 4096-entry cache, so each
+(P, K_i, K_j) in it is computed once.  ``exact_quantities`` is the one place
+that assembles the p-matrix and the unconditional edge probability, and it
+takes every quantity built on b from one b.
+
+Each model rule has one owner.  ``_model_inputs`` checks n, a and P for
+``ModelParams`` and for the solver, walking each tuple once; n >= 2 is one
+of its rules, so no function taking a ``ModelParams`` checks it again.  The
+solver then evaluates beta on those plain values, row 1 of b only,
 O(log K_1) times near its answer and twice when its starting estimate is
 within one of it; it evaluates the ends of [1, P] only when its search
 reaches them.
@@ -94,10 +99,10 @@ def _model_inputs(n, a, P) -> tuple[int, tuple[float, ...], int]:
         n = _as_int("n", n)
     if type(P) is not int:
         P = _as_int("P", P)
-    if not (1 <= n <= _INT_FLOAT_MAX and 1 <= P <= _INT_FLOAT_MAX):
-        for name, value in (("n", n), ("P", P)):
-            if value < 1:
-                raise InvalidParamsError(f"{name} must be an integer >= 1, got {value}")
+    if not (2 <= n <= _INT_FLOAT_MAX and 1 <= P <= _INT_FLOAT_MAX):
+        for name, value, least in (("n", n, 2), ("P", P, 1)):
+            if value < least:
+                raise InvalidParamsError(f"{name} must be an integer >= {least}, got {value}")
             if value > _INT_FLOAT_MAX:
                 raise InvalidParamsError(f"{name} must be finite, got an integer past the float range")
     weights = []
@@ -122,13 +127,14 @@ def _model_inputs(n, a, P) -> tuple[int, tuple[float, ...], int]:
     return n, a, P
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModelParams:
     """Immutable parameter tuple (n, a, K, P); single source of truth.
 
     Invariants enforced at construction:
       * n, P and every K_i are integers (numpy integers are stored as Python
-        ints; bools are rejected), and n and P lie in 1..max float
+        ints; bools are rejected), n lies in 2..max float and P in 1..max
+        float (every closed form built on b_1 needs a second vertex)
       * len(a) == len(K) == m >= 1, every a_i a finite number > 0 (bools and
         strings are rejected), sum(a) == 1 within 1e-9 (renormalized exactly
         to sum 1 on construction, rejected otherwise)
@@ -141,12 +147,12 @@ class ModelParams:
     K: tuple[int, ...]
     P: int
 
-    def __post_init__(self) -> None:
-        n, a, P = _model_inputs(self.n, self.a, self.P)
+    def __init__(self, n: int, a: tuple[float, ...], K: tuple[int, ...], P: int) -> None:
+        n, a, P = _model_inputs(n, a, P)
         sizes = []
         ordered = True  # every K_i in [1, P] and none below the one before
         low = 1
-        for k in self.K:
+        for k in K:
             if type(k) is not int:
                 k = _as_int("every K_i", k)
             if not low <= k <= P:
@@ -173,38 +179,9 @@ class ModelParams:
 
     def fingerprint(self) -> str:
         """Stable hex digest of the exact parameter values."""
-        return _fingerprint(self)
-
-
-@lru_cache(maxsize=4096)
-def _fingerprint(params: ModelParams) -> str:
-    canon = "n=%d;P=%d;a=%s;K=%s" % (
-        params.n,
-        params.P,
-        ",".join(x.hex() for x in params.a),
-        ",".join(str(k) for k in params.K),
-    )
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def log_no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
-    """ln of the probability that fixed Ki objects avoid a uniform Kj-subset.
-
-    Equals ln[ C(P-Ki, Kj) / C(P, Kj) ], computed as a compensated sum of
-    log1p terms.  Returns -inf when P - Ki < Kj (avoidance impossible) and
-    exactly 0.0 when either size is zero.  Symmetric in (Ki, Kj); the sum
-    always runs over the smaller of the two so the symmetry is exact in
-    floating point.
-    """
-    if Ki < 0 or Kj < 0 or Ki > P or Kj > P:
-        raise InvalidParamsError(f"need 0 <= Ki, Kj <= P, got Ki={Ki}, Kj={Kj}, P={P}")
-    if Ki == 0 or Kj == 0:
-        return 0.0
-    if P - Ki < Kj:
-        return -math.inf
-    if Kj > Ki:  # C(P-Ki,Kj)/C(P,Kj) == C(P-Kj,Ki)/C(P,Ki); iterate less
-        Ki, Kj = Kj, Ki
-    return math.fsum(math.log1p(-Ki / (P - t)) for t in range(Kj))
+        a = ",".join(map(float.hex, self.a))
+        canon = "n=%d;P=%d;a=%s;K=%s" % (self.n, self.P, a, ",".join(map(str, self.K)))
+        return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 @lru_cache(maxsize=4096, typed=True)
@@ -212,28 +189,27 @@ def no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
     """Probability that a uniform Ki-subset and an independent uniform
     Kj-subset of a P-element pool are disjoint: C(P-Ki, Kj) / C(P, Kj).
 
-    Equals ``exp(log_no_overlap_ratio(P, Ki, Kj))`` bit for bit, but costs
-    O(min(Ki, Kj, sqrt(745 P))) terms: each of the min(Ki, Kj) log terms is
-    at most log1p(-max(Ki, Kj)/P), so once that many copies of the first
-    term fall below the underflow cut-off, the result is 0.0 without the sum.
-    Cached by argument type, so an int argument is never served an entry
-    computed for a float.
+    Computed as the exp of a compensated sum of min(Ki, Kj) log1p terms,
+    log1p(-max(Ki, Kj)/(P - t)); the sum always runs over the smaller size,
+    so the ratio is symmetric in (Ki, Kj) exactly in floating point.  Exactly
+    1.0 when either size is zero and 0.0 when P - Ki < Kj (avoidance
+    impossible).  Each term is at most the first, log1p(-max(Ki, Kj)/P), so
+    once min(Ki, Kj) copies of that fall below the underflow cut-off the
+    result is 0.0 without the sum: one ratio costs O(min(Ki, Kj,
+    sqrt(745 P))) terms.  Cached by argument type, so an int argument is
+    never served an entry computed for a float.
     """
+    if Ki < 0 or Kj < 0 or Ki > P or Kj > P:
+        raise InvalidParamsError(f"need 0 <= Ki, Kj <= P, got Ki={Ki}, Kj={Kj}, P={P}")
     small, large = (Ki, Kj) if Ki <= Kj else (Kj, Ki)
-    # these two tests also ensure 0 < small <= large < P, which the bound
-    # needs; other inputs go to log_no_overlap_ratio, which validates them
-    if small > _BOUND_MIN_TERMS and large < P:
-        if small * math.log1p(-large / P) < _LOG_UNDERFLOW:
-            return 0.0
-    return math.exp(log_no_overlap_ratio(P, Ki, Kj))
-
-
-def pairwise_edge_prob(params: ModelParams, i: int, j: int) -> float:
-    """Edge probability between a group-i and a group-j vertex (1-based)."""
-    for g in (i, j):
-        if not isinstance(g, int) or not 1 <= g <= params.m:
-            raise InvalidParamsError(f"group index must be in 1..{params.m}, got {g!r}")
-    return 1.0 - no_overlap_ratio(params.P, params.K[i - 1], params.K[j - 1])
+    if small == 0:
+        return 1.0
+    if P - large < small:
+        return 0.0
+    # here 0 < small <= large < P, which the bound needs
+    if small > _BOUND_MIN_TERMS and small * math.log1p(-large / P) < _LOG_UNDERFLOW:
+        return 0.0
+    return math.exp(math.fsum(math.log1p(-large / (P - t)) for t in range(small)))
 
 
 def _b_row(P: int, a: tuple[float, ...], K: tuple[int, ...], Ki: int) -> float:
@@ -246,11 +222,6 @@ def b_vector(params: ModelParams) -> tuple[float, ...]:
     """All group-conditioned edge probabilities b_i = sum_j a_j p_ij."""
     P, a, K = params.P, params.a, params.K
     return tuple(_b_row(P, a, K, Ki) for Ki in K)
-
-
-def edge_prob(params: ModelParams) -> float:
-    """Unconditional edge probability sum_i sum_j a_i a_j p_ij."""
-    return math.fsum(ai * bi for ai, bi in zip(params.a, b_vector(params)))
 
 
 def beta_from_b1(n: int, b1: float) -> float:
@@ -561,11 +532,9 @@ class ExactQuantities:
 
 
 def exact_quantities(params: ModelParams) -> ExactQuantities:
-    """Evaluate all closed forms at one parameter point (needs n >= 2); the
-    edge probability, beta and the isolation terms all come from one b."""
+    """Evaluate all closed forms at one parameter point; the edge
+    probability, beta and the isolation terms all come from one b."""
     n, P, a, K = params.n, params.P, params.a, params.K
-    if n < 2:
-        raise InvalidParamsError(f"exact quantities need n >= 2, got n={n}")
     b = b_vector(params)
     e_j, e_i = expected_isolated_from_b(n, a, b)
     cmr: float | None

@@ -186,8 +186,6 @@ def run_trials(
     trials = _as_int("trials", trials)
     if trials < 1:
         raise InvalidParamsError(f"trials must be >= 1, got {trials}")
-    if params.n < 2:
-        raise InvalidParamsError(f"simulation needs n >= 2, got n={params.n}")
     _check_pool(params)
     master_seed = SeedSpec(master_seed).master_seed  # validated early, as a Python int
     workers = resolve_workers(workers)

@@ -71,8 +71,6 @@ def enumerate_event_probs(params: ModelParams) -> EventProbs:
     weighted by the product of its vertices' probabilities and its events
     evaluated with the same analysis kernel the simulator uses.
     """
-    if params.n < 2:
-        raise InvalidParamsError(f"event enumeration needs n >= 2, got n={params.n}")
     per_vertex = sum(math.comb(params.P, Kg) for Kg in params.K)
     if per_vertex ** params.n > BUDGET:
         raise EnumerationBudgetError(

@@ -121,7 +121,16 @@ class GraphBatch:
     @classmethod
     def from_sets(cls, groups, object_sets, P: int, trials: int = 1, params_hash: str = "") -> GraphBatch:
         """The batch of per-vertex groups and sorted object sets, listed
-        vertex by vertex in batch order."""
+        vertex by vertex in batch order.  Only the shape is checked here, in
+        O(1); ``validate`` checks the ids against the params."""
+        trials = _as_int("trials", trials)
+        if trials < 1:
+            raise InvalidParamsError(f"trials must be >= 1, got {trials}")
+        sets, vertices = len(object_sets), len(groups)
+        if sets != vertices:
+            raise InvalidParamsError(f"need one object set per group label, got {sets} and {vertices}")
+        if vertices % trials:
+            raise InvalidParamsError(f"{vertices} vertices do not split into {trials} trials")
         offsets = np.cumsum([0, *map(len, object_sets)], dtype=np.int64)
         objects = np.fromiter(chain.from_iterable(object_sets), dtype=np.int64, count=int(offsets[-1]))
         return cls(np.asarray(groups, dtype=np.int64), objects, offsets, trials, P, params_hash)

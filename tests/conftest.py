@@ -1,10 +1,13 @@
 """Shared helpers: a one-trial batch built from per-vertex sets, an
-independent adjacency-matrix/BFS analysis oracle, the tiny instances of the
-event oracle, a hypothesis strategy for small valid parameter tuples, and
-process-pool stand-ins for the trial runner."""
+independent adjacency-matrix/BFS analysis oracle, the walk that finds names
+a parsed source takes from ``rigraph`` that do not exist, the tiny instances
+of the event oracle, a hypothesis strategy for small valid parameter tuples,
+and process-pool stand-ins for the trial runner."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import os
 
 import pytest
@@ -52,6 +55,30 @@ def naive_stats(sample: GraphBatch) -> tuple[bool, int, int, int]:
     iso = sum(isolated)
     g1 = sum(1 for v in range(n) if isolated[v] and sample.groups[v] == 1)
     return comps == 1, comps, iso, g1
+
+
+def rigraph_aliases(tree: ast.AST) -> dict:
+    """Local name -> module, for each ``import rigraph... as name``."""
+    return {a.asname: importlib.import_module(a.name)
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for a in node.names if a.name.split(".")[0] == "rigraph" and a.asname}
+
+
+def missing_rigraph_names(tree: ast.AST) -> list[str]:
+    """Every name the parsed source imports from ``rigraph`` or reads as an
+    attribute of an imported ``rigraph`` module that does not exist."""
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rigraph":
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+    aliases = rigraph_aliases(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = aliases.get(node.value.id)
+            if module is not None and not hasattr(module, node.attr):
+                missing.append(f"{module.__name__}.{node.attr}")
+    return missing
 
 
 def tiny_instances() -> list[ModelParams]:

@@ -65,8 +65,6 @@ def edge_prob(params: ModelParams) -> Fraction:
 
 def expected_isolated(params: ModelParams) -> tuple[Fraction, Fraction]:
     """Exact E[#isolated] and E[#group-1 isolated]: n * sum a_i (1-b_i)^(n-1)."""
-    if params.n < 2:
-        raise InvalidParamsError(f"isolation moments need n >= 2, got n={params.n}")
     a = _a_fractions(params)
     terms = [ai * (1 - bi) ** (params.n - 1) for ai, bi in zip(a, b_vector(params))]
     return params.n * sum(terms, Fraction(0)), params.n * terms[0]

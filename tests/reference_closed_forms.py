@@ -1,9 +1,12 @@
 """Slow reference for ``exact_quantities``: each quantity through its own
-public function, the p-matrix through ``pairwise_edge_prob`` and b looked up
-once per quantity.  The tests require the one-pass ``exact_quantities`` to
-return the same floats bit for bit."""
+public function or written out here, b looked up once per quantity, the
+p-matrix as 1 - ``no_overlap_ratio`` per pair and the unconditional edge
+probability as the compensated sum of a_i b_i.  The tests require the
+one-pass ``exact_quantities`` to return the same floats bit for bit."""
 
 from __future__ import annotations
+
+import math
 
 from rigraph import (
     ExactQuantities,
@@ -13,21 +16,14 @@ from rigraph import (
     b_vector,
     beta,
     cross_moment_ratio,
-    edge_prob,
     expected_isolated,
-    pairwise_edge_prob,
+    no_overlap_ratio,
 )
 
 
 def reference_exact_quantities(params: ModelParams) -> ExactQuantities:
-    if params.n < 2:
-        raise InvalidParamsError(f"exact quantities need n >= 2, got n={params.n}")
-    m = params.m
-    p = tuple(
-        tuple(pairwise_edge_prob(params, i, j) for j in range(1, m + 1))
-        for i in range(1, m + 1)
-    )
-    b = b_vector(params)
+    P, K = params.P, params.K
+    p = tuple(tuple(1.0 - no_overlap_ratio(P, Ki, Kj) for Kj in K) for Ki in K)
     e_j, e_i = expected_isolated(params)
     cmr: float | None
     try:
@@ -36,8 +32,8 @@ def reference_exact_quantities(params: ModelParams) -> ExactQuantities:
         cmr = None
     return ExactQuantities(
         p=p,
-        b=b,
-        edge_prob=edge_prob(params),
+        b=b_vector(params),
+        edge_prob=math.fsum(ai * bi for ai, bi in zip(params.a, b_vector(params))),
         beta=beta(params),
         expected_isolated=e_j,
         expected_group1_isolated=e_i,

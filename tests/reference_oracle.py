@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from rigraph.errors import EnumerationBudgetError, InvalidParamsError
+from rigraph.errors import EnumerationBudgetError
 from rigraph.graph_analysis import analyze_batch
 from rigraph.model_core import ModelParams
 from rigraph.oracle import _ANALYSIS_BATCH, BUDGET, EventProbs
@@ -26,8 +26,6 @@ def reference_event_probs(params: ModelParams) -> EventProbs:
     a_g / C(P, K_g); every joint assignment is weighted accordingly and the
     events evaluated with the same analysis kernel the simulator uses.
     """
-    if params.n < 2:
-        raise InvalidParamsError(f"event enumeration needs n >= 2, got n={params.n}")
     per_vertex = sum(math.comb(params.P, Kg) for Kg in params.K)
     if per_vertex ** params.n > BUDGET:
         raise EnumerationBudgetError(

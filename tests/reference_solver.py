@@ -5,8 +5,8 @@
 is ``solve_k1_nearest`` built on it.  Both evaluate beta(P) and beta(1)
 first, and raise ``solve_k1``'s message for an unachievable target.
 ``full_sum_no_overlap_ratio`` is ``no_overlap_ratio`` without its underflow
-bound: the exp of the full compensated log sum.  The tests require the fast
-paths to match these exactly.
+bound: the exp of the full compensated log sum, written out here.  The tests
+require the fast paths to match these exactly.
 """
 
 from __future__ import annotations
@@ -14,16 +14,17 @@ from __future__ import annotations
 import math
 
 from rigraph import ModelParams, UnachievableError, beta, ring_sizes_for
-from rigraph.model_core import log_no_overlap_ratio
 
 
 def full_sum_no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
-    lr = log_no_overlap_ratio(P, Ki, Kj)
-    if lr == 0.0:
+    """C(P-Ki, Kj) / C(P, Kj) for 0 <= Ki, Kj <= P, as the exp of the
+    compensated sum of log1p(-max/(P - t)) over t < min."""
+    small, large = sorted((Ki, Kj))
+    if small == 0:
         return 1.0
-    if lr == -math.inf:
+    if P - large < small:
         return 0.0
-    return math.exp(lr)
+    return math.exp(math.fsum(math.log1p(-large / (P - t)) for t in range(small)))
 
 
 def bisect_solve_k1(

@@ -19,12 +19,12 @@ import pytest
 from rigraph import (
     ModelParams,
     cross_moment_ratio,
+    exact_quantities,
     expected_isolated,
     expected_isolated_from_b,
     enumerate_event_probs,
     enumerate_pair_prob,
     no_overlap_ratio,
-    pairwise_edge_prob,
     run_trials,
     solve_k1,
     wilson_interval,
@@ -110,9 +110,10 @@ def test_criterion_1_pairwise_edge_prob_matches_enumeration():
                     params = ModelParams(
                         n=2, a=(0.5, 0.5), K=(min(Ki, Kj), max(Ki, Kj)), P=P
                     )
-                    i, j = (1, 2) if Ki <= Kj else (2, 1)
-                    want = pairwise_edge_prob(params, i, j)
-                    assert pairwise_edge_prob(params, j, i) == want
+                    i, j = (0, 1) if Ki <= Kj else (1, 0)
+                    p = exact_quantities(params).p
+                    want = p[i][j]
+                    assert p[j][i] == want
                 if got == 0.0:
                     assert want == 0.0
                 else:

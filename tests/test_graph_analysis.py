@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import rigraph.graph_analysis as ga
 from rigraph import (
+    GraphBatch,
     InvalidParamsError,
     ModelParams,
     SeedSpec,
@@ -100,6 +101,13 @@ class TestAnalyze:
     def test_rejects_single_vertex(self):
         with pytest.raises(InvalidParamsError):
             analyze(make_sample([1], [[0]]))
+
+    def test_batch_of_one_vertex_trials_refused(self):
+        # a lone vertex is connected and isolated at once; the batch kernel
+        # must refuse it, not report a broken invariant
+        batch = GraphBatch.from_sets([1, 1, 1], [[0], [1], [0]], 2, trials=3)
+        with pytest.raises(InvalidParamsError, match="^analysis needs n >= 2 vertices per trial, got n=1$"):
+            ga.analyze_batch(batch)
 
     def test_rejects_multi_trial_batch(self):
         batch = sample_batch(ModelParams(n=4, a=(1.0,), K=(2,), P=8), 1, 0, 2)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from contextlib import contextmanager
 from dataclasses import astuple
 from fractions import Fraction
@@ -18,12 +20,10 @@ from rigraph import (
     beta_from_b1,
     cross_moment_ratio,
     diagnostics,
-    edge_prob,
     exact_quantities,
     expected_isolated,
     expected_isolated_from_b,
     no_overlap_ratio,
-    pairwise_edge_prob,
     ring_sizes_for,
     solve_k1,
     solve_k1_nearest,
@@ -133,6 +133,35 @@ class TestModelParams:
             assert hash(got) == hash(plain)
             assert got.fingerprint() == plain.fingerprint()
 
+    def test_construction_forms_agree(self):
+        by_keyword = ModelParams(n=5, a=(0.25, 0.75), K=(2, 3), P=9)
+        by_position = ModelParams(5, (0.25, 0.75), (2, 3), 9)
+        replaced = dataclasses.replace(ModelParams(n=7, a=(0.5, 0.5), K=(1, 3), P=9), n=5, a=(0.25, 0.75), K=(2, 3))
+        for other in (by_position, replaced):
+            assert other == by_keyword
+            assert hash(other) == hash(by_keyword)
+            assert other.fingerprint() == by_keyword.fingerprint()
+        assert astuple(replaced) == (5, (0.25, 0.75), (2, 3), 9)
+
+    def test_replace_runs_the_checks(self):
+        with pytest.raises(InvalidParamsError, match="^n must be an integer >= 2, got 1$"):
+            dataclasses.replace(WORKED, n=1)
+        with pytest.raises(InvalidParamsError, match="nondecreasing"):
+            dataclasses.replace(WORKED, K=(2, 1))
+
+    def test_fields_cannot_be_assigned(self):
+        p = ModelParams(n=5, a=(1.0,), K=(2,), P=9)
+        for field, value in (("n", 1), ("a", (2.0,)), ("K", (0,)), ("P", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, field, value)
+        assert astuple(p) == (5, (1.0,), (2,), 9)
+
+    def test_pickle_round_trip(self):
+        # pool workers receive their params this way
+        p = ModelParams(n=50, a=(0.2, 0.3, 0.5), K=(2, 3, 5), P=400)
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and hash(back) == hash(p) and back.fingerprint() == p.fingerprint()
+
     def test_fingerprint_distinguishes(self):
         p1 = ModelParams(n=2, a=(0.5, 0.5), K=(1, 2), P=5)
         p2 = ModelParams(n=2, a=(0.5, 0.5), K=(1, 2), P=6)
@@ -212,21 +241,15 @@ WORKED = ModelParams(n=2, a=(0.5, 0.5), K=(1, 2), P=5)
 class TestEdgeProbabilities:
     def test_pairwise_worked_values(self):
         p22 = ModelParams(n=2, a=(0.5, 0.5), K=(2, 2), P=5)
-        assert pairwise_edge_prob(p22, 1, 2) == pytest.approx(0.7, abs=1e-12)
+        assert exact_quantities(p22).p[0][1] == pytest.approx(0.7, abs=1e-12)
         assert float(enumerate_pair_prob(5, 2, 2)) == pytest.approx(0.7, abs=1e-15)
-        assert pairwise_edge_prob(WORKED, 1, 1) == pytest.approx(0.2, abs=1e-12)
+        assert exact_quantities(WORKED).p[0][0] == pytest.approx(0.2, abs=1e-12)
         assert float(enumerate_pair_prob(5, 1, 1)) == pytest.approx(0.2, abs=1e-15)
 
     def test_full_ring_always_intersects(self):
-        p = ModelParams(n=2, a=(0.5, 0.5), K=(1, 5), P=5)
-        assert pairwise_edge_prob(p, 1, 2) == 1.0
-        assert pairwise_edge_prob(p, 2, 2) == 1.0
-
-    def test_index_bounds(self):
-        with pytest.raises(InvalidParamsError):
-            pairwise_edge_prob(WORKED, 0, 1)
-        with pytest.raises(InvalidParamsError):
-            pairwise_edge_prob(WORKED, 1, 3)
+        p = exact_quantities(ModelParams(n=2, a=(0.5, 0.5), K=(1, 5), P=5)).p
+        assert p[0][1] == 1.0
+        assert p[1][1] == 1.0
 
     def test_group_edge_prob_worked_values(self):
         # b_1 = 0.5*0.2 + 0.5*0.4, b_2 = 0.5*0.4 + 0.5*0.7, with the p_ij
@@ -237,28 +260,31 @@ class TestEdgeProbabilities:
 
     def test_single_group_b_equals_p11(self):
         p = ModelParams(n=4, a=(1.0,), K=(2,), P=6)
-        assert b_vector(p)[0] == pytest.approx(pairwise_edge_prob(p, 1, 1), abs=1e-15)
+        assert b_vector(p)[0] == pytest.approx(exact_quantities(p).p[0][0], abs=1e-15)
 
     def test_edge_prob_worked_value(self):
-        assert edge_prob(WORKED) == pytest.approx(0.425, abs=1e-12)
+        assert exact_quantities(WORKED).edge_prob == pytest.approx(0.425, abs=1e-12)
 
     def test_edge_prob_single_group(self):
-        p = ModelParams(n=4, a=(1.0,), K=(2,), P=6)
-        assert edge_prob(p) == pytest.approx(pairwise_edge_prob(p, 1, 1), abs=1e-15)
+        q = exact_quantities(ModelParams(n=4, a=(1.0,), K=(2,), P=6))
+        assert q.edge_prob == pytest.approx(q.p[0][0], abs=1e-15)
 
     @given(small_params())
     @settings(max_examples=60, deadline=None)
     def test_edge_prob_identity(self, params):
-        mix = math.fsum(ai * bi for ai, bi in zip(params.a, b_vector(params)))
-        assert abs(edge_prob(params) - mix) <= 1e-12
+        # the unconditional probability is the a-weighted mix of the p-matrix
+        q = exact_quantities(params)
+        mix = math.fsum(ai * aj * pij for ai, row in zip(params.a, q.p) for aj, pij in zip(params.a, row))
+        assert abs(q.edge_prob - mix) <= 1e-12
 
     @given(small_params())
     @settings(max_examples=60, deadline=None)
     def test_p_matrix_symmetric_and_b_monotone(self, params):
         m = params.m
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                assert pairwise_edge_prob(params, i, j) == pairwise_edge_prob(params, j, i)
+        p = exact_quantities(params).p
+        for i in range(m):
+            for j in range(m):
+                assert p[i][j] == p[j][i]
         b = b_vector(params)
         assert all(b[i] <= b[i + 1] + 1e-15 for i in range(m - 1))
 
@@ -272,10 +298,11 @@ class TestEdgeProbabilities:
         if K[j] + 1 > upper:
             return
         K[j] += 1
-        bigger = ModelParams(n=params.n, a=params.a, K=tuple(K), P=params.P)
-        for r in range(1, params.m + 1):
-            for c in range(1, params.m + 1):
-                assert pairwise_edge_prob(bigger, r, c) >= pairwise_edge_prob(params, r, c) - 1e-15
+        bigger = exact_quantities(ModelParams(n=params.n, a=params.a, K=tuple(K), P=params.P)).p
+        before = exact_quantities(params).p
+        for r in range(params.m):
+            for c in range(params.m):
+                assert bigger[r][c] >= before[r][c] - 1e-15
 
 
 # ---------------------------------------------------------------- beta
@@ -296,10 +323,10 @@ class TestBeta:
         assert beta_from_b1(100, 0.0) == -math.log(100)
 
     def test_rejects_small_n(self):
-        with pytest.raises(InvalidParamsError):
+        # a ModelParams never has n < 2 (see TestInputChecks); b_1 may come
+        # with any n
+        with pytest.raises(InvalidParamsError, match="^beta needs n >= 2, got n=1$"):
             beta_from_b1(1, 0.5)
-        with pytest.raises(InvalidParamsError):
-            beta(ModelParams(n=1, a=(1.0,), K=(1,), P=2))
 
     def test_params_level_matches_b1(self):
         p = ModelParams(n=20, a=(0.5, 0.5), K=(2, 3), P=30)
@@ -697,10 +724,12 @@ class TestInputChecks:
         ("n", None, "n must be an integer, got None"),
         ("n", 10.0, "n must be an integer, got 10.0"),
         ("n", HUGE, "n must be finite, got an integer past the float range"),
-        ("n", 0, "n must be an integer >= 1, got 0"),
+        ("n", 0, "n must be an integer >= 2, got 0"),
+        ("n", 1, "n must be an integer >= 2, got 1"),
         ("P", True, "P must be an integer, got True"),
         ("P", None, "P must be an integer, got None"),
         ("P", HUGE, "P must be finite, got an integer past the float range"),
+        ("P", 0, "P must be an integer >= 1, got 0"),
         ("a", (True, 0.5), "every group probability must be a number, got True"),
         ("a", ("0.5", 0.5), "every group probability must be a number, got '0.5'"),
         ("a", (None, 0.5), "every group probability must be a number, got None"),
@@ -737,10 +766,12 @@ class TestInputChecks:
         ("n", "100", "n must be an integer, got '100'"),
         ("n", None, "n must be an integer, got None"),
         ("n", HUGE, "n must be finite, got an integer past the float range"),
-        ("n", 0, "n must be an integer >= 1, got 0"),
+        ("n", 0, "n must be an integer >= 2, got 0"),
+        ("n", 1, "n must be an integer >= 2, got 1"),
         ("P", True, "P must be an integer, got True"),
         ("P", None, "P must be an integer, got None"),
         ("P", HUGE, "P must be finite, got an integer past the float range"),
+        ("P", 0, "P must be an integer >= 1, got 0"),
         ("a", (0.25, True, 0.5), "every group probability must be a number, got True"),
         ("a", (0.25, "0.25", 0.5), "every group probability must be a number, got '0.25'"),
         ("a", (0.25, None, 0.5), "every group probability must be a number, got None"),
@@ -865,18 +896,14 @@ class TestExactQuantitiesOnePass:
     def test_matches_reference_bit_for_bit(self, params):
         assert _hex(astuple(exact_quantities(params))) == _hex(astuple(reference_exact_quantities(params)))
 
-    def test_one_b_vector_lookup_and_no_pairwise_call(self, monkeypatch):
+    def test_one_b_vector_lookup(self, monkeypatch):
         looked_up = []
 
         def spy_b_vector(params):
             looked_up.append(params)
             return b_vector(params)
 
-        def no_pairwise(*args):
-            raise AssertionError("pairwise_edge_prob called")
-
         monkeypatch.setattr(model_core, "b_vector", spy_b_vector)
-        monkeypatch.setattr(model_core, "pairwise_edge_prob", no_pairwise)
         params = ModelParams(n=10, a=(0.2, 0.3, 0.5), K=(2, 3, 4), P=40)
         exact_quantities(params)
         assert looked_up == [params]
@@ -951,13 +978,13 @@ class TestFloatPathAgainstExact:
     @settings(max_examples=150, deadline=None)
     def test_edge_probabilities(self, params):
         dp, db, de, _, _ = _error_bounds(params)
+        q = exact_quantities(params)
         for i in range(params.m):
             for j in range(params.m):
-                got = pairwise_edge_prob(params, i + 1, j + 1)
-                assert _within(got, exact.pairwise_edge_prob(params, i + 1, j + 1), dp[i][j])
-        for got, want, bound in zip(b_vector(params), exact.b_vector(params), db):
+                assert _within(q.p[i][j], exact.pairwise_edge_prob(params, i + 1, j + 1), dp[i][j])
+        for got, want, bound in zip(q.b, exact.b_vector(params), db):
             assert _within(got, want, bound)
-        assert _within(edge_prob(params), exact.edge_prob(params), de)
+        assert _within(q.edge_prob, exact.edge_prob(params), de)
 
     @given(st.one_of(small_params(), small_params(max_P=60, max_n=300)))
     @settings(max_examples=150, deadline=None)

@@ -7,9 +7,9 @@ from rigraph import (
     EnumerationBudgetError,
     InvalidParamsError,
     ModelParams,
-    edge_prob,
     enumerate_event_probs,
     enumerate_pair_prob,
+    exact_quantities,
     expected_isolated,
 )
 
@@ -45,7 +45,7 @@ class TestEnumerateEventProbs:
         p = ModelParams(n=2, a=(0.5, 0.5), K=(1, 2), P=5)
         probs = enumerate_event_probs(p)
         assert probs.p_connected == Fraction(17, 40)  # == 0.425
-        assert abs(float(probs.p_connected) - edge_prob(p)) < 1e-12
+        assert abs(float(probs.p_connected) - exact_quantities(p).edge_prob) < 1e-12
 
     def test_two_vertices_isolation_identity(self):
         # with n=2 both vertices are isolated exactly when there is no edge

@@ -14,7 +14,7 @@ from rigraph import (
     InvalidParamsError,
     ModelParams,
     SeedSpec,
-    edge_prob,
+    exact_quantities,
     run_trials,
     sample_graph,
     wilson_interval,
@@ -209,6 +209,18 @@ class TestSampleGraph:
         sets = [[5, 8], [0, 1], [3, 7], [2, 4]]
         GraphBatch.from_sets([1, 1, 1, 1], sets, p.P, trials=2, params_hash=p.fingerprint()).validate(p)
 
+    @pytest.mark.parametrize("groups, sets, trials, message", [
+        ([1, 1], [[0], [1], [2]], 1, "^need one object set per group label, got 3 and 2$"),
+        ([1, 1, 1], [[0], [1]], 1, "^need one object set per group label, got 2 and 3$"),
+        ([1, 1], [[0], [1]], 0, "^trials must be >= 1, got 0$"),
+        ([1, 1], [[0], [1]], -2, "^trials must be >= 1, got -2$"),
+        ([1, 1], [[0], [1]], 1.0, "^trials must be an integer, got 1.0$"),
+        ([1, 1, 1], [[0], [1], [2]], 2, "^3 vertices do not split into 2 trials$"),
+    ], ids=["more-sets", "fewer-sets", "zero-trials", "negative-trials", "float-trials", "uneven-trials"])
+    def test_from_sets_refuses_shapes_that_do_not_fit(self, groups, sets, trials, message):
+        with pytest.raises(InvalidParamsError, match=message):
+            GraphBatch.from_sets(groups, sets, 3, trials)
+
     def test_group_independence_in_pairs(self):
         # joint (g_1, g_2) frequency factorizes to a_i * a_j
         p = ModelParams(n=2, a=(0.3, 0.7), K=(1, 1), P=10)
@@ -260,4 +272,4 @@ class TestSampleGraph:
         agg = run_trials(p, 100_000, master_seed=31)
         with mock.patch.object(montecarlo, "_WILSON_Z", 3.0):
             low, high = wilson_interval(agg.connected.successes, agg.connected.trials)
-        assert low <= edge_prob(p) <= high
+        assert low <= exact_quantities(p).edge_prob <= high
