@@ -44,24 +44,33 @@ class TrialStats:
     component_count: int
 
 
+def _index_dtype(vertices: int, incidences: int) -> type:
+    """The index type scipy picks for a CSR graph of this size: int32 while
+    every index and offset fits, so no index array is converted."""
+    return np.int32 if max(vertices, incidences) <= np.iinfo(np.int32).max else np.int64
+
+
 def _object_nodes(keys: np.ndarray, key_range: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(object node per incidence, holder count per incidence, node count)."""
+    """(object node per incidence, whether that object has another holder,
+    node count)."""
     if key_range <= _DENSE_KEYS_PER_INCIDENCE * len(keys):
-        counts = np.bincount(keys, minlength=key_range)
-        return keys, counts[keys], key_range
+        return keys, (np.bincount(keys, minlength=key_range) > 1)[keys], key_range
     uniq, nodes = np.unique(keys, return_inverse=True)
-    return nodes, np.bincount(nodes)[nodes], len(uniq)
+    return nodes, (np.bincount(nodes) > 1)[nodes], len(uniq)
 
 
 def _component_counts(offsets: np.ndarray, nodes: np.ndarray, node_count: int, trials: int) -> np.ndarray:
     """Components per sample.  Incidence i is object ``nodes[i]``; every
-    holder of an object links to its first holder, which keeps each
-    object's holders in one component with one edge per incidence."""
+    holder of an object links to one holder of it, its hub, which keeps
+    each object's holders in one component with one edge per incidence."""
     vertices = len(offsets) - 1
-    holder = np.repeat(np.arange(vertices), np.diff(offsets))
-    first = np.full(node_count, vertices)
-    np.minimum.at(first, nodes, holder)
-    graph = csr_matrix((np.ones(len(nodes)), first[nodes], offsets), shape=(vertices, vertices))
+    index = _index_dtype(vertices, len(nodes))
+    holder = np.repeat(np.arange(vertices, dtype=index), np.diff(offsets))
+    hub = np.empty(node_count, dtype=index)
+    hub[nodes] = holder  # whichever holder lands last; any one will do
+    graph = csr_matrix(
+        (np.ones(len(nodes)), hub[nodes], offsets.astype(index)), shape=(vertices, vertices)
+    )
     _, labels = _sp_connected_components(graph, directed=False)
     per_trial = np.sort(labels.reshape(trials, -1), axis=1)
     return 1 + np.count_nonzero(per_trial[:, 1:] != per_trial[:, :-1], axis=1)
@@ -78,9 +87,13 @@ def analyze_batch(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if n < 2:
         raise InvalidParamsError(f"analysis needs n >= 2 vertices per trial, got n={n}")
     tags = np.repeat(np.arange(0, trials * P, P, dtype=np.int64), np.diff(offsets[::n]))
-    nodes, held, node_count = _object_nodes(tags + batch.objects, trials * P)
-    shared = np.concatenate(([0], np.cumsum(held > 1)))
-    isolated = shared[offsets[1:]] == shared[offsets[:-1]]
+    nodes, shared, node_count = _object_nodes(tags + batch.objects, trials * P)
+    # a vertex is isolated iff none of its incidences is shared; the running
+    # count of shared incidences does not move across its set (an empty set
+    # included)
+    before = np.zeros(len(shared) + 1, dtype=_index_dtype(len(offsets) - 1, len(shared)))
+    np.cumsum(shared, out=before[1:])
+    isolated = before[offsets[1:]] == before[offsets[:-1]]
     iso = isolated.reshape(trials, n).sum(axis=1)
     group1 = (isolated & (batch.groups == 1)).reshape(trials, n).sum(axis=1)
     comp = _component_counts(offsets, nodes, node_count, trials)

@@ -34,6 +34,7 @@ one trial.  Bit-compatibility is promised only within this implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -166,21 +167,96 @@ class GraphBatch:
             raise InvariantViolation("params fingerprint mismatch")
 
 
-def _floyd_batch(P: int, K: int, U: np.ndarray) -> np.ndarray:
-    """Row-wise Floyd K-subsets of {0..P-1} from an (count, K) block of uniforms.
+# column sorts of up to this many draws run through a merge network of
+# row-wise min/max; longer columns are cheaper to hand to np.sort
+_NETWORK_MAX_K = 10
 
-    Column s is draw s: u maps to t = min(floor(u * (j+1)), j) with
-    j = P - K + s, and j is taken instead when t already is.  Rows come back
-    sorted.  The collision test costs O(K^2) per row.
+
+@lru_cache(maxsize=None)
+def _merge_network(K: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even merge sort on K items, as comparator pairs (i, k)
+    with i < k: after every pair in turn puts the smaller item at i, the
+    items are sorted.  The network for the next power of two, less every
+    pair that reaches past K."""
+    pairs = []
+    p = 1
+    while p < K:
+        k = p
+        while k >= 1:
+            for j in range(k % p, K - k, 2 * k):
+                for i in range(min(k, K - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        pairs.append((i + j, i + j + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def _sorted_rows(sel: np.ndarray) -> list[np.ndarray]:
+    """The columns of a (K, count) array sorted, as its K rows: smallest
+    first.  The rows may be views of ``sel`` or of a spare row, in any
+    order of storage."""
+    K = len(sel)
+    if K > _NETWORK_MAX_K:
+        sel.sort(axis=0)
+        return list(sel)
+    rows = list(sel)
+    spare = np.empty_like(rows[0]) if K > 1 else None
+    for i, k in _merge_network(K):
+        lo, hi = rows[i], rows[k]
+        np.minimum(lo, hi, out=spare)
+        np.maximum(lo, hi, out=hi)
+        rows[i], spare = spare, lo
+    return rows
+
+
+def _raw_draws(P: int, K: int, U: np.ndarray) -> np.ndarray:
+    """Draw s of every column of a (K, count) block of uniforms:
+    t = min(floor(u * (j+1)), j) with j = P - K + s."""
+    j = np.arange(P - K, P, dtype=np.int64)[:, None]
+    sel = np.empty(U.shape, dtype=np.int64)
+    np.multiply(U, j + 1, out=sel, casting="unsafe")  # truncation is floor here
+    np.minimum(sel, j, out=sel)  # guard against u*(j+1) rounding up to j+1
+    return sel
+
+
+def _floyd_batch(P: int, K: int, U: np.ndarray) -> np.ndarray:
+    """Column-wise Floyd K-subsets of {0..P-1} from a (K, count) block of
+    uniforms, row s holding draw s of every set.
+
+    Draw s maps u to t = min(floor(u * (j+1)), j) with j = P - K + s, and
+    j is taken instead when t already is.  Column c of the result is set c
+    in draw order.  This is the exact path: the collision test costs
+    O(K^2) per column.
     """
-    j = np.arange(P - K, P, dtype=np.int64)
-    sel = (U * (j + 1)).astype(np.int64).T.copy()  # draw s is row s
-    np.minimum(sel, j[:, None], out=sel)  # guard against u*(j+1) rounding up to j+1
+    sel = _raw_draws(P, K, U)
     for s in range(1, K):
-        sel[s, (sel[:s] == sel[s]).any(axis=0)] = j[s]
-    out = sel.T.copy()
-    out.sort(axis=1)
-    return out
+        sel[s, (sel[:s] == sel[s]).any(axis=0)] = P - K + s
+    return sel
+
+
+def _ring_sets(P: int, K: int, U: np.ndarray) -> list[np.ndarray]:
+    """The sorted Floyd K-subsets of a (K, count) block of uniforms, as K
+    rows (row s holds the s-th smallest id of every set).
+
+    Floyd takes j instead of a draw only on a collision, so a column whose
+    raw draws are distinct already is its set: sorting the raw draws
+    settles every such column, and ``_floyd_batch`` recomputes the rest,
+    which are the columns whose sorted draws repeat a neighbour.  When
+    K^2 > P, most columns collide, and Floyd runs on every column first.
+    """
+    if K * K > P:
+        return _sorted_rows(_floyd_batch(P, K, U))
+    rows = _sorted_rows(_raw_draws(P, K, U))
+    if K > 1:
+        repeat = rows[1] == rows[0]
+        for s in range(2, K):
+            repeat |= rows[s] == rows[s - 1]
+        redo = np.flatnonzero(repeat)
+        if len(redo):
+            for row, fixed in zip(rows, np.sort(_floyd_batch(P, K, U[:, redo]), axis=0)):
+                row[redo] = fixed
+    return rows
 
 
 def _check_pool(params: ModelParams) -> None:
@@ -200,7 +276,7 @@ def sample_batch(
     if trials < 1:
         raise InvalidParamsError(f"need start < stop, got start={start!r}, stop={stop!r}")
     words = trial_state_words(seed.master_seed, seed.trial_index, seed.trial_index + trials)
-    n, P, m = params.n, params.P, params.m
+    n, P = params.n, params.P
     width = n * (1 + params.K[-1])
     U = np.empty((trials, width))
     bg = scratch if scratch is not None else np.random.PCG64(0)
@@ -209,10 +285,14 @@ def sample_batch(
         bg.state = _state_dict(*w)
         gen.random(out=row)
 
-    cum = np.cumsum(np.asarray(params.a, dtype=np.float64))
-    groups = np.searchsorted(cum, U[:, :n], side="right").astype(np.int64).ravel()
-    groups += 1
-    np.minimum(groups, m, out=groups)
+    # group of u: 1 + #{l < m-1 : u >= cum_l}, the inverse CDF with the
+    # last group taking the float dust at the top
+    cum = np.cumsum(np.asarray(params.a, dtype=np.float64)).tolist()
+    head = U[:, :n]
+    groups = np.ones((trials, n), dtype=np.int64)
+    for c in cum[:-1]:
+        groups += head >= c
+    groups = groups.ravel()
     sizes = np.asarray(params.K, dtype=np.int64)[groups - 1]
     offsets = np.zeros(trials * n + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
@@ -225,8 +305,13 @@ def sample_batch(
     objects = np.empty(int(offsets[-1]), dtype=np.int64)
     for Kg in sorted(set(params.K)):
         idx = np.flatnonzero(sizes == Kg)
-        span = np.arange(Kg)
-        objects[offsets[idx][:, None] + span] = _floyd_batch(P, Kg, floats[starts[idx][:, None] + span])
+        first, at = starts[idx], offsets[idx]
+        # draw-major: row s holds draw s of every set of this size
+        draws = np.empty((Kg, len(idx)))
+        for s, row in enumerate(draws):
+            np.take(floats[s:], first, out=row, mode="clip")
+        for s, row in enumerate(_ring_sets(P, Kg, draws)):
+            objects[s:][at] = row
     return GraphBatch(groups, objects, offsets, trials, P, params.fingerprint())
 
 

@@ -68,6 +68,19 @@ class TestIsolationCounts:
         st_ = analyze(make_sample([1, 2, 2], [[0], [0, 1], [0]]))
         assert (st_.isolated_count, st_.group1_isolated_count) == (0, 0)
 
+    @pytest.mark.parametrize("sets, want", [
+        ([[], [0], [0]], (2, 1, 0)),
+        ([[0], [0], []], (2, 1, 1)),
+        ([[0], [], [0], []], (3, 2, 1)),
+        ([[], []], (2, 2, 1)),
+    ], ids=["leading", "trailing", "two", "all"])
+    def test_empty_sets_are_isolated(self, sets, want):
+        # a vertex without objects shares none: its own component, isolated
+        s = make_sample([2, 1, 1, 2][:len(sets)], sets, P=2)
+        st_ = analyze(s)
+        assert (st_.component_count, st_.isolated_count, st_.group1_isolated_count) == want
+        assert want == reference_stats(s)
+
     def test_pairwise_disjoint(self):
         st_ = analyze(make_sample([1, 2, 1], [[0], [1], [2]]))
         assert (st_.isolated_count, st_.group1_isolated_count) == (3, 2)
@@ -165,7 +178,7 @@ class TestOracleEquivalence:
         n = data.draw(st.integers(2, 8))
         P = data.draw(st.integers(1, 8))
         sets = [
-            data.draw(st.lists(st.integers(0, P - 1), min_size=1, max_size=P, unique=True))
+            data.draw(st.lists(st.integers(0, P - 1), min_size=0, max_size=P, unique=True))
             for _ in range(n)
         ]
         s = make_sample(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), sets, P)
@@ -187,6 +200,20 @@ class TestOracleEquivalence:
             iso,
             g1,
         )
+
+
+class TestIndexType:
+    def test_index_type_is_int32_while_it_fits(self):
+        limit = np.iinfo(np.int32).max
+        assert ga._index_dtype(limit, limit) is np.int32
+        assert ga._index_dtype(limit + 1, 5) is np.int64
+        assert ga._index_dtype(5, limit + 1) is np.int64
+
+    def test_int64_graph_counts_the_same(self, monkeypatch):
+        batch = sample_batch(ModelParams(n=50, a=(0.5, 0.5), K=(1, 3), P=120), 9, 0, 20)
+        want = [c.tolist() for c in ga.analyze_batch(batch)]
+        monkeypatch.setattr(ga, "_index_dtype", lambda vertices, incidences: np.int64)
+        assert [c.tolist() for c in ga.analyze_batch(batch)] == want
 
 
 class TestLargePath:

@@ -21,7 +21,17 @@ from rigraph import (
 )
 import rigraph.montecarlo as montecarlo
 from rigraph.errors import InvariantViolation
-from rigraph.sampler import GAMMA, GraphBatch, _floyd_batch, sample_batch, trial_state_words
+from rigraph.sampler import (
+    _NETWORK_MAX_K,
+    GAMMA,
+    GraphBatch,
+    _floyd_batch,
+    _merge_network,
+    _ring_sets,
+    _sorted_rows,
+    sample_batch,
+    trial_state_words,
+)
 
 from conftest import small_params
 from reference_trials import assign_group, generator_for, mix64, reference_sample
@@ -29,7 +39,35 @@ from reference_trials import assign_group, generator_for, mix64, reference_sampl
 
 def floyd_draws(P, K, draws, seed=7):
     """``draws`` Floyd K-subsets from one trial stream, one per row."""
-    return _floyd_batch(P, K, generator_for(SeedSpec(seed, 0)).random((draws, K))).tolist()
+    U = generator_for(SeedSpec(seed, 0)).random((draws, K))
+    return np.array(_ring_sets(P, K, U.T)).T.tolist()
+
+
+def assert_trials_match_reference(params, seed, start, trials):
+    """``sample_batch`` over trials [start, start+trials) is the reference
+    sample of each trial, back to back, bit for bit."""
+    batch = sample_batch(params, seed, start, start + trials)
+    n = params.n
+    for name in ("groups", "objects", "offsets"):
+        assert getattr(batch, name).dtype == np.int64, name
+    for r in range(trials):
+        one = reference_sample(params, SeedSpec(seed, start + r))
+        vertices = slice(r * n, (r + 1) * n)
+        assert np.array_equal(batch.groups[vertices], one.groups)
+        assert np.array_equal(batch.offsets[vertices] - batch.offsets[r * n], one.offsets[:-1])
+        assert np.array_equal(batch.objects[batch.offsets[r * n]:batch.offsets[(r + 1) * n]], one.objects)
+
+
+@st.composite
+def ring_params(draw, m, ring_size, pool_size, max_n=10):
+    """Params with m groups whose largest ring size comes from ``ring_size``
+    and whose pool size from ``pool_size(K_m)``; the other ring sizes are
+    at most K_m."""
+    top = draw(ring_size)
+    K = sorted([top, *draw(st.lists(st.integers(1, top), min_size=m - 1, max_size=m - 1))])
+    weights = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    a = tuple(w / sum(weights) for w in weights)
+    return ModelParams(n=draw(st.integers(2, max_n)), a=a, K=tuple(K), P=draw(pool_size(top)))
 
 
 class TestSeeding:
@@ -123,6 +161,31 @@ class TestSampleObjectSet:
         observed = [counts[c] for c in cells]
         _, pvalue = sps.chisquare(observed)
         assert pvalue > 0.001
+
+
+class TestRingSets:
+    @pytest.mark.parametrize("K", range(1, _NETWORK_MAX_K + 1))
+    def test_merge_network_sorts_every_zero_one_column(self, K):
+        # the 0-1 principle: a comparator network that sorts every 0/1
+        # input sorts every input
+        bits = (np.arange(1 << K) >> np.arange(K)[:, None]) & 1
+        assert all(0 <= i < k < K for i, k in _merge_network(K))
+        assert np.array_equal(np.array(_sorted_rows(bits.copy())), np.sort(bits, axis=0))
+
+    @pytest.mark.parametrize("K", [1, 2, _NETWORK_MAX_K, _NETWORK_MAX_K + 1, 32])
+    def test_sorted_rows_sorts_each_column(self, K):
+        sel = np.random.default_rng(K).integers(0, 5, size=(K, 300))
+        assert np.array_equal(np.array(_sorted_rows(sel.copy())), np.sort(sel, axis=0))
+
+    @given(st.integers(1, 3 * _NETWORK_MAX_K), st.data(), st.integers(1, 300), st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_exact_floyd(self, K, data, count, seed):
+        # P < K^2 runs Floyd on every column; from P = K^2 up, the draws
+        # are sorted first, and 25-40% of the columns at P = K^2, falling to
+        # almost none at P = 10^6, take the exact fix-up
+        P = data.draw(st.sampled_from([K, K + 1, K * K, 4 * K * K, 10**6]))
+        U = np.random.default_rng(seed).random((K, count))
+        assert np.array_equal(np.array(_ring_sets(P, K, U)), np.sort(_floyd_batch(P, K, U), axis=0))
 
 
 class TestSampleGraph:
@@ -236,14 +299,28 @@ class TestSampleGraph:
     @given(small_params(max_P=10, max_n=8), st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
     def test_batch_is_its_trials_back_to_back(self, params, seed, start, trials):
-        batch = sample_batch(params, seed, start, start + trials)
-        n = params.n
-        for r in range(trials):
-            one = reference_sample(params, SeedSpec(seed, start + r))
-            vertices = slice(r * n, (r + 1) * n)
-            assert np.array_equal(batch.groups[vertices], one.groups)
-            assert np.array_equal(batch.offsets[vertices] - batch.offsets[r * n], one.offsets[:-1])
-            assert np.array_equal(batch.objects[batch.offsets[r * n]:batch.offsets[(r + 1) * n]], one.objects)
+        assert_trials_match_reference(params, seed, start, trials)
+
+    @pytest.mark.parametrize("kind", ["dense-rings", "past-network-cutoff", "three-groups"])
+    @given(data=st.data(), seed=st.integers(0, 2**64 - 1), start=st.integers(0, 2**40))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference_trials(self, kind, data, seed, start):
+        if kind == "dense-rings":  # P <= 2 K_m: most sets take the exact fix-up
+            params = data.draw(ring_params(
+                data.draw(st.integers(1, 3)), st.integers(1, 2 * _NETWORK_MAX_K),
+                lambda top: st.integers(top, 2 * top),
+            ))
+        elif kind == "past-network-cutoff":
+            params = data.draw(ring_params(
+                data.draw(st.integers(1, 2)), st.integers(_NETWORK_MAX_K + 1, 4 * _NETWORK_MAX_K),
+                lambda top: st.sampled_from([top, top + 1, 3 * top, 10**5]),
+            ))
+        else:
+            params = data.draw(ring_params(
+                3, st.integers(1, 12), lambda top: st.sampled_from([top, 2 * top, 100, 10**7]), max_n=30,
+            ))
+        trials = data.draw(st.integers(1, 6) if kind != "three-groups" else st.integers(2, 8))
+        assert_trials_match_reference(params, seed, start, trials)
 
     @pytest.mark.parametrize("start, stop", [(3, 3), (3, 2), (-1, 2), (0, 1.5)])
     def test_sample_batch_refuses_bad_ranges(self, start, stop):
