@@ -2,14 +2,16 @@
 "no isolated vertex but still disconnected" indicator.
 
 Adjacency is "object sets intersect", so the holders of one object form a
-clique; linking each holder to the object's first holder keeps the
+clique; linking each holder to one holder of the object keeps the
 components with one edge per incidence, and the O(n^2) edge set is never
 materialized.  One kernel, ``analyze_batch``, takes a ``GraphBatch``.  Each
 incidence of trial t with object o gets the key t*P + o, so trials never
 share an object: one ``connected_components`` call over the block-diagonal
 graph labels every trial at once, and the holder count of each key gives
 isolation (a vertex is isolated iff each of its objects has a single
-holder).  ``analyze`` runs the kernel on a one-trial batch.
+holder).  The labelling never reads the isolation counts, so the check
+that a connected trial has no isolated vertex compares two independent
+results.  ``analyze`` runs the kernel on a one-trial batch.
 """
 
 from __future__ import annotations
@@ -51,8 +53,10 @@ def _index_dtype(vertices: int, incidences: int) -> type:
 
 
 def _object_nodes(keys: np.ndarray, key_range: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(object node per incidence, whether that object has another holder,
-    node count)."""
+    """(object node per incidence, whether the object has another holder,
+    node count).  The keys are the nodes while the key range is dense;
+    sparser keys are compacted by a sort first.  The flag is a bool
+    gathered from the holder count of each node."""
     if key_range <= _DENSE_KEYS_PER_INCIDENCE * len(keys):
         return keys, (np.bincount(keys, minlength=key_range) > 1)[keys], key_range
     uniq, nodes = np.unique(keys, return_inverse=True)
@@ -69,7 +73,7 @@ def _component_counts(offsets: np.ndarray, nodes: np.ndarray, node_count: int, t
     hub = np.empty(node_count, dtype=index)
     hub[nodes] = holder  # whichever holder lands last; any one will do
     graph = csr_matrix(
-        (np.ones(len(nodes)), hub[nodes], offsets.astype(index)), shape=(vertices, vertices)
+        (np.ones(len(nodes)), hub[nodes], offsets.astype(index, copy=False)), shape=(vertices, vertices)
     )
     _, labels = _sp_connected_components(graph, directed=False)
     per_trial = np.sort(labels.reshape(trials, -1), axis=1)

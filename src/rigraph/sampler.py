@@ -26,9 +26,14 @@ materialized.
 ``sample_batch`` realizes trials [start, stop) as one ``GraphBatch``, whose
 docstring gives the layout: each trial's stream fills one row of n*(1+K_m)
 floats (a double takes exactly one 64-bit output, so the row starts with
-the two blocks above; the rest is unused), and Floyd runs once per ring
-size over the vertices of every trial.  ``sample_graph`` is the batch of
-one trial.  Bit-compatibility is promised only within this implementation.
+the two blocks above; the rest is unused).  Each ring size is then sampled
+once over the vertices of every trial, draw-major: row s of a (K, count)
+block holds draw s of every set, so each set is a column.  Floyd inserts j
+only on a collision, so a set whose raw draws are distinct is those draws:
+the raw draws are sorted down the columns (a merge network of row-wise
+min/max for short rings), and exact Floyd reruns only the columns that
+hold a repeat.  ``sample_graph`` is the batch of one trial.
+Bit-compatibility is promised only within this implementation.
 """
 
 from __future__ import annotations
@@ -168,7 +173,8 @@ class GraphBatch:
 
 
 # column sorts of up to this many draws run through a merge network of
-# row-wise min/max; longer columns are cheaper to hand to np.sort
+# row-wise min/max; longer columns are cheaper to hand to np.sort (at
+# 2,000-8,000 columns the network won through K = 10-12)
 _NETWORK_MAX_K = 10
 
 
@@ -242,8 +248,9 @@ def _ring_sets(P: int, K: int, U: np.ndarray) -> list[np.ndarray]:
     Floyd takes j instead of a draw only on a collision, so a column whose
     raw draws are distinct already is its set: sorting the raw draws
     settles every such column, and ``_floyd_batch`` recomputes the rest,
-    which are the columns whose sorted draws repeat a neighbour.  When
-    K^2 > P, most columns collide, and Floyd runs on every column first.
+    which are the columns whose sorted draws repeat a neighbour.  From
+    K^2 > P on, a third or more of the columns collide and the reruns cost
+    more than the sort saves, so Floyd runs on every column first.
     """
     if K * K > P:
         return _sorted_rows(_floyd_batch(P, K, U))

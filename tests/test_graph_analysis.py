@@ -68,19 +68,6 @@ class TestIsolationCounts:
         st_ = analyze(make_sample([1, 2, 2], [[0], [0, 1], [0]]))
         assert (st_.isolated_count, st_.group1_isolated_count) == (0, 0)
 
-    @pytest.mark.parametrize("sets, want", [
-        ([[], [0], [0]], (2, 1, 0)),
-        ([[0], [0], []], (2, 1, 1)),
-        ([[0], [], [0], []], (3, 2, 1)),
-        ([[], []], (2, 2, 1)),
-    ], ids=["leading", "trailing", "two", "all"])
-    def test_empty_sets_are_isolated(self, sets, want):
-        # a vertex without objects shares none: its own component, isolated
-        s = make_sample([2, 1, 1, 2][:len(sets)], sets, P=2)
-        st_ = analyze(s)
-        assert (st_.component_count, st_.isolated_count, st_.group1_isolated_count) == want
-        assert want == reference_stats(s)
-
     def test_pairwise_disjoint(self):
         st_ = analyze(make_sample([1, 2, 1], [[0], [1], [2]]))
         assert (st_.isolated_count, st_.group1_isolated_count) == (3, 2)
