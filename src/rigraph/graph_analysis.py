@@ -4,14 +4,17 @@
 Adjacency is "object sets intersect", so the holders of one object form a
 clique; linking each holder to one holder of the object keeps the
 components with one edge per incidence, and the O(n^2) edge set is never
-materialized.  One kernel, ``analyze_batch``, takes a ``GraphBatch``.  Each
-incidence of trial t with object o gets the key t*P + o, so trials never
-share an object: one ``connected_components`` call over the block-diagonal
-graph labels every trial at once, and the holder count of each key gives
-isolation (a vertex is isolated iff each of its objects has a single
-holder).  The labelling never reads the isolation counts, so the check
-that a connected trial has no isolated vertex compares two independent
-results.  ``analyze`` runs the kernel on a one-trial batch.
+materialized.  One kernel, ``analyze_batch``, takes a ``GraphBatch`` and
+finds the vertex of every incidence once.  Each incidence of trial t with
+object o gets the key t*P + o, so trials never share an object: one
+``connected_components`` call over the block-diagonal graph labels every
+trial at once, and the holder count of each key gives isolation (a vertex
+is isolated iff each of its objects has a single holder).  Each label's
+trial is scattered into one array, whose bincount is the component count
+of every trial, in whatever order the labels come.  The labelling never
+reads the isolation counts, so the check that a connected trial has no
+isolated vertex compares two independent results.  ``analyze`` runs the
+kernel on a one-trial batch.
 """
 
 from __future__ import annotations
@@ -63,21 +66,24 @@ def _object_nodes(keys: np.ndarray, key_range: int) -> tuple[np.ndarray, np.ndar
     return nodes, (np.bincount(nodes) > 1)[nodes], len(uniq)
 
 
-def _component_counts(offsets: np.ndarray, nodes: np.ndarray, node_count: int, trials: int) -> np.ndarray:
-    """Components per sample.  Incidence i is object ``nodes[i]``; every
-    holder of an object links to one holder of it, its hub, which keeps
-    each object's holders in one component with one edge per incidence."""
+def _component_counts(
+    offsets: np.ndarray, holder: np.ndarray, nodes: np.ndarray, node_count: int, trials: int
+) -> np.ndarray:
+    """Components per sample.  Vertex ``holder[i]`` holds object ``nodes[i]``;
+    every holder of an object links to one holder of it, its hub, which
+    keeps each object's holders in one component with one edge per
+    incidence.  A component lies in one trial, so each label's trial is
+    scattered into ``owner`` and the labels are counted per trial."""
     vertices = len(offsets) - 1
-    index = _index_dtype(vertices, len(nodes))
-    holder = np.repeat(np.arange(vertices, dtype=index), np.diff(offsets))
-    hub = np.empty(node_count, dtype=index)
+    hub = np.empty(node_count, dtype=holder.dtype)
     hub[nodes] = holder  # whichever holder lands last; any one will do
     graph = csr_matrix(
-        (np.ones(len(nodes)), hub[nodes], offsets.astype(index, copy=False)), shape=(vertices, vertices)
+        (np.ones(len(nodes)), hub[nodes], offsets.astype(holder.dtype, copy=False)), shape=(vertices, vertices)
     )
-    _, labels = _sp_connected_components(graph, directed=False)
-    per_trial = np.sort(labels.reshape(trials, -1), axis=1)
-    return 1 + np.count_nonzero(per_trial[:, 1:] != per_trial[:, :-1], axis=1)
+    count, labels = _sp_connected_components(graph, directed=False)
+    owner = np.empty(count, dtype=np.intp)
+    owner[labels.reshape(trials, -1)] = np.arange(trials)[:, None]
+    return np.bincount(owner, minlength=trials)
 
 
 def analyze_batch(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -90,23 +96,23 @@ def analyze_batch(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray
     offsets, trials, P, n = batch.offsets, batch.trials, batch.P, batch.n
     if n < 2:
         raise InvalidParamsError(f"analysis needs n >= 2 vertices per trial, got n={n}")
-    tags = np.repeat(np.arange(0, trials * P, P, dtype=np.int64), np.diff(offsets[::n]))
-    nodes, shared, node_count = _object_nodes(tags + batch.objects, trials * P)
+    index = _index_dtype(trials * n, len(batch.objects))
+    holder = np.repeat(np.arange(trials * n, dtype=index), np.diff(offsets))  # the vertex of each incidence
+    # trial t's incidence with object o has the key t*P + o, in int64 whatever the index type
+    nodes, shared, node_count = _object_nodes(holder // n * np.int64(P) + batch.objects, trials * P)
     # a vertex is isolated iff none of its incidences is shared; the running
     # count of shared incidences does not move across its set (an empty set
     # included)
-    before = np.zeros(len(shared) + 1, dtype=_index_dtype(len(offsets) - 1, len(shared)))
+    before = np.zeros(len(shared) + 1, dtype=index)
     np.cumsum(shared, out=before[1:])
     isolated = before[offsets[1:]] == before[offsets[:-1]]
     iso = isolated.reshape(trials, n).sum(axis=1)
     group1 = (isolated & (batch.groups == 1)).reshape(trials, n).sum(axis=1)
-    comp = _component_counts(offsets, nodes, node_count, trials)
+    comp = _component_counts(offsets, holder, nodes, node_count, trials)
     lying = np.flatnonzero((comp == 1) & (iso > 0))
     if len(lying):
         t = lying[0]
-        raise InvariantViolation(
-            f"connected sample {t} of the batch reported {iso[t]} isolated vertices"
-        )
+        raise InvariantViolation(f"connected sample {t} of the batch reported {iso[t]} isolated vertices")
     return comp, iso, group1
 
 

@@ -375,18 +375,28 @@ def solve_k1(
     beta(params) >= target_beta.  Raises ``UnachievableError`` when even
     K = (P, ..., P) stays below the target.
 
-    The search starts from the small-ring estimate b_1 ~ K_1^2 sum_j a_j r_j / P,
-    i.e. K_1 ~ sqrt(P (ln n + target) / (n sum_j a_j r_j)), clamped to [2, P].
+    The target asks for b_1* = (ln n + target) / n, and b_1 >= 1 - sum_j a_j
+    e^{-K_1 K_j / P}.  So the search starts from K_1 ~ sqrt(P x) with
+    x = max(-ln(1 - b_1*) / sum_j a_j r_j, -ln(1 - b_1*) + ln a_1), the larger
+    of two lower bounds on the root of sum_j a_j e^{-r_j x} = 1 - b_1* (by
+    Jensen, and from the j = 1 term alone).  Unlike the small-ring estimate
+    from the linearized b_1 ~ K_1^2 sum_j a_j r_j / P, this start does not
+    undershoot as b_1* nears 1.  It is clamped to [2, P // 2 + 1], since
+    every K_1 > P / 2 gives b_1 = 1; a b_1* >= 1 takes the float below 1
+    and is met only where b_1 rounds to 1.
     From there it gallops down or up with doubling steps until
     beta(lo) < target <= beta(hi), then bisects inside that bracket.  Both
     steps are valid because b_1 (hence beta) is nondecreasing in K_1, so the
     result is the one a bisection over all of [1, P] finds; near the answer
     the search costs O(log K_1) beta evaluations instead of O(log P), two
-    when the estimate is off by less than one.  The ends of [1, P] are
-    evaluated only when the search reaches them: beta(P) when the estimate
-    is P or the bracket closes at P, beta(1) when it closes at (1, 2].  An
-    estimate past the float range is refused with ``InvalidParamsError``
-    unless beta(P) or beta(1) alone decides the answer.
+    when the start is off by less than one.  The ends of [1, P] are
+    evaluated only when the search needs them: beta(P) first when
+    b_1* >= 1 (one evaluation refuses an unachievable target), as the start
+    when P <= 2, or when the bracket closes at P; beta(1) when it closes at
+    (1, 2].  No K_1 is evaluated twice.  A small-ring estimate
+    P (ln n + target) / (n sum_j a_j r_j) of K_1^2 past the float range is
+    refused with ``InvalidParamsError`` unless beta(P) or beta(1) alone
+    decides the answer.
     ``_solver_inputs`` checks the arguments once; each evaluation is then
     ``_ring_beta`` on the plain values it returns.
     """
@@ -399,8 +409,8 @@ def solve_k1(
         return UnachievableError(f"target beta {target_beta} unachievable: even K=(P,...,P) gives beta {top}")
 
     mean_ratio = math.fsum([aj * r for aj, r in zip(a, ratios)])
-    estimate = math.sqrt(max(0.0, P * (math.log(n) + target_beta) / (n * mean_ratio)))
-    if estimate == math.inf:
+    demand = math.log(n) + target_beta  # n times the b_1 the target asks for
+    if P * demand / (n * mean_ratio) == math.inf:  # the small-ring estimate of K_1^2
         top = beta_at(P)
         if top < target_beta:
             raise unachievable(top)
@@ -410,7 +420,15 @@ def solve_k1(
             f"cannot solve for target beta {target_beta} at n={n}, P={P:.6g}: "
             "the estimate of K_1 is past the float range"
         )
-    k = min(P, max(2, math.ceil(estimate)))
+    b1 = demand / n
+    tail = -math.log1p(-min(b1, 1.0 - 2.0**-53))  # from b_1* >= 1, the float below 1
+    x = max(tail / mean_ratio, tail + math.log(a[0]))
+    # no answer lies past P // 2 + 1: every K_1 > P / 2 meets every ring, so b_1 = 1 there
+    k = min(P, max(2, math.ceil(min(math.sqrt(max(0.0, P * x)), P // 2 + 1))))
+    if b1 >= 1.0 and k < P:  # only K_1 where b_1 rounds to 1 reach it, if beta(P) does
+        top = beta_at(P)
+        if top < target_beta:
+            raise unachievable(top)
     lo, hi = 1, P  # invariant: beta_at(lo) < target <= beta_at(hi), once 1 and P are evaluated
     step = 1
     at_k = beta_at(k)

@@ -71,7 +71,7 @@ def trial_state_words(master_seed: int, start: int, stop: int) -> np.ndarray:
     Row t-start holds the four splitmix64 expansion words w1..w4 of trial t.
     """
     seeds = _trial_seeds(master_seed, start, stop)
-    return np.stack([_mix64(seeds + np.uint64((k * GAMMA) & _M64)) for k in (1, 2, 3, 4)], axis=1)
+    return _mix64(seeds[:, None] + np.arange(1, 5, dtype=np.uint64) * np.uint64(GAMMA))
 
 
 def _state_dict(w1: int, w2: int, w3: int, w4: int) -> dict:

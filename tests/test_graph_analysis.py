@@ -132,7 +132,7 @@ class TestAnalyze:
             run_trials(params, 300, master_seed=3, workers=1)
 
 
-def _one_component_each(offsets, nodes, node_count, trials):
+def _one_component_each(offsets, holder, nodes, node_count, trials):
     return np.ones(trials, dtype=np.int64)
 
 
@@ -173,6 +173,34 @@ class TestOracleEquivalence:
         st_ = analyze(s)
         assert (st_.component_count, st_.isolated_count, st_.group1_isolated_count) == (comp, iso, g1)
         assert st_.connected == (comp == 1)
+
+    @pytest.mark.parametrize("index", ["int32", "int64"])
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_multi_trial_batch_matches_reference_per_trial(self, index, data):
+        # every trial of one batch is counted on its own: trials share no
+        # object, and no trial's components or isolation leak into another
+        trials = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(2, 6))
+        P = data.draw(st.one_of(st.integers(1, 8), st.just(2**40)))  # 2**40: keys past int32, compacted
+        pool = min(P, 8)
+        ids = st.integers(0, pool - 1).map(lambda i: i * (P // pool))
+        groups, sets = [], []
+        for _ in range(trials):
+            kind = data.draw(st.sampled_from(["any", "empty", "singletons"]))
+            lo, hi = {"any": (0, pool), "empty": (0, 0), "singletons": (1, 1)}[kind]
+            sets += [sorted(data.draw(st.lists(ids, min_size=lo, max_size=hi, unique=True))) for _ in range(n)]
+            groups += data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        batch = GraphBatch.from_sets(groups, sets, P, trials=trials)
+        with pytest.MonkeyPatch.context() as mp:
+            if index == "int64":
+                mp.setattr(ga, "_index_dtype", lambda vertices, incidences: np.int64)
+            got = [c.tolist() for c in ga.analyze_batch(batch)]
+        want = [
+            reference_stats(GraphBatch.from_sets(groups[r * n:(r + 1) * n], sets[r * n:(r + 1) * n], P))
+            for r in range(trials)
+        ]
+        assert list(zip(*got)) == want
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)

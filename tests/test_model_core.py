@@ -547,6 +547,28 @@ class TestSolveK1:
 
         assert beta_at(K[0]) >= target > beta_at(K[0] - 1)
 
+    @pytest.mark.parametrize("a, ratios", [((1.0,), (1.0,)), ((0.5, 0.5), (1.0, 2.0))], ids=["m1", "m2"])
+    @pytest.mark.parametrize("below_top, most", [(1e-9, (16, 14)), (1.0, (8, 6)), (None, (1, 1))],
+                             ids=["1e-9-below-beta(P)", "1-below-beta(P)", "ulp-above-beta(P)"])
+    def test_targets_near_beta_of_P_need_few_evaluations(self, a, ratios, below_top, most):
+        # the linearized b_1 ~ K_1^2 r / P undershoots as b_1 nears 1, where
+        # every probe sums some 1e5 terms; a target past beta(P) is refused
+        # by beta(P) alone
+        n, P = 10**6, 10**9
+        top = _ring_beta(n, P, a, ring_sizes_for(P, ratios, P))
+        target = math.nextafter(top, math.inf) if below_top is None else top - below_top
+
+        def outcome(solve):
+            try:
+                return solve(n, P, a, ratios, target)
+            except UnachievableError as exc:
+                return type(exc), str(exc)
+
+        with probed_base_sizes() as probes:
+            got = outcome(solve_k1)
+        assert 0 < len(probes) <= most[len(a) - 1]
+        assert got == outcome(bisect_solve_k1)
+
     def test_estimate_past_float_range_refused(self):
         # P (ln n + target) overflows, so the search has no finite start;
         # beta(P) reaches the target and beta(1) does not, so neither decides
