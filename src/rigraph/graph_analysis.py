@@ -98,8 +98,10 @@ def analyze_batch(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray
         raise InvalidParamsError(f"analysis needs n >= 2 vertices per trial, got n={n}")
     index = _index_dtype(trials * n, len(batch.objects))
     holder = np.repeat(np.arange(trials * n, dtype=index), np.diff(offsets))  # the vertex of each incidence
-    # trial t's incidence with object o has the key t*P + o, in int64 whatever the index type
-    nodes, shared, node_count = _object_nodes(holder // n * np.int64(P) + batch.objects, trials * P)
+    # trial t's incidence with object o has the key t*P + o, formed in int64 so that t*P
+    # cannot wrap in an int32 index type
+    keys = np.multiply(holder // n, P, dtype=np.int64) + batch.objects
+    nodes, shared, node_count = _object_nodes(keys, trials * P)
     # a vertex is isolated iff none of its incidences is shared; the running
     # count of shared incidences does not move across its set (an empty set
     # included)
@@ -112,7 +114,9 @@ def analyze_batch(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray
     lying = np.flatnonzero((comp == 1) & (iso > 0))
     if len(lying):
         t = lying[0]
-        raise InvariantViolation(f"connected sample {t} of the batch reported {iso[t]} isolated vertices")
+        raise InvariantViolation(
+            f"connected sample {t} of the batch reported {iso[t]} isolated vertices"
+        )
     return comp, iso, group1
 
 

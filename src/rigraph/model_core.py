@@ -421,10 +421,12 @@ def solve_k1(
             "the estimate of K_1 is past the float range"
         )
     b1 = demand / n
-    tail = -math.log1p(-min(b1, 1.0 - 2.0**-53))  # from b_1* >= 1, the float below 1
+    tail = -math.log1p(-b1 if b1 < 1.0 else 2.0**-53 - 1.0)  # from b_1* >= 1, the float below 1
     x = max(tail / mean_ratio, tail + math.log(a[0]))
-    # no answer lies past P // 2 + 1: every K_1 > P / 2 meets every ring, so b_1 = 1 there
-    k = min(P, max(2, math.ceil(min(math.sqrt(max(0.0, P * x)), P // 2 + 1))))
+    # no answer lies past P // 2 + 1: every K_1 > P / 2 meets every ring, so b_1 = 1 there;
+    # conditionals, not nested min and max: this start runs once per solve on the hot path
+    root, half = (math.sqrt(P * x) if x > 0.0 else 0.0), P // 2 + 1
+    k = min(P, max(2, math.ceil(root) if root < half else half))
     if b1 >= 1.0 and k < P:  # only K_1 where b_1 rounds to 1 reach it, if beta(P) does
         top = beta_at(P)
         if top < target_beta:

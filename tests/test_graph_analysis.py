@@ -136,6 +136,22 @@ def _one_component_each(offsets, holder, nodes, node_count, trials):
     return np.ones(trials, dtype=np.int64)
 
 
+def _assert_each_trial_matches_reference(index, groups, sets, P, trials):
+    """``analyze_batch`` of the whole batch, at the int32 index type or a
+    forced int64 one, counts each trial as ``reference_stats`` does alone."""
+    n = len(groups) // trials
+    batch = GraphBatch.from_sets(groups, sets, P, trials=trials)
+    with pytest.MonkeyPatch.context() as mp:
+        if index == "int64":
+            mp.setattr(ga, "_index_dtype", lambda vertices, incidences: np.int64)
+        got = [c.tolist() for c in ga.analyze_batch(batch)]
+    want = [
+        reference_stats(GraphBatch.from_sets(groups[r * n:(r + 1) * n], sets[r * n:(r + 1) * n], P))
+        for r in range(trials)
+    ]
+    assert list(zip(*got)) == want
+
+
 def _random_tiny_sample(rng):
     n = rng.integers(2, 7)
     P = rng.integers(1, 7)
@@ -182,7 +198,8 @@ class TestOracleEquivalence:
         # object, and no trial's components or isolation leak into another
         trials = data.draw(st.integers(1, 6))
         n = data.draw(st.integers(2, 6))
-        P = data.draw(st.one_of(st.integers(1, 8), st.just(2**40)))  # 2**40: keys past int32, compacted
+        # 2**30 and 2**40: keys past int32, compacted
+        P = data.draw(st.one_of(st.integers(1, 8), st.sampled_from([2**30, 2**40])))
         pool = min(P, 8)
         ids = st.integers(0, pool - 1).map(lambda i: i * (P // pool))
         groups, sets = [], []
@@ -191,16 +208,15 @@ class TestOracleEquivalence:
             lo, hi = {"any": (0, pool), "empty": (0, 0), "singletons": (1, 1)}[kind]
             sets += [sorted(data.draw(st.lists(ids, min_size=lo, max_size=hi, unique=True))) for _ in range(n)]
             groups += data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-        batch = GraphBatch.from_sets(groups, sets, P, trials=trials)
-        with pytest.MonkeyPatch.context() as mp:
-            if index == "int64":
-                mp.setattr(ga, "_index_dtype", lambda vertices, incidences: np.int64)
-            got = [c.tolist() for c in ga.analyze_batch(batch)]
-        want = [
-            reference_stats(GraphBatch.from_sets(groups[r * n:(r + 1) * n], sets[r * n:(r + 1) * n], P))
-            for r in range(trials)
-        ]
-        assert list(zip(*got)) == want
+        _assert_each_trial_matches_reference(index, groups, sets, P, trials)
+
+    @pytest.mark.parametrize("index", ["int32", "int64"])
+    def test_late_trial_keys_do_not_wrap_onto_early_ones(self, index):
+        # P fits int32 and the batch's index type is int32, but t*P reaches
+        # 2**32 at t = 4: keys formed in the index type would put trial 4's
+        # object 0 on trial 0's, merging two isolated vertices
+        trials = 6
+        _assert_each_trial_matches_reference(index, [1, 2] * trials, [[0], [1]] * trials, 2**30, trials)
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
