@@ -33,8 +33,8 @@ Each model rule has one owner.  ``_model_inputs`` checks n, a and P for
 of its rules, so no function taking a ``ModelParams`` checks it again.  The
 solver then evaluates beta on those plain values, row 1 of b only,
 O(log K_1) times near its answer and twice when its starting estimate is
-within one of it; it evaluates the ends of [1, P] only when its search
-reaches them.
+within one of it.  Its beta at K_1 = P is the closed form n sum_j a_j - ln n,
+and it evaluates beta at K_1 = 1 only when the bracket closes at (1, 2].
 An exact rational mirror of the same formulas lives in ``tests/exact.py`` and
 is used by the test suite as ground truth for the float path.
 """
@@ -389,35 +389,34 @@ def solve_k1(
     steps are valid because b_1 (hence beta) is nondecreasing in K_1, so the
     result is the one a bisection over all of [1, P] finds; near the answer
     the search costs O(log K_1) beta evaluations instead of O(log P), two
-    when the start is off by less than one.  The ends of [1, P] are
-    evaluated only when the search needs them: beta(P) first when
-    b_1* >= 1 (one evaluation refuses an unachievable target), as the start
-    when P <= 2, or when the bracket closes at P; beta(1) when it closes at
-    (1, 2].  No K_1 is evaluated twice.  A small-ring estimate
+    when the start is off by less than one.  beta(P) needs no search: every
+    ring of size P meets every other ring, so b_1 = sum_j a_j there, and
+    beta(P) = n sum_j a_j - ln n refuses an unachievable target before any
+    evaluation.  beta(1) is evaluated only when the bracket closes at
+    (1, 2], and P is probed only as the start when P <= 2.  No K_1 is
+    evaluated twice.  A small-ring estimate
     P (ln n + target) / (n sum_j a_j r_j) of K_1^2 past the float range is
-    refused with ``InvalidParamsError`` unless beta(P) or beta(1) alone
-    decides the answer.
+    refused with ``InvalidParamsError`` unless the target is above beta(P)
+    or at most beta(1).
     ``_solver_inputs`` checks the arguments once; each evaluation is then
     ``_ring_beta`` on the plain values it returns.
     """
     n, P, a, ratios, target_beta = _solver_inputs(n, P, a, ratios, target_beta)
+    log_n = math.log(n)
+    top = n * math.fsum(a) - log_n  # beta(P) bit for bit: every ring of size P meets every other, so b_1 = sum_j a_j
+    if top < target_beta:
+        raise UnachievableError(f"target beta {target_beta} unachievable: even K=(P,...,P) gives beta {top}")
 
     def beta_at(k1: int) -> float:
         return _ring_beta(n, P, a, ring_sizes_for(k1, ratios, P))
 
-    def unachievable(top: float) -> UnachievableError:
-        return UnachievableError(f"target beta {target_beta} unachievable: even K=(P,...,P) gives beta {top}")
-
     mean_ratio = math.fsum([aj * r for aj, r in zip(a, ratios)])
-    demand = math.log(n) + target_beta  # n times the b_1 the target asks for
+    demand = log_n + target_beta  # n times the b_1 the target asks for
     if P * demand / (n * mean_ratio) == math.inf:  # the small-ring estimate of K_1^2
-        top = beta_at(P)
-        if top < target_beta:
-            raise unachievable(top)
         if beta_at(1) >= target_beta:
             return ring_sizes_for(1, ratios, P)
         raise InvalidParamsError(
-            f"cannot solve for target beta {target_beta} at n={n}, P={P:.6g}: "
+            f"cannot solve for target beta {target_beta} at n={n:.6g}, P={P:.6g}: "
             "the estimate of K_1 is past the float range"
         )
     b1 = demand / n
@@ -427,21 +426,14 @@ def solve_k1(
     # conditionals, not nested min and max: this start runs once per solve on the hot path
     root, half = (math.sqrt(P * x) if x > 0.0 else 0.0), P // 2 + 1
     k = min(P, max(2, math.ceil(root) if root < half else half))
-    if b1 >= 1.0 and k < P:  # only K_1 where b_1 rounds to 1 reach it, if beta(P) does
-        top = beta_at(P)
-        if top < target_beta:
-            raise unachievable(top)
-    lo, hi = 1, P  # invariant: beta_at(lo) < target <= beta_at(hi), once 1 and P are evaluated
+    lo, hi = 1, P  # invariant: beta_at(lo) < target <= beta_at(hi), once 1 is evaluated
     step = 1
-    at_k = beta_at(k)
-    if at_k >= target_beta:
+    if beta_at(k) >= target_beta:
         hi = k
         while hi - step > lo and beta_at(hi - step) >= target_beta:
             hi -= step
             step *= 2
         lo = max(lo, hi - step)
-    elif k == P:
-        raise unachievable(at_k)
     else:
         lo = k
         while lo + step < hi and beta_at(lo + step) < target_beta:
@@ -454,11 +446,7 @@ def solve_k1(
             hi = mid
         else:
             lo = mid
-    if hi == P and k < P:  # the bracket closed at P, which no probe reached
-        top = beta_at(P)
-        if top < target_beta:
-            raise unachievable(top)
-    elif hi == 2 and beta_at(1) >= target_beta:  # lo == 1 here, and k >= 2
+    if hi == 2 and beta_at(1) >= target_beta:  # lo == 1 here, and k >= 2
         hi = 1
     return ring_sizes_for(hi, ratios, P)
 

@@ -517,8 +517,8 @@ class TestSolveK1:
         def outcome(solve):
             try:
                 return solve(n, P, a, ratios, target)
-            except UnachievableError:
-                return "unachievable"
+            except UnachievableError as exc:
+                return type(exc), str(exc)
 
         assert outcome(solve_k1) == outcome(bisect_solve_k1)
         assert outcome(solve_k1_nearest) == outcome(bisect_solve_k1_nearest)
@@ -548,12 +548,12 @@ class TestSolveK1:
         assert beta_at(K[0]) >= target > beta_at(K[0] - 1)
 
     @pytest.mark.parametrize("a, ratios", [((1.0,), (1.0,)), ((0.5, 0.5), (1.0, 2.0))], ids=["m1", "m2"])
-    @pytest.mark.parametrize("below_top, most", [(1e-9, (16, 14)), (1.0, (8, 6)), (None, (1, 1))],
+    @pytest.mark.parametrize("below_top, most", [(1e-9, (16, 14)), (1.0, (8, 6)), (None, (0, 0))],
                              ids=["1e-9-below-beta(P)", "1-below-beta(P)", "ulp-above-beta(P)"])
     def test_targets_near_beta_of_P_need_few_evaluations(self, a, ratios, below_top, most):
         # the linearized b_1 ~ K_1^2 r / P undershoots as b_1 nears 1, where
         # every probe sums some 1e5 terms; a target past beta(P) is refused
-        # by beta(P) alone
+        # by the closed form n sum_j a_j - ln n, without a probe
         n, P = 10**6, 10**9
         top = _ring_beta(n, P, a, ring_sizes_for(P, ratios, P))
         target = math.nextafter(top, math.inf) if below_top is None else top - below_top
@@ -566,7 +566,8 @@ class TestSolveK1:
 
         with probed_base_sizes() as probes:
             got = outcome(solve_k1)
-        assert 0 < len(probes) <= most[len(a) - 1]
+        assert len(probes) <= most[len(a) - 1]
+        assert (len(probes) > 0) == (below_top is not None)
         assert got == outcome(bisect_solve_k1)
 
     def test_estimate_past_float_range_refused(self):
@@ -578,9 +579,25 @@ class TestSolveK1:
                 solve(100, 10**308, (1.0,), (1.0,), 0.0)
             assert str(err.value) == msg
         # the estimate overflows here too, but beta(1) reaches the target
+        n, P = 13 * 10**307, 10**6
+        a, ratios = (0.5, 0.5), (1.0, 1.5)
+        target = beta(ModelParams(n=n, a=a, K=ring_sizes_for(1, ratios, P), P=P))
+        mean_ratio = math.fsum(aj * r for aj, r in zip(a, ratios))
+        assert P * (math.log(n) + target) / (n * mean_ratio) == math.inf
+        assert solve_k1(n, P, a, ratios, target) == (1, 2)
+        # one ulp above, beta(1) falls short and the estimate still overflows
+        above = math.nextafter(target, math.inf)
+        msg = (f"cannot solve for target beta {above} at n=1.3e+308, P=1e+06: "
+               "the estimate of K_1 is past the float range")
+        with pytest.raises(InvalidParamsError) as err:
+            solve_k1(n, P, a, ratios, above)
+        assert str(err.value) == msg
+        # at n = P = 1e308 b_1 rounds to 0 at K_1 = 1 and 2, so the estimate
+        # is 0.0 and the search, not the float-range branch, finds K_1 = 1
         n = P = 10**308
         a, ratios = (1e-3, 1 - 1e-3), (1.0, 1.5)
         target = beta(ModelParams(n=n, a=a, K=ring_sizes_for(1, ratios, P), P=P))
+        assert P * (math.log(n) + target) == 0.0
         assert solve_k1(n, P, a, ratios, target) == (1, 2)
 
     @pytest.mark.parametrize("n, P, a, ratios", [
@@ -637,8 +654,8 @@ class TestSolveK1:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_ends_probed_only_next_to_the_answer(self, data):
-        # deciding K_1 = 2 needs beta(1), and the estimate reaches P only
-        # when the answer is P - 1 or P; any other answer needs neither end
+        # deciding K_1 = 2 needs beta(1), and beta(P) is a closed form, so
+        # with P >= 3 the search never probes P; any other answer needs neither end
         m = data.draw(st.integers(1, 3))
         extra = data.draw(st.lists(st.floats(1.0, 6.0), min_size=m - 1, max_size=m - 1))
         ratios = (1.0, *sorted(extra))
@@ -652,8 +669,9 @@ class TestSolveK1:
                 K1 = solve_k1(n, P, a, ratios, target)[0]
             except UnachievableError:
                 K1 = P + 1
+        assert P not in probes
         if 2 < K1 < P - 1:
-            assert 1 not in probes and P not in probes
+            assert 1 not in probes
         assert len(probes) == len(set(probes))  # nothing is evaluated twice
 
     @settings(max_examples=300, deadline=None)

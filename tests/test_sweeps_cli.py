@@ -426,12 +426,23 @@ class TestCli:
         assert read_csv(out)[1][0]["axis"] == "n"
 
     def test_sweep_config_error_exit_2(self, capsys, tmp_path):
+        out = str(tmp_path / "x.csv")
+        no_base = spec_dict(output_path=out)
+        del no_base["base"]
+        no_seed = spec_dict(output_path=out)
+        del no_seed["master_seed"]
+        cases = [
+            (spec_dict(points=[2, 1], output_path=out), "points must be strictly increasing, got (2.0, 1.0)"),
+            ([spec_dict(output_path=out)], "sweep config must be a JSON object"),
+            (no_base, "config needs a 'base' object with n, P, a"),
+            (spec_dict(base={"n": 40, "P": 60, "a": [0.5, 0.5]}, output_path=out), "axis 'n' requires base K"),
+            (no_seed, "malformed sweep config: KeyError('master_seed')"),
+        ]
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(spec_dict(points=[2, 1], output_path=str(tmp_path / "x.csv"))))
-        code, _, err = run_cli(capsys, "sweep", str(cfg))
-        assert code == 2
-        assert err == "error: points must be strictly increasing, got (2.0, 1.0)\n"
-        assert not (tmp_path / "x.csv").exists()
+        for doc, msg in cases:
+            cfg.write_text(json.dumps(doc))
+            assert run_cli(capsys, "sweep", str(cfg)) == (2, "", f"error: {msg}\n")
+            assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("field", ["n", "P", "K", "trials", "master_seed"])
     @pytest.mark.parametrize("value", ["2.5", "Infinity", "1e400"])
