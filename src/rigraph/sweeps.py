@@ -166,10 +166,10 @@ def resolve_point(spec: SweepSpec, value: float) -> ModelParams:
         # a scale outside [0, P] gives the same sizes as its end of that range
         # (every K_i >= 1), and k * value could overflow to inf
         value = min(max(value, 0.0), P)
-        scaled = [min(P, max(1, math.floor(k * value + 0.5))) for k in spec.base_K]
-        for i in range(1, len(scaled)):  # rounding can break monotonicity
-            scaled[i] = max(scaled[i], scaled[i - 1])
-        return ModelParams(n=n, a=a, K=tuple(scaled), P=P)
+        # scaling, rounding half up and clamping are monotone, so a
+        # nondecreasing base K stays so; ModelParams refuses one out of order
+        scaled = tuple(min(P, max(1, math.floor(k * value + 0.5))) for k in spec.base_K)
+        return ModelParams(n=n, a=a, K=scaled, P=P)
     K = solve_k1_nearest(n, P, a, spec.ratios, value)
     return ModelParams(n=n, a=a, K=K, P=P)
 

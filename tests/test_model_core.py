@@ -323,10 +323,12 @@ class TestBeta:
         assert beta_from_b1(100, 0.0) == -math.log(100)
 
     def test_rejects_small_n(self):
-        # a ModelParams never has n < 2 (see TestInputChecks); b_1 may come
-        # with any n
+        # a ModelParams never has n < 2 (see TestInputChecks); b_1, or b,
+        # may come with any n
         with pytest.raises(InvalidParamsError, match="^beta needs n >= 2, got n=1$"):
             beta_from_b1(1, 0.5)
+        with pytest.raises(InvalidParamsError, match="^isolation moments need n >= 2, got n=1$"):
+            expected_isolated_from_b(1, (1.0,), (0.5,))
 
     def test_params_level_matches_b1(self):
         p = ModelParams(n=20, a=(0.5, 0.5), K=(2, 3), P=30)

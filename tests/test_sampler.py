@@ -26,7 +26,6 @@ from rigraph.sampler import (
     GAMMA,
     GraphBatch,
     _floyd_batch,
-    _merge_network,
     _ring_sets,
     _sorted_rows,
     sample_batch,
@@ -169,7 +168,6 @@ class TestRingSets:
         # the 0-1 principle: a comparator network that sorts every 0/1
         # input sorts every input
         bits = (np.arange(1 << K) >> np.arange(K)[:, None]) & 1
-        assert all(0 <= i < k < K for i, k in _merge_network(K))
         assert np.array_equal(np.array(_sorted_rows(bits.copy())), np.sort(bits, axis=0))
 
     @given(st.integers(1, 3 * _NETWORK_MAX_K), st.data(), st.integers(1, 300), st.integers(0, 2**32))

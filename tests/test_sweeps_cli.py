@@ -205,6 +205,10 @@ class TestResolvePoint:
         assert resolve_point(spec, 30.0).K == (60, 60)  # clamped to P
         assert resolve_point(spec, 1e308).K == (60, 60)  # 3e308 is inf
         assert resolve_point(spec, -1e308).K == (1, 1)
+        base = {"n": 40, "P": 60, "a": [0.5, 0.5], "K": [6, 3]}
+        unordered = sweep_spec_from_dict(spec_dict(base=base, axis="K1-scale"))
+        with pytest.raises(InvalidParamsError, match=r"^ring sizes must be nondecreasing, got \(6, 3\)$"):
+            resolve_point(unordered, 1.0)
 
     def test_beta_target_axis(self):
         spec = sweep_spec_from_dict(
@@ -268,6 +272,13 @@ class TestSweepCsv:
             write_sweep_csv(rows, str(target))
         assert not target.exists()
         assert not any(p.name.startswith(".sweep-") for p in tmp_path.iterdir())
+        # a directory target fails in os.replace, after the temporary file exists
+        target = tmp_path / "rows.csv"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_sweep_csv(rows, str(target))
+        assert target.is_dir() and not any(target.iterdir())
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
     def test_row_formats_infinite_cross_moment_ratio(self):
         params = ModelParams(n=2000, a=(0.5, 0.5), K=(1, 3), P=3)
@@ -437,6 +448,11 @@ class TestCli:
             (no_base, "config needs a 'base' object with n, P, a"),
             (spec_dict(base={"n": 40, "P": 60, "a": [0.5, 0.5]}, output_path=out), "axis 'n' requires base K"),
             (no_seed, "malformed sweep config: KeyError('master_seed')"),
+            (
+                spec_dict(base={"n": 40, "P": 60, "a": [0.5, 0.5], "K": [6, 3]}, axis="K1-scale",
+                          points=[1, 2], output_path=out),
+                "ring sizes must be nondecreasing, got (6, 3)",
+            ),
         ]
         cfg = tmp_path / "cfg.json"
         for doc, msg in cases:
