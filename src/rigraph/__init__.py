@@ -41,4 +41,4 @@ from .sweeps import (
     write_sweep_csv,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -33,8 +33,12 @@ Each model rule has one owner.  ``_model_inputs`` checks n, a and P for
 of its rules, so no function taking a ``ModelParams`` checks it again.  The
 solver then evaluates beta on those plain values, row 1 of b only,
 O(log K_1) times near its answer and twice when its starting estimate is
-within one of it.  Its beta at K_1 = P is the closed form n sum_j a_j - ln n,
-and it evaluates beta at K_1 = 1 only when the bracket closes at (1, 2].
+within one of it; at two or more groups Newton steps on a lower bound of b_1
+refine that estimate when the target asks for b_1 > 0.05.  Its beta at
+K_1 = P is the closed form n sum_j a_j - ln n, and it evaluates beta at
+K_1 = 1 only when the bracket closes at (1, 2].  The bracket it closes holds
+both candidates of the nearest choice (``nearest=True``), so that choice
+costs no further evaluation.
 An exact rational mirror of the same formulas lives in ``tests/exact.py`` and
 is used by the test suite as ground truth for the float path.
 """
@@ -66,6 +70,12 @@ _BOUND_MIN_TERMS = 64
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # the closed forms take n and P as floats; an int comparison is the cheap test
 _INT_FLOAT_MAX = int(sys.float_info.max)
+# ``solve_k1`` refines its start by Newton steps only past this b_1*: below
+# it the two lower bounds are already tight, and the steps would cost more
+# than they save on the many cheap small-ring solves
+_NEWTON_MIN_B1 = 0.05
+_NEWTON_MAX_STEPS = 8
+_NEWTON_REL_STEP = 1e-9
 
 
 def _as_int(name: str, value) -> int:
@@ -367,6 +377,8 @@ def solve_k1(
     a: tuple[float, ...],
     ratios: tuple[float, ...],
     target_beta: float,
+    *,
+    nearest: bool = False,
 ) -> tuple[int, ...]:
     """Smallest ratio-shaped ring vector whose deviation reaches a target.
 
@@ -375,26 +387,37 @@ def solve_k1(
     beta(params) >= target_beta.  Raises ``UnachievableError`` when even
     K = (P, ..., P) stays below the target.
 
+    With ``nearest=True`` it returns instead whichever of that vector and
+    its base-size-minus-one sibling has the achieved beta nearest the
+    target: the sibling when |beta(K_1 - 1) - target| <= |beta(K_1) - target|,
+    so ties go to the smaller vector, and the vector itself when K_1 = 1.
+    The search has evaluated beta at both when its bracket closes (or has
+    it in closed form at K_1 = P), so the choice costs no evaluation.
+
     The target asks for b_1* = (ln n + target) / n, and b_1 >= 1 - sum_j a_j
     e^{-K_1 K_j / P}.  So the search starts from K_1 ~ sqrt(P x) with
     x = max(-ln(1 - b_1*) / sum_j a_j r_j, -ln(1 - b_1*) + ln a_1), the larger
-    of two lower bounds on the root of sum_j a_j e^{-r_j x} = 1 - b_1* (by
-    Jensen, and from the j = 1 term alone).  Unlike the small-ring estimate
-    from the linearized b_1 ~ K_1^2 sum_j a_j r_j / P, this start does not
-    undershoot as b_1* nears 1.  It is clamped to [2, P // 2 + 1], since
-    every K_1 > P / 2 gives b_1 = 1; a b_1* >= 1 takes the float below 1
-    and is met only where b_1 rounds to 1.
+    of two lower bounds on the root of f(x) = sum_j a_j e^{-r_j x} -
+    (1 - b_1*) = 0 (by Jensen, and from the j = 1 term alone).  At m = 1
+    both are the root.  At m >= 2 and b_1* > 0.05, where spread ratios leave
+    them loose, Newton steps on f refine x; f is convex and decreasing, so
+    from below the root each step stays below it.  The steps stop on a
+    relative step under 1e-9, on f <= 0 or after 8 steps.  Unlike the
+    small-ring estimate from the linearized b_1 ~ K_1^2 sum_j a_j r_j / P,
+    this start does not undershoot as b_1* nears 1.  It is clamped to
+    [2, P // 2 + 1], since every K_1 > P / 2 gives b_1 = 1; a b_1* >= 1
+    takes the float below 1 and is met only where b_1 rounds to 1.
     From there it gallops down or up with doubling steps until
     beta(lo) < target <= beta(hi), then bisects inside that bracket.  Both
     steps are valid because b_1 (hence beta) is nondecreasing in K_1, so the
-    result is the one a bisection over all of [1, P] finds; near the answer
-    the search costs O(log K_1) beta evaluations instead of O(log P), two
-    when the start is off by less than one.  beta(P) needs no search: every
-    ring of size P meets every other ring, so b_1 = sum_j a_j there, and
-    beta(P) = n sum_j a_j - ln n refuses an unachievable target before any
-    evaluation.  beta(1) is evaluated only when the bracket closes at
-    (1, 2], and P is probed only as the start when P <= 2.  No K_1 is
-    evaluated twice.  A small-ring estimate
+    result is the one a bisection over all of [1, P] finds, whatever the
+    start; near the answer the search costs O(log K_1) beta evaluations
+    instead of O(log P), two when the start is off by less than one.
+    beta(P) needs no search: every ring of size P meets every other ring, so
+    b_1 = sum_j a_j there, and beta(P) = n sum_j a_j - ln n refuses an
+    unachievable target before any evaluation.  beta(1) is evaluated only
+    when the bracket closes at (1, 2], and P is probed only as the start
+    when P <= 2.  No K_1 is evaluated twice.  A small-ring estimate
     P (ln n + target) / (n sum_j a_j r_j) of K_1^2 past the float range is
     refused with ``InvalidParamsError`` unless the target is above beta(P)
     or at most beta(1).
@@ -407,8 +430,11 @@ def solve_k1(
     if top < target_beta:
         raise UnachievableError(f"target beta {target_beta} unachievable: even K=(P,...,P) gives beta {top}")
 
+    seen = {P: top}  # beta at every K_1 evaluated, for the nearest choice
+
     def beta_at(k1: int) -> float:
-        return _ring_beta(n, P, a, ring_sizes_for(k1, ratios, P))
+        value = seen[k1] = _ring_beta(n, P, a, ring_sizes_for(k1, ratios, P))
+        return value
 
     mean_ratio = math.fsum([aj * r for aj, r in zip(a, ratios)])
     demand = log_n + target_beta  # n times the b_1 the target asks for
@@ -422,6 +448,19 @@ def solve_k1(
     b1 = demand / n
     tail = -math.log1p(-b1 if b1 < 1.0 else 2.0**-53 - 1.0)  # from b_1* >= 1, the float below 1
     x = max(tail / mean_ratio, tail + math.log(a[0]))
+    if b1 > _NEWTON_MIN_B1 and len(a) > 1:
+        # f(x) = sum_j a_j e^{-r_j x} - e^{-tail} is convex and decreasing, and x lies below its
+        # root, so each Newton step stays below the root; at m = 1 x is the root already
+        rest = math.exp(-tail)
+        for _ in range(_NEWTON_MAX_STEPS):
+            terms = [aj * math.exp(-r * x) for aj, r in zip(a, ratios)]
+            f = math.fsum(terms) - rest
+            if f <= 0.0:
+                break
+            dx = f / math.fsum([r * t for r, t in zip(ratios, terms)])
+            x += dx
+            if dx <= _NEWTON_REL_STEP * x:
+                break
     # no answer lies past P // 2 + 1: every K_1 > P / 2 meets every ring, so b_1 = 1 there;
     # conditionals, not nested min and max: this start runs once per solve on the hot path
     root, half = (math.sqrt(P * x) if x > 0.0 else 0.0), P // 2 + 1
@@ -448,6 +487,9 @@ def solve_k1(
             lo = mid
     if hi == 2 and beta_at(1) >= target_beta:  # lo == 1 here, and k >= 2
         hi = 1
+    # the bracket's ends hi - 1 = lo and hi are both in ``seen`` once hi > 1
+    if nearest and hi > 1 and abs(seen[hi - 1] - target_beta) <= abs(seen[hi] - target_beta):
+        hi -= 1
     return ring_sizes_for(hi, ratios, P)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pickle
 from contextlib import contextmanager
@@ -41,19 +42,23 @@ from reference_solver import bisect_solve_k1, bisect_solve_k1_nearest, full_sum_
 
 @contextmanager
 def probed_base_sizes():
-    """Collect the K_1 of every beta evaluation the solver makes."""
+    """Collect the K_1 of every beta evaluation the solvers make, in
+    ``model_core`` and in any module that imports ``_ring_beta`` from it."""
     probes = []
     ring_beta = model_core._ring_beta
+    callers = [module for module in (model_core, sweeps) if getattr(module, "_ring_beta", None) is ring_beta]
 
     def counted(n, P, a, K):
         probes.append(K[0])
         return ring_beta(n, P, a, K)
 
-    model_core._ring_beta = counted
+    for module in callers:
+        module._ring_beta = counted
     try:
         yield probes
     finally:
-        model_core._ring_beta = ring_beta
+        for module in callers:
+            module._ring_beta = ring_beta
 
 
 # ---------------------------------------------------------------- params
@@ -572,6 +577,40 @@ class TestSolveK1:
         assert (len(probes) > 0) == (below_top is not None)
         assert got == outcome(bisect_solve_k1)
 
+    @pytest.mark.parametrize("a, ratios, most", [
+        ((1.0,), (1.0,), (2, 2, 4, 4, 6)),
+        ((0.5, 0.5), (1.0, 2.0), (2, 2, 2, 4, 6)),
+        ((0.2, 0.3, 0.5), (1.0, 1.5, 3.0), (2, 2, 4, 4, 4)),
+    ], ids=["m1", "m2", "m3"])
+    @pytest.mark.parametrize("which", range(5), ids=["1e4", "1e5", "5e5", "9e5", "999000"])
+    def test_mid_range_targets_need_few_evaluations(self, a, ratios, most, which):
+        # at m >= 2 both lower bounds on the root of sum_j a_j e^{-r_j x} =
+        # 1 - b_1* are loose mid-range (10-24 probes from them alone at m = 3);
+        # Newton steps from the larger one bring the start within a few
+        target = (1e4, 1e5, 5e5, 9e5, 999_000.0)[which]
+        args = (10**6, 10**9, a, ratios, target)
+        with probed_base_sizes() as probes:
+            K = solve_k1(*args)
+        assert len(probes) <= most[which]
+        assert K == bisect_solve_k1(*args)
+        assert solve_k1_nearest(*args) == bisect_solve_k1_nearest(*args)
+
+    def test_nearest_probes_only_what_the_solve_probes(self):
+        # the cells of perfbench's ring_solve stream: the nearest choice takes
+        # both candidates' beta from the solve's closed bracket
+        shapes = [((1.0,), (1.0,)), ((0.5, 0.5), (1.0, 2.0)), ((1 / 3,) * 3, (1.0, 2.0, 4.0))]
+        for n in (1000, 10_000, 100_000):
+            for P in (n, 2 * n, 10 * n, 100 * n):
+                if P > 10**6:
+                    continue
+                for (a, ratios), target in itertools.product(shapes, (-2.0, 0.0, 2.0)):
+                    with probed_base_sizes() as solved:
+                        K = solve_k1(n, P, a, ratios, target)
+                    with probed_base_sizes() as chosen:
+                        nearest = sweeps.solve_k1_nearest(n, P, a, ratios, target)
+                    assert chosen == solved and len(solved) == 2
+                    assert nearest in (K, ring_sizes_for(K[0] - 1, ratios, P))
+
     def test_estimate_past_float_range_refused(self):
         # P (ln n + target) overflows, so the search has no finite start;
         # beta(P) reaches the target and beta(1) does not, so neither decides
@@ -707,15 +746,16 @@ class TestSolveK1:
 
         for module in (model_core, sweeps):
             monkeypatch.setattr(module, "ModelParams", spy_params)
-            monkeypatch.setattr(module, "_solver_inputs", spy_inputs)
+            if hasattr(module, "_solver_inputs"):  # spied wherever it is imported
+                monkeypatch.setattr(module, "_solver_inputs", spy_inputs)
         monkeypatch.setattr(model_core, "b_vector", spy_b_vector)
         args = (1000, 10**6, (0.2, 0.3, 0.5), (1.0, 1.5, 3.0), 0.0)
         K = solve_k1(*args)
         assert (built, looked_up, checked) == ([], [], [args])
         checked.clear()
         nearest = sweeps.solve_k1_nearest(*args)
-        # once inside solve_k1, once for the two candidates
-        assert (built, looked_up, checked) == ([], [], [args, args])
+        # once, inside solve_k1: the nearest choice reuses its checked values
+        assert (built, looked_up, checked) == ([], [], [args])
         assert K[0] > 1 and nearest in (K, ring_sizes_for(K[0] - 1, args[3], args[1]))
 
     def test_ring_sizes_round_half_up(self):

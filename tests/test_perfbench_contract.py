@@ -1,7 +1,8 @@
 """The benchmark under ``perfbench/`` imports names from ``rigraph`` and swaps
 ``rigraph.sweeps`` globals to time the layers.  Its own tests cannot run in
 the same pytest run as these, so this checks, by reading its source,
-that every name it relies on still exists, and runs its trial-by-trial
+that every name it relies on still exists, checks that the solves it times
+still go through the global it swaps, and runs its trial-by-trial
 replay (what ``perfbench/run.py --trace 1`` compares with ``run_trials``) in
 a separate process."""
 
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import rigraph.sweeps as sweeps
 
 from conftest import missing_rigraph_names, rigraph_aliases
 
@@ -57,3 +60,23 @@ def test_trace_replay_matches_run_trials():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "None\n"
+
+
+def test_nearest_solves_through_the_swappable_global(monkeypatch):
+    # ``perfbench --trace 1`` times solves by swapping ``sweeps.solve_k1``
+    # (``workloads.traced_sweeps``) and stops if no solve span is recorded
+    calls = []
+    solve = sweeps.solve_k1
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "solve_k1", counted)
+    args = (1000, 10**4, (0.5, 0.5), (1.0, 2.0), 0.0)
+    K = sweeps.solve_k1_nearest(*args)
+    assert calls == [args]
+    spec = sweeps.SweepSpec(base_n=1000, base_P=10**4, a=(0.5, 0.5), base_K=None, ratios=(1.0, 2.0),
+                            axis="beta-target", points=(0.0,), trials=1, master_seed=1, output_path="unused.csv")
+    assert sweeps.resolve_point(spec, 0.0).K == K
+    assert calls == [args, args]
