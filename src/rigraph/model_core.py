@@ -30,7 +30,9 @@ takes every quantity built on b from one b.
 
 Each model rule has one owner.  ``_model_inputs`` checks n, a and P for
 ``ModelParams`` and for the solver, walking each tuple once; n >= 2 is one
-of its rules, so no function taking a ``ModelParams`` checks it again.  The
+of its rules, so no function taking a ``ModelParams`` checks it again.
+``_scaled_sizes`` builds every ring vector from a base and a scale,
+rounding half up and clamping to [low, P] without an exception path.  The
 solver then evaluates beta on those plain values, row 1 of b only,
 O(log K_1) times near its answer and twice when its starting estimate is
 within one of it; at two or more groups Newton steps on a lower bound of b_1
@@ -312,30 +314,36 @@ def cross_moment_ratio(params: ModelParams) -> float:
     return math.exp(log_ratio)
 
 
+def _scaled_sizes(values, scale, low: int, P: int) -> tuple[int, ...]:
+    """Each value times ``scale``, rounded half up and clamped to [low, P]
+    for a low <= P: a product at or past P gives P and one below low gives
+    low, neither rounded, so +-inf and ints past the float range need no
+    exception path.  The one rule behind every ring vector: those of
+    ``ring_sizes_for``, of each solver probe and of the K1-scale sweep
+    axis.  A loop, not a comprehension, which would cost a call per vector
+    on the solver's hot path."""
+    sizes = []
+    for v in values:
+        x = v * scale
+        # rounded only when low <= x < P, so within [low, P]
+        sizes.append(P if x >= P else low if x < low else math.floor(x + 0.5))
+    return tuple(sizes)
+
+
 def ring_sizes_for(K1: int, ratios: tuple[float, ...], P: int) -> tuple[int, ...]:
     """Ring-size vector generated by a base size and fixed ratios.
 
-    K_j = min(P, max(K1, round-half-up(ratios_j * K1))); nondecreasing by
-    construction when the ratios are nondecreasing.  A finite ratio whose
-    product with K1 overflows gives P (or K1 below 0); non-finite ones are
-    refused.
+    K_j = min(P, max(K1, round-half-up(ratios_j * K1))), by the one rule
+    that also builds the solver's vectors and the K1-scale sweep axis's;
+    nondecreasing when the ratios are.  A finite ratio whose product with
+    K1 is at or past P gives P, and one whose product is below K1 gives K1,
+    ints past the float range included; non-finite ratios are refused.  At
+    K1 > P every size is P.
     """
-    sizes = []
-    try:
-        for r in ratios:
-            k = math.floor(r * K1 + 0.5)
-            if k <= K1:
-                k = K1
-            if k >= P:
-                k = P
-            sizes.append(k)
-    except (OverflowError, ValueError):  # floor of an infinite or NaN product
-        # a comparison, unlike math.isfinite, takes an int past the float range
-        if not all(-math.inf < r < math.inf for r in ratios):
-            raise InvalidParamsError(f"ratios must be finite, got {ratios}") from None
-        # the same sizes, without rounding a product at or past P, or below 0
-        return tuple(P if r * K1 >= P else max(K1, math.floor(max(r, 0.0) * K1 + 0.5)) for r in ratios)
-    return tuple(sizes)
+    # a comparison, unlike math.isfinite, takes an int past the float range
+    if not all(-math.inf < r < math.inf for r in ratios):
+        raise InvalidParamsError(f"ratios must be finite, got {ratios}")
+    return _scaled_sizes(ratios, K1, min(K1, P), P)
 
 
 def _solver_inputs(n, P, a, ratios, target_beta) -> tuple[int, int, tuple[float, ...], tuple[float, ...], float]:
@@ -433,14 +441,14 @@ def solve_k1(
     seen = {P: top}  # beta at every K_1 evaluated, for the nearest choice
 
     def beta_at(k1: int) -> float:
-        value = seen[k1] = _ring_beta(n, P, a, ring_sizes_for(k1, ratios, P))
+        value = seen[k1] = _ring_beta(n, P, a, _scaled_sizes(ratios, k1, k1, P))
         return value
 
     mean_ratio = math.fsum([aj * r for aj, r in zip(a, ratios)])
     demand = log_n + target_beta  # n times the b_1 the target asks for
     if P * demand / (n * mean_ratio) == math.inf:  # the small-ring estimate of K_1^2
         if beta_at(1) >= target_beta:
-            return ring_sizes_for(1, ratios, P)
+            return _scaled_sizes(ratios, 1, 1, P)
         raise InvalidParamsError(
             f"cannot solve for target beta {target_beta} at n={n:.6g}, P={P:.6g}: "
             "the estimate of K_1 is past the float range"
@@ -490,7 +498,7 @@ def solve_k1(
     # the bracket's ends hi - 1 = lo and hi are both in ``seen`` once hi > 1
     if nearest and hi > 1 and abs(seen[hi - 1] - target_beta) <= abs(seen[hi] - target_beta):
         hi -= 1
-    return ring_sizes_for(hi, ratios, P)
+    return _scaled_sizes(ratios, hi, hi, P)
 
 
 # Advisory thresholds for ``diagnostics`` (not assertions: the asymptotic

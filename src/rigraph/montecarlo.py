@@ -186,7 +186,7 @@ def run_trials(
     trials = _as_int("trials", trials)
     if trials < 1:
         raise InvalidParamsError(f"trials must be >= 1, got {trials}")
-    _check_pool(params)
+    _check_pool(params.P)
     master_seed = SeedSpec(master_seed).master_seed  # validated early, as a Python int
     workers = resolve_workers(workers)
 

@@ -247,9 +247,9 @@ def _ring_sets(P: int, K: int, U: np.ndarray) -> list[np.ndarray]:
     return rows
 
 
-def _check_pool(params: ModelParams) -> None:
-    if params.P > 1 << 53:  # Floyd maps a 53-bit uniform to an id, so it skips ids of larger pools
-        raise InvalidParamsError(f"simulation needs P <= 2^53, got P={params.P}")
+def _check_pool(P: int) -> None:
+    if P > 1 << 53:  # Floyd maps a 53-bit uniform to an id, so it skips ids of larger pools
+        raise InvalidParamsError(f"simulation needs P <= 2^53, got P={P}")
 
 
 def sample_batch(
@@ -258,7 +258,7 @@ def sample_batch(
     """Realize trials [start, stop) of ``master_seed``, trial t from the
     stream of ``SeedSpec(master_seed, t)``; ``scratch``, if given, is the
     bit generator reseated for each trial."""
-    _check_pool(params)
+    _check_pool(params.P)
     seed = SeedSpec(master_seed, start)
     trials = _as_int("stop", stop) - seed.trial_index
     if trials < 1:

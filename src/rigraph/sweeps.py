@@ -27,6 +27,7 @@ from .errors import InvalidParamsError
 from .model_core import (
     ModelParams,
     _as_float,
+    _scaled_sizes,
     diagnostics,
     exact_quantities,
     solve_k1,
@@ -155,13 +156,9 @@ def resolve_point(spec: SweepSpec, value: float) -> ModelParams:
     if spec.axis == "P":
         return ModelParams(n=n, a=a, K=spec.base_K, P=_integral(value, "P axis point"))
     if spec.axis == "K1-scale":
-        # a scale outside [0, P] gives the same sizes as its end of that range
-        # (every K_i >= 1), and k * value could overflow to inf
-        value = min(max(value, 0.0), P)
-        # scaling, rounding half up and clamping are monotone, so a
-        # nondecreasing base K stays so; ModelParams refuses one out of order
-        scaled = tuple(min(P, max(1, math.floor(k * value + 0.5))) for k in spec.base_K)
-        return ModelParams(n=n, a=a, K=scaled, P=P)
+        base = ModelParams(n=n, a=a, K=spec.base_K, P=P)
+        # scaling, rounding half up and clamping are monotone, so the checked base K stays nondecreasing
+        return ModelParams(n=n, a=a, K=_scaled_sizes(base.K, value, 1, P), P=P)
     K = solve_k1_nearest(n, P, a, spec.ratios, value)
     return ModelParams(n=n, a=a, K=K, P=P)
 
@@ -250,10 +247,14 @@ def build_row(
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
     """Resolve and check every axis point up front (config errors and
     pools the simulator refuses must precede any simulation), then run them
-    in order, all through one process pool."""
+    in order, all through one process pool.  The beta-target axis checks
+    its base pool before any solve, since one solve at a pool the simulator
+    refuses can take minutes."""
+    if spec.axis == "beta-target":
+        _check_pool(spec.base_P)
     resolved = [(i, v, resolve_point(spec, v)) for i, v in enumerate(spec.points)]
     for _, _, params in resolved:
-        _check_pool(params)
+        _check_pool(params.P)
     workers = resolve_workers(workers)
     rows = []
     with _trial_pool(spec.trials, workers):

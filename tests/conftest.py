@@ -1,14 +1,16 @@
-"""Shared helpers: a one-trial batch built from per-vertex sets, an
-independent adjacency-matrix/BFS analysis oracle, the walk that finds names
-a parsed source takes from ``rigraph`` that do not exist, the tiny instances
-of the event oracle, a hypothesis strategy for small valid parameter tuples,
-and process-pool stand-ins for the trial runner."""
+"""Shared helpers: a wall-clock limit on every test, a one-trial batch built
+from per-vertex sets, an independent adjacency-matrix/BFS analysis oracle,
+the walk that finds names a parsed source takes from ``rigraph`` that do not
+exist, the tiny instances of the event oracle, a hypothesis strategy for
+small valid parameter tuples, and process-pool stand-ins for the trial
+runner."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import os
+import signal
 
 import pytest
 from hypothesis import strategies as st
@@ -18,6 +20,31 @@ from rigraph import ModelParams
 from rigraph.sampler import GraphBatch
 
 _TEST_PID = os.getpid()
+TEST_WALL_SECONDS = 120  # the slowest test takes about 15 s on a 2-vCPU VM
+
+
+class WallClockExceeded(BaseException):
+    """Raised in a test that runs past ``TEST_WALL_SECONDS``.  Not an
+    ``Exception``, so no ``except Exception`` in the code under test
+    swallows it, and Hypothesis does not shrink and rerun the test."""
+
+
+@pytest.fixture(autouse=True)
+def wall_clock_limit():
+    """Fail a test, with its traceback, once it has run ``TEST_WALL_SECONDS``
+    of wall time, so a call that never returns cannot stall the suite.  The
+    SIGALRM handler runs in the main thread, where pytest runs each test."""
+
+    def expire(signum, frame):
+        raise WallClockExceeded(f"test ran past {TEST_WALL_SECONDS} s of wall time")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_WALL_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def make_sample(groups: list[int], object_sets: list[list[int]], P: int | None = None) -> GraphBatch:

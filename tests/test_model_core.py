@@ -37,7 +37,7 @@ from rigraph.oracle import enumerate_pair_prob
 import exact
 from conftest import small_params
 from reference_closed_forms import reference_exact_quantities
-from reference_solver import bisect_solve_k1, bisect_solve_k1_nearest, full_sum_no_overlap_ratio
+from reference_solver import bisect_solve_k1, bisect_solve_k1_nearest, full_sum_no_overlap_ratio, try_ring_sizes_for
 
 
 @contextmanager
@@ -781,6 +781,37 @@ class TestSolveK1:
     def test_ring_sizes_non_finite_ratio_refused(self, ratio):
         with pytest.raises(InvalidParamsError, match="ratios must be finite"):
             ring_sizes_for(2, (1.0, ratio), 7)
+
+    RATIO_EDGES = [1e308, -1e308, 10**400, -(10**400), 0.49999999999999994, 0.5, 1.5, 2.5, 0.0, -0.0, 3]
+
+    @pytest.mark.parametrize("P", [7, 2**53, int(1.7e308)])
+    def test_ring_sizes_edges_match_the_code_they_replaced(self, P):
+        for K1 in sorted({1, 2, P // 3, P - 1, P} - {0}):
+            for r in self.RATIO_EDGES:
+                assert ring_sizes_for(K1, (1.0, r), P) == try_ring_sizes_for(K1, (1.0, r), P)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_ring_sizes_match_the_code_they_replaced(self, data):
+        # one rule in place of a loop and a fallback that disagreed past the float range
+        P = data.draw(st.one_of(st.integers(1, 200), st.integers(1, int(1.7e308)),
+                                st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, int(1.7e308)])))
+        K1 = data.draw(st.one_of(st.integers(1, P), st.sampled_from([1, P])))
+        ratio = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(self.RATIO_EDGES),
+                          st.integers(-(10**400), 10**400), st.floats(0.0, 4.0))
+        ratios = tuple(data.draw(st.lists(ratio, max_size=4)))
+        assert ring_sizes_for(K1, ratios, P) == try_ring_sizes_for(K1, ratios, P)
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        ratios = ratios + (bad,) if data.draw(st.booleans()) else (bad,) + ratios
+        for rule in (ring_sizes_for, try_ring_sizes_for):
+            with pytest.raises(InvalidParamsError) as refused:
+                rule(K1, ratios, P)
+            assert str(refused.value) == f"ratios must be finite, got {ratios}"
+
+    def test_ring_sizes_base_past_pool_is_pool(self):
+        # min(P, max(K_1, .)) is P whatever the ratio; the replaced fallback gave K_1
+        assert ring_sizes_for(17, (-(10**400), 0.0), 7) == (7, 7)
+        assert ring_sizes_for(17, (1.0, 2.0), 7) == (7, 7)
 
     @pytest.mark.parametrize("target", [-2.0, 5.0, 40.0])
     def test_ratio_above_pool_acts_as_pool(self, target):

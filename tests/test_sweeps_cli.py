@@ -19,6 +19,7 @@ from rigraph import (
     solve_k1,
     solve_k1_nearest,
 )
+import rigraph.model_core as model_core
 import rigraph.montecarlo as montecarlo
 import rigraph.sweeps as sweeps
 from rigraph.cli import main
@@ -209,6 +210,10 @@ class TestResolvePoint:
         unordered = sweep_spec_from_dict(spec_dict(base=base, axis="K1-scale"))
         with pytest.raises(InvalidParamsError, match=r"^ring sizes must be nondecreasing, got \(6, 3\)$"):
             resolve_point(unordered, 1.0)
+        # 1e299 * 1e10 overflows to inf, which is past P, so the size is P
+        huge = sweep_spec_from_dict(spec_dict(base={"n": 40, "P": 10**300, "a": [1.0], "K": [10**299]},
+                                              axis="K1-scale", points=[1e10]))
+        assert resolve_point(huge, 1e10).K == (10**300,)
 
     def test_beta_target_axis(self):
         spec = sweep_spec_from_dict(
@@ -453,6 +458,19 @@ class TestCli:
                           points=[1, 2], output_path=out),
                 "ring sizes must be nondecreasing, got (6, 3)",
             ),
+            (
+                spec_dict(base={"n": 40, "P": 40, "a": [0.5, 0.5], "K": [0, 3]}, axis="K1-scale", output_path=out),
+                "need 1 <= K_1 <= P, got K=(0, 3), P=40",
+            ),
+            (
+                spec_dict(base={"n": 40, "P": 40, "a": [0.5, 0.5], "K": [3, 99]}, axis="K1-scale", output_path=out),
+                "need 1 <= K_2 <= P, got K=(3, 99), P=40",
+            ),
+            (
+                spec_dict(base={"n": 40, "P": 10**300, "a": [1.0], "K": [10**299]}, axis="K1-scale",
+                          points=[1e10], output_path=out),
+                f"simulation needs P <= 2^53, got P={10**300}",
+            ),
         ]
         cfg = tmp_path / "cfg.json"
         for doc, msg in cases:
@@ -652,6 +670,17 @@ class TestCli:
         assert ran == []
         assert not (tmp_path / "x.csv").exists()
 
+    def test_beta_target_pool_past_2_53_refused_before_any_solve(self, capsys, tmp_path, monkeypatch):
+        probes = []
+        ring_beta = model_core._ring_beta
+        monkeypatch.setattr(model_core, "_ring_beta", lambda *args: probes.append(args[3]) or ring_beta(*args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(spec_dict(base={"n": 100, "P": 2**53 + 1, "a": [1.0]}, ratios=[1.0],
+                                            axis="beta-target", points=[-10], output_path=str(tmp_path / "x.csv"))))
+        assert run_cli(capsys, "sweep", str(cfg)) == (2, "", f"error: simulation needs P <= 2^53, got P={2**53 + 1}\n")
+        assert probes == []
+        assert not (tmp_path / "x.csv").exists()
+
     def test_estimate_past_float_range_exit_2(self, capsys, tmp_path):
         # P (ln n + target) overflows: one line and exit 2, not a traceback
         want = (2, "", "error: cannot solve for target beta 0.0 at n=100, P=1e+308: "
@@ -661,7 +690,8 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(spec_dict(base={"n": 100, "P": 10**308, "a": [1.0]}, ratios=[1.0],
                                             axis="beta-target", points=[0], output_path=str(tmp_path / "x.csv"))))
-        assert run_cli(capsys, "sweep", str(cfg)) == want
+        # a sweep refuses this pool before any solve
+        assert run_cli(capsys, "sweep", str(cfg)) == (2, "", f"error: simulation needs P <= 2^53, got P={10**308}\n")
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("where", ["huge", "-huge", "above-beta(P)"])
