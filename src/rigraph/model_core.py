@@ -21,26 +21,28 @@ parameter tuple (n, a, K, P):
 Each formula has one function.  ``no_overlap_ratio`` evaluates a
 binomial-coefficient ratio as a product of K linear factors in log space;
 raw factorials are never formed, so P up to ~1e9 is fine.  A ratio whose exp
-would underflow is returned as 0.0 without the full sum, so one ratio costs
-O(min(K_i, K_j, sqrt(745 P))) terms.  b, the p-matrix, the cross-moment
-denominator and the ring-size solver share its 4096-entry cache, so each
-(P, K_i, K_j) in it is computed once.  ``exact_quantities`` is the one place
-that assembles the p-matrix and the unconditional edge probability, and it
-takes every quantity built on b from one b.
+would underflow is returned as 0.0 without the full sum, by one bound tested
+before every sum, so one ratio costs O(min(K_i, K_j, sqrt(745 P))) terms.
+b, the p-matrix, the cross-moment denominator and the ring-size solver share
+its 4096-entry cache, so each (P, K_i, K_j) in it is computed once.
+``exact_quantities`` is the one place that assembles the p-matrix and the
+unconditional edge probability, and it takes every quantity built on b from
+one b.
 
 Each model rule has one owner.  ``_model_inputs`` checks n, a and P for
 ``ModelParams`` and for the solver, walking each tuple once; n >= 2 is one
 of its rules, so no function taking a ``ModelParams`` checks it again.
 ``_scaled_sizes`` builds every ring vector from a base and a scale,
-rounding half up and clamping to [low, P] without an exception path.  The
+rounding half up exactly and clamping to [low, P] without an exception path.  The
 solver then evaluates beta on those plain values, row 1 of b only,
 O(log K_1) times near its answer and twice when its starting estimate is
 within one of it; at two or more groups Newton steps on a lower bound of b_1
-refine that estimate when the target asks for b_1 > 0.05.  Its beta at
-K_1 = P is the closed form n sum_j a_j - ln n, and it evaluates beta at
-K_1 = 1 only when the bracket closes at (1, 2].  The bracket it closes holds
-both candidates of the nearest choice (``nearest=True``), so that choice
-costs no further evaluation.
+refine that estimate when the target asks for b_1 > 0.05.  One loop
+gallops from that estimate and bisects the bracket it finds.  Its beta at
+K_1 = P is the closed form n sum_j a_j - ln n, so P is never probed, and it
+evaluates beta at K_1 = 1 only when the bracket closes at (1, 2].  The
+bracket it closes holds both candidates of the nearest choice
+(``nearest=True``), so that choice costs no further evaluation.
 An exact rational mirror of the same formulas lives in ``tests/exact.py`` and
 is used by the test suite as ground truth for the float path.
 """
@@ -66,8 +68,6 @@ _SUM_TOL = 1e-9  # |sum(a) - 1| beyond this is rejected, within it renormalized
 # exp(x) rounds to 0.0 for every x below ln(2^-1075); this cut-off sits 0.3
 # lower, a margin far wider than the rounding of the bound that is compared.
 _LOG_UNDERFLOW = math.log(2.0**-1074) - 1.0
-# below this many log terms the full sum is cheaper than testing the bound
-_BOUND_MIN_TERMS = 64
 # exp(x) is finite exactly for x <= ln(max float)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # the closed forms take n and P as floats; an int comparison is the cheap test
@@ -207,7 +207,8 @@ def no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
     1.0 when either size is zero and 0.0 when P - Ki < Kj (avoidance
     impossible).  Each term is at most the first, log1p(-max(Ki, Kj)/P), so
     once min(Ki, Kj) copies of that fall below the underflow cut-off the
-    result is 0.0 without the sum: one ratio costs O(min(Ki, Kj,
+    result is 0.0 without the sum, where the full sum's exp is 0.0 too; the
+    bound is tested before every sum, so one ratio costs O(min(Ki, Kj,
     sqrt(745 P))) terms.  Cached by argument type, so an int argument is
     never served an entry computed for a float.
     """
@@ -219,7 +220,7 @@ def no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
     if P - large < small:
         return 0.0
     # here 0 < small <= large < P, which the bound needs
-    if small > _BOUND_MIN_TERMS and small * math.log1p(-large / P) < _LOG_UNDERFLOW:
+    if small * math.log1p(-large / P) < _LOG_UNDERFLOW:
         return 0.0
     return math.exp(math.fsum(math.log1p(-large / (P - t)) for t in range(small)))
 
@@ -315,18 +316,19 @@ def cross_moment_ratio(params: ModelParams) -> float:
 
 
 def _scaled_sizes(values, scale, low: int, P: int) -> tuple[int, ...]:
-    """Each value times ``scale``, rounded half up and clamped to [low, P]
-    for a low <= P: a product at or past P gives P and one below low gives
-    low, neither rounded, so +-inf and ints past the float range need no
-    exception path.  The one rule behind every ring vector: those of
+    """Each value times ``scale``, rounded half up exactly and clamped to
+    [low, P] for a low <= P: a product at or past P gives P and one below
+    low gives low, neither rounded, so +-inf and ints past the float range
+    need no exception path.  The one rule behind every ring vector: those of
     ``ring_sizes_for``, of each solver probe and of the K1-scale sweep
     axis.  A loop, not a comprehension, which would cost a call per vector
     on the solver's hot path."""
     sizes = []
     for v in values:
         x = v * scale
-        # rounded only when low <= x < P, so within [low, P]
-        sizes.append(P if x >= P else low if x < low else math.floor(x + 0.5))
+        # rounded only when low <= x < P, so within [low, P]; at or past 2^52 a float is an
+        # integer, where x + 0.5 would round a tie to even, and an int product is exact
+        sizes.append(P if x >= P else low if x < low else math.floor(x + 0.5) if x < 2.0**52 else int(x))
     return tuple(sizes)
 
 
@@ -415,17 +417,20 @@ def solve_k1(
     this start does not undershoot as b_1* nears 1.  It is clamped to
     [2, P // 2 + 1], since every K_1 > P / 2 gives b_1 = 1; a b_1* >= 1
     takes the float below 1 and is met only where b_1 rounds to 1.
-    From there it gallops down or up with doubling steps until
-    beta(lo) < target <= beta(hi), then bisects inside that bracket.  Both
-    steps are valid because b_1 (hence beta) is nondecreasing in K_1, so the
-    result is the one a bisection over all of [1, P] finds, whatever the
-    start; near the answer the search costs O(log K_1) beta evaluations
-    instead of O(log P), two when the start is off by less than one.
-    beta(P) needs no search: every ring of size P meets every other ring, so
-    b_1 = sum_j a_j there, and beta(P) = n sum_j a_j - ln n refuses an
-    unachievable target before any evaluation.  beta(1) is evaluated only
-    when the bracket closes at (1, 2], and P is probed only as the start
-    when P <= 2.  No K_1 is evaluated twice.  A small-ring estimate
+    From there one loop keeps a bracket beta(lo) < target <= beta(hi): each
+    pass probes, moves one end of the bracket to the probe, and steps on by
+    a stride that doubles on every pass, so it gallops down or up; once the
+    next step would leave the bracket it probes the midpoint instead, and
+    from then on it bisects, since the stride stays wider than every later
+    bracket.  This is valid because b_1 (hence beta) is nondecreasing in
+    K_1, so the result is the one a bisection over all of [1, P] finds,
+    whatever the start; near the answer the search costs O(log K_1) beta
+    evaluations instead of O(log P), two when the start is off by less than
+    one.  beta(P) needs no search: every ring of size P meets every other
+    ring, so b_1 = sum_j a_j there, and beta(P) = n sum_j a_j - ln n refuses
+    an unachievable target before any evaluation.  beta(1) is evaluated only
+    when the bracket closes at (1, 2], and P is never probed.  No K_1 is
+    evaluated twice.  A small-ring estimate
     P (ln n + target) / (n sum_j a_j r_j) of K_1^2 past the float range is
     refused with ``InvalidParamsError`` unless the target is above beta(P)
     or at most beta(1).
@@ -473,27 +478,19 @@ def solve_k1(
     # conditionals, not nested min and max: this start runs once per solve on the hot path
     root, half = (math.sqrt(P * x) if x > 0.0 else 0.0), P // 2 + 1
     k = min(P, max(2, math.ceil(root) if root < half else half))
-    lo, hi = 1, P  # invariant: beta_at(lo) < target <= beta_at(hi), once 1 is evaluated
-    step = 1
-    if beta_at(k) >= target_beta:
-        hi = k
-        while hi - step > lo and beta_at(hi - step) >= target_beta:
-            hi -= step
-            step *= 2
-        lo = max(lo, hi - step)
-    else:
-        lo = k
-        while lo + step < hi and beta_at(lo + step) < target_beta:
-            lo += step
-            step *= 2
-        hi = min(hi, lo + step)
+    # invariant: beta_at(lo) < target <= beta_at(hi), once 1 is evaluated; the stride doubles
+    # on every probe, and once a stride step would leave the bracket it stays wider than every
+    # later bracket, so from the first midpoint on this is a bisection
+    lo, hi, probe, step = 1, P, k, 1
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if beta_at(mid) >= target_beta:
-            hi = mid
+        if beta_at(probe) >= target_beta:
+            hi, probe = probe, probe - step
         else:
-            lo = mid
-    if hi == 2 and beta_at(1) >= target_beta:  # lo == 1 here, and k >= 2
+            lo, probe = probe, probe + step
+        step *= 2
+        if not lo < probe < hi:
+            probe = (lo + hi) // 2
+    if hi == 2 and beta_at(1) >= target_beta:  # lo == 1 here, and the loop never probes it
         hi = 1
     # the bracket's ends hi - 1 = lo and hi are both in ``seen`` once hi > 1
     if nearest and hi > 1 and abs(seen[hi - 1] - target_beta) <= abs(seen[hi] - target_beta):

@@ -37,7 +37,7 @@ from rigraph.oracle import enumerate_pair_prob
 import exact
 from conftest import small_params
 from reference_closed_forms import reference_exact_quantities
-from reference_solver import bisect_solve_k1, bisect_solve_k1_nearest, full_sum_no_overlap_ratio, try_ring_sizes_for
+from reference_solver import bisect_solve_k1, bisect_solve_k1_nearest, full_sum_no_overlap_ratio, gallop_solve_k1
 
 
 @contextmanager
@@ -231,11 +231,28 @@ class TestNoOverlapRatio:
     # exp of the full sum is 2^-1074 here, with the bound just below -744.94
     @example(case=(169417827, 763, 105612087))
     @example(case=(32144123, 2207, 9208709))
+    # the bound is tested on every sum, however short: it fires here on at most 64 terms
+    @example(case=(10**9, 64, 10**9 - 64))
+    @example(case=(10**9, 10**9 - 100, 64))
+    @example(case=(10**12, 40, 10**12 - 40))
+    @example(case=(10**15, 32, 10**15 - 32))
+    @example(case=(10**15, 24, 10**15 - 24))  # the bound reads -752.7, just past the cut-off
+    @example(case=(2**53, 21, 2**53 - 21))  # the bound reads -707.5 and the full sum is subnormal
     def test_underflow_bound_is_bit_identical_to_full_sum(self, case):
         P, Ki, Kj = case
         want = full_sum_no_overlap_ratio(P, Ki, Kj)
         assert no_overlap_ratio(P, Ki, Kj).hex() == want.hex()
         assert no_overlap_ratio(P, Kj, Ki).hex() == want.hex()
+
+    def test_bound_answers_where_the_full_sum_leaves_the_log_domain(self):
+        # past 2^53 a late term's large / (P - t) rounds to 1.0, where log1p
+        # raises; the first term's does not, so the bound gives 0.0 first
+        P, small, large = 555580775569255334, 63, 555580775569255271
+        with pytest.raises(ValueError):
+            full_sum_no_overlap_ratio(P, small, large)
+        exact_ratio = math.prod(Fraction(P - large - t, P - t) for t in range(small))
+        assert float(exact_ratio) == 0.0
+        assert no_overlap_ratio(P, small, large) == 0.0 == no_overlap_ratio(P, large, small)
 
 
 # ---------------------------------------------------------------- edge probabilities
@@ -530,6 +547,57 @@ class TestSolveK1:
         assert outcome(solve_k1) == outcome(bisect_solve_k1)
         assert outcome(solve_k1_nearest) == outcome(bisect_solve_k1_nearest)
 
+    @staticmethod
+    def assert_searches_as_the_gallop_did(n, P, a, ratios, target):
+        # the same K or error, and the same probes in the same order, except
+        # that at P <= 2 the start P is no longer probed: there the loop
+        # probes K_1 = 1 or nothing
+        for nearest in (False, True):
+            searches = []
+            for solve in (solve_k1, gallop_solve_k1):
+                with probed_base_sizes() as probes:
+                    try:
+                        got = solve(n, P, a, ratios, target, nearest=nearest)
+                    except (UnachievableError, InvalidParamsError) as exc:
+                        got = type(exc), str(exc)
+                searches.append((got, probes))
+            (got, probes), (want, gallop_probes) = searches
+            assert got == want
+            if P >= 3:
+                assert probes == gallop_probes
+            else:
+                assert probes in ([], [1]) and P not in probes
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_loop_searches_as_the_gallop_and_bisection_did(self, data):
+        m = data.draw(st.integers(1, 3))
+        extra = data.draw(st.lists(
+            st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.floats(1.0, 6.0)),
+            min_size=m - 1, max_size=m - 1,
+        ))
+        ratios = (1.0, *sorted(extra))
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+        a = tuple(w / sum(weights) for w in weights)
+        n = data.draw(st.integers(2, 10**6))
+        P = data.draw(st.one_of(st.integers(1, 4), st.integers(1, 10**6)))
+        if data.draw(st.booleans()):
+            target = data.draw(st.floats(-40.0, 40.0))
+        else:  # land exactly on an achieved deviation, where ">=" decides
+            k1 = data.draw(st.integers(1, P))
+            target = beta(ModelParams(n=n, a=a, K=ring_sizes_for(k1, ratios, P), P=P))
+        self.assert_searches_as_the_gallop_did(n, P, a, ratios, target)
+
+    def test_one_loop_searches_the_ring_solve_cells_as_the_gallop_did(self):
+        # the cells of perfbench's ring_solve stream, and the small pools below them
+        shapes = [((1.0,), (1.0,)), ((0.5, 0.5), (1.0, 2.0)), ((1 / 3,) * 3, (1.0, 2.0, 4.0))]
+        for n in (1000, 10_000, 100_000):
+            for P in (1, 2, 3, n, 2 * n, 10 * n, 100 * n):
+                if P > 10**6:
+                    continue
+                for (a, ratios), target in itertools.product(shapes, (-2.0, 0.0, 2.0)):
+                    self.assert_searches_as_the_gallop_did(n, P, a, ratios, target)
+
     @pytest.mark.parametrize(
         "a, ratios", [((1.0,), (1.0,)), ((0.2, 0.3, 0.5), (1.0, 1.5, 3.0))]
     )
@@ -784,26 +852,50 @@ class TestSolveK1:
 
     RATIO_EDGES = [1e308, -1e308, 10**400, -(10**400), 0.49999999999999994, 0.5, 1.5, 2.5, 0.0, -0.0, 3]
 
+    @staticmethod
+    def exact_ring_sizes(K1, ratios, P):
+        """min(P, max(K1, round-half-up(r * K1))) with x = r * K1 as Python
+        computes it and the half-up rounding done in rationals."""
+        if not all(-math.inf < r < math.inf for r in ratios):
+            raise InvalidParamsError(f"ratios must be finite, got {ratios}")
+        low = min(K1, P)
+        sizes = []
+        for r in ratios:
+            x = r * K1
+            sizes.append(P if x >= P else low if x < low else math.floor(Fraction(x) + Fraction(1, 2)))
+        return tuple(sizes)
+
+    @pytest.mark.parametrize("K1, ratios, P, want", [
+        # an int product is exact: rounding it through a float gave P - 1
+        (1, (41887311642964241,), 41887311642964241, (41887311642964241,)),
+        # in [2^52, 2^53) x + 0.5 rounds a tie to even: these gave 2^52 + 2 and 2^53
+        (2**52 + 1, (1.0,), 2**53, (2**52 + 1,)),
+        (2**53 - 1, (1.0,), 2**53, (2**53 - 1,)),
+    ])
+    def test_ring_sizes_round_exactly(self, K1, ratios, P, want):
+        assert ring_sizes_for(K1, ratios, P) == self.exact_ring_sizes(K1, ratios, P) == want
+
     @pytest.mark.parametrize("P", [7, 2**53, int(1.7e308)])
     def test_ring_sizes_edges_match_the_code_they_replaced(self, P):
         for K1 in sorted({1, 2, P // 3, P - 1, P} - {0}):
             for r in self.RATIO_EDGES:
-                assert ring_sizes_for(K1, (1.0, r), P) == try_ring_sizes_for(K1, (1.0, r), P)
+                assert ring_sizes_for(K1, (1.0, r), P) == self.exact_ring_sizes(K1, (1.0, r), P)
 
     @settings(max_examples=1000, deadline=None)
     @given(data=st.data())
     def test_ring_sizes_match_the_code_they_replaced(self, data):
-        # one rule in place of a loop and a fallback that disagreed past the float range
+        # one rule in place of a loop and a fallback that disagreed past the float range,
+        # checked against half-up rounding in rationals
         P = data.draw(st.one_of(st.integers(1, 200), st.integers(1, int(1.7e308)),
                                 st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, int(1.7e308)])))
         K1 = data.draw(st.one_of(st.integers(1, P), st.sampled_from([1, P])))
         ratio = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(self.RATIO_EDGES),
                           st.integers(-(10**400), 10**400), st.floats(0.0, 4.0))
         ratios = tuple(data.draw(st.lists(ratio, max_size=4)))
-        assert ring_sizes_for(K1, ratios, P) == try_ring_sizes_for(K1, ratios, P)
+        assert ring_sizes_for(K1, ratios, P) == self.exact_ring_sizes(K1, ratios, P)
         bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         ratios = ratios + (bad,) if data.draw(st.booleans()) else (bad,) + ratios
-        for rule in (ring_sizes_for, try_ring_sizes_for):
+        for rule in (ring_sizes_for, self.exact_ring_sizes):
             with pytest.raises(InvalidParamsError) as refused:
                 rule(K1, ratios, P)
             assert str(refused.value) == f"ratios must be finite, got {ratios}"

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from rigraph import (
+    EstimateRow,
     InvalidParamsError,
+    InvariantViolation,
     ModelParams,
     RigraphError,
     SeedSpec,
@@ -73,6 +75,20 @@ class TestWilsonInterval:
 SMALL = ModelParams(n=30, a=(0.5, 0.5), K=(2, 3), P=40)
 
 
+class TestEstimateRow:
+    @pytest.mark.parametrize("successes", [-1, 11])
+    def test_successes_outside_trials_raise(self, successes):
+        with pytest.raises(InvariantViolation, match=r"^successes outside 0\.\.trials$"):
+            EstimateRow(trials=10, successes=successes, point=0.5, ci_low=0.4, ci_high=0.6)
+
+    @pytest.mark.parametrize("low, point, high", [
+        (0.6, 0.5, 0.7), (0.4, 0.5, 0.45), (0.7, 0.5, 0.3), (-0.1, 0.5, 0.6), (0.4, 0.5, 1.1),
+    ], ids=["low-above-point", "high-below-point", "reversed", "low-below-0", "high-above-1"])
+    def test_interval_out_of_order_raises(self, low, point, high):
+        with pytest.raises(InvariantViolation, match=r"^interval must satisfy 0 <= low <= point <= high <= 1$"):
+            EstimateRow(trials=10, successes=5, point=point, ci_low=low, ci_high=high)
+
+
 class TestRunTrials:
     def test_matches_manual_loop(self):
         agg = run_trials(SMALL, 200, master_seed=77)
@@ -133,6 +149,19 @@ class TestRunTrials:
         run_sweep(spec, workers=1)
         assert len(ranges) == 3
         assert serial_pools == []
+
+    def test_broken_event_identity_raises(self, monkeypatch):
+        # F = no-isolated - connected holds per sample; a run whose counts
+        # break it must raise, naming the three counts, not be averaged away
+        def broken(params, master_seed, start, stop):
+            conn, noiso, fno, *rest = _run_range(params, master_seed, start, stop)
+            return (conn, noiso, fno + 1, *rest)
+
+        monkeypatch.setattr(montecarlo, "_run_range", broken)
+        conn, noiso, fno = _run_range(SMALL, 3, 0, 50)[:3]
+        with pytest.raises(InvariantViolation) as exc:
+            run_trials(SMALL, 50, master_seed=3, workers=1)
+        assert str(exc.value) == f"event identity broken: F={fno + 1}, no-isolated={noiso}, connected={conn}"
 
     def test_worker_crash_is_a_rigraph_error(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_run_range", exit_in_worker)

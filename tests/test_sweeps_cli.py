@@ -2,6 +2,9 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +39,8 @@ from rigraph.sweeps import (
 from conftest import exit_in_worker, small_params
 from reference_solver import bisect_solve_k1
 from hypothesis import given, settings
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------- regimes
@@ -637,6 +642,24 @@ class TestCli:
         # the JSON keys, their order and every float's repr, pinned literally
         code, out, err = run_cli(capsys, "diag", *argv)
         assert (code, out, err) == (0, stdout, "")
+
+    @pytest.mark.parametrize("flag, value, kind", [("--a", "0.5,x", "reals"), ("--K", "1,x", "integers")])
+    def test_prob_bad_comma_list_exit_2(self, capsys, flag, value, kind):
+        lists = {"--a": "0.5,0.5", "--K": "1,2", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["prob", "--n", "2", "--P", "5", "--a", lists["--a"], "--K", lists["--K"]])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.splitlines()[-1] == f"rig prob: error: argument {flag}: expected comma-separated {kind}, got {value!r}"
+        assert "Traceback" not in out.err
+
+    def test_python_m_rigraph_prints_what_main_prints(self, capsys):
+        argv = ["diag", "--n", "2000", "--P", "4000", "--a", "0.5,0.5", "--K", "3,6"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "rigraph", *argv], env=env, capture_output=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.decode() == run_cli(capsys, *argv)[1]
 
     @pytest.mark.parametrize("argv, name", [
         (["prob", "--n", "9" * 400, "--P", "400", "--a", "1", "--K", "3"], "n"),
