@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: prob, solve, simulate, sweep, oracle, diag.  Exit codes:
+Each subcommand's parser carries the handler that runs it.  Exit codes:
 0 success, 1 a trial worker process died, 2 validation error,
 3 enumeration-budget or regime error.
 Trial budget and seed are mandatory wherever randomness is involved, so
@@ -28,18 +28,38 @@ from .oracle import enumerate_event_probs, enumerate_pair_prob
 from .sweeps import load_sweep_spec, run_sweep, simulate_row, write_sweep_csv
 
 
-def _floats_csv(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from exc
+def _comma_list(cast, kind: str):
+    """An argparse type parsing a comma list of ``cast`` values, called ``kind`` in its error."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(x) for x in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind}, got {text!r}") from exc
+
+    return parse
 
 
-def _ints_csv(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+_floats_csv = _comma_list(float, "reals")
+_ints_csv = _comma_list(int, "integers")
+
+# the model flags: name -> (type, help)
+_MODEL_FLAGS = {
+    "n": (int, "vertex count"),
+    "P": (int, "object pool size"),
+    "a": (_floats_csv, "group probabilities, comma list"),
+    "K": (_ints_csv, "ring sizes, comma list"),
+}
+
+# the exit code of each error class that main reports; the first class an error is an instance of decides
+_EXIT_CODES = {
+    InvalidParamsError: 2,
+    UnachievableError: 2,
+    OSError: 2,
+    EnumerationBudgetError: 3,
+    RegimeViolationError: 3,
+    WorkerCrashError: 1,
+}
 
 
 def _params_from(args: argparse.Namespace) -> ModelParams:
@@ -56,11 +76,22 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _add_params_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True, help="vertex count")
-    p.add_argument("--P", type=int, required=True, help="object pool size")
-    p.add_argument("--a", type=_floats_csv, required=True, help="group probabilities, comma list")
-    p.add_argument("--K", type=_ints_csv, required=True, help="ring sizes, comma list")
+def _exact(values: dict) -> dict:
+    """Each exact value as its fraction string, and under ``<name>_float`` as a float."""
+    out = {}
+    for name, value in values.items():
+        out[name], out[f"{name}_float"] = str(value), float(value)
+    return out
+
+
+def _subcommand(sub, name: str, handler, summary: str, model_flags=tuple(_MODEL_FLAGS)) -> argparse.ArgumentParser:
+    """Add subcommand ``name``, run by ``handler``, with the model flags named in ``model_flags``."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(handler=handler)
+    for flag in model_flags:
+        kind, text = _MODEL_FLAGS[flag]
+        p.add_argument(f"--{flag}", type=kind, required=True, help=text)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,55 +100,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Random intersection graph G(n, a, K, P): exact quantities and seeded experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    _subcommand(sub, "prob", _cmd_prob, "print all closed-form quantities as JSON")
 
-    p_prob = sub.add_parser("prob", help="print all closed-form quantities as JSON")
-    _add_params_flags(p_prob)
+    p = _subcommand(sub, "solve", _cmd_solve, "smallest ratio-shaped K reaching a beta target", ("n", "P", "a"))
+    p.add_argument("--ratios", type=_floats_csv, required=True)
+    p.add_argument("--target-beta", type=float, required=True)
 
-    p_solve = sub.add_parser("solve", help="smallest ratio-shaped K reaching a beta target")
-    p_solve.add_argument("--n", type=int, required=True)
-    p_solve.add_argument("--P", type=int, required=True)
-    p_solve.add_argument("--a", type=_floats_csv, required=True)
-    p_solve.add_argument("--ratios", type=_floats_csv, required=True)
-    p_solve.add_argument("--target-beta", type=float, required=True)
+    p = _subcommand(sub, "simulate", _cmd_simulate, "run seeded trials at one parameter point")
+    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--out", required=True, help="path for the one-row CSV")
 
-    p_sim = sub.add_parser("simulate", help="run seeded trials at one parameter point")
-    _add_params_flags(p_sim)
-    p_sim.add_argument("--trials", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--out", required=True, help="path for the one-row CSV")
+    p = _subcommand(sub, "sweep", _cmd_sweep, "run a sweep from a JSON config", ())
+    p.add_argument("config", help="sweep config (JSON, schema 1)")
 
-    p_sweep = sub.add_parser("sweep", help="run a sweep from a JSON config")
-    p_sweep.add_argument("config", help="sweep config (JSON, schema 1)")
+    p = sub.add_parser("oracle", help="brute-force exact values for tiny instances")
+    modes = p.add_subparsers(dest="oracle_mode", required=True)
+    p = _subcommand(modes, "pair", _cmd_oracle_pair, "exact intersection probability of two uniform subsets", ())
+    for flag in ("--P", "--Ki", "--Kj"):
+        p.add_argument(flag, type=int, required=True)
+    _subcommand(modes, "events", _cmd_oracle_events, "exact event probabilities by full enumeration")
 
-    p_oracle = sub.add_parser("oracle", help="brute-force exact values for tiny instances")
-    orc = p_oracle.add_subparsers(dest="oracle_mode", required=True)
-    o_pair = orc.add_parser("pair", help="exact intersection probability of two uniform subsets")
-    o_pair.add_argument("--P", type=int, required=True)
-    o_pair.add_argument("--Ki", type=int, required=True)
-    o_pair.add_argument("--Kj", type=int, required=True)
-    o_events = orc.add_parser("events", help="exact event probabilities by full enumeration")
-    _add_params_flags(o_events)
-
-    p_diag = sub.add_parser("diag", help="regime ratios, advisory flags, and classification")
-    _add_params_flags(p_diag)
-    p_diag.add_argument("--window", type=float, default=CRITICAL_WINDOW, help="critical-window half-width")
-
+    p = _subcommand(sub, "diag", _cmd_diag, "regime ratios, advisory flags, and classification")
+    p.add_argument("--window", type=float, default=CRITICAL_WINDOW, help="critical-window half-width")
     return parser
 
 
-def _cmd_prob(args) -> int:
+def _cmd_prob(args) -> None:
     _emit(dataclasses.asdict(exact_quantities(_params_from(args))))
-    return 0
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> None:
     K = solve_k1(args.n, args.P, args.a, args.ratios, args.target_beta)
     achieved = beta(ModelParams(n=args.n, a=args.a, K=K, P=args.P))
     _emit({"K": list(K), "beta": achieved, "target_beta": args.target_beta})
-    return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     params = _params_from(args)
     _check_out_path(args.out)
     row, agg = simulate_row(params, args.trials, args.seed, workers=None)
@@ -135,66 +154,36 @@ def _cmd_simulate(args) -> int:
             "stderr_isolated": agg.stderr_isolated,
         }
     )
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     spec = load_sweep_spec(args.config)
     _check_out_path(spec.output_path)
     rows = run_sweep(spec, workers=None)
     write_sweep_csv(rows, spec.output_path)
     _emit({"out": spec.output_path, "rows": len(rows), "bytes": os.path.getsize(spec.output_path)})
-    return 0
 
 
-def _cmd_oracle(args) -> int:
-    if args.oracle_mode == "pair":
-        value = enumerate_pair_prob(args.P, args.Ki, args.Kj)
-        _emit({"p_intersect": str(value), "p_intersect_float": float(value)})
-    else:
-        probs = enumerate_event_probs(_params_from(args))
-        _emit(
-            {
-                "p_connected": str(probs.p_connected),
-                "p_connected_float": float(probs.p_connected),
-                "p_no_isolated": str(probs.p_no_isolated),
-                "p_no_isolated_float": float(probs.p_no_isolated),
-                "expected_isolated": str(probs.expected_isolated),
-                "expected_isolated_float": float(probs.expected_isolated),
-            }
-        )
-    return 0
+def _cmd_oracle_pair(args) -> None:
+    _emit(_exact({"p_intersect": enumerate_pair_prob(args.P, args.Ki, args.Kj)}))
 
 
-def _cmd_diag(args) -> int:
+def _cmd_oracle_events(args) -> None:
+    _emit(_exact(dataclasses.asdict(enumerate_event_probs(_params_from(args)))))
+
+
+def _cmd_diag(args) -> None:
     _emit(dataclasses.asdict(diagnostics(_params_from(args), args.window)))
-    return 0
-
-
-_DISPATCH = {
-    "prob": _cmd_prob,
-    "solve": _cmd_solve,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "oracle": _cmd_oracle,
-    "diag": _cmd_diag,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
-    except (InvalidParamsError, UnachievableError, OSError) as exc:
+        args.handler(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EnumerationBudgetError, RegimeViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except WorkerCrashError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    return 0
 
 
 if __name__ == "__main__":

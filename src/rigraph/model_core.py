@@ -209,8 +209,11 @@ def no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
     once min(Ki, Kj) copies of that fall below the underflow cut-off the
     result is 0.0 without the sum, where the full sum's exp is 0.0 too; the
     bound is tested before every sum, so one ratio costs O(min(Ki, Kj,
-    sqrt(745 P))) terms.  Cached by argument type, so an int argument is
-    never served an entry computed for a float.
+    sqrt(745 P))) terms.  At P >= 2^54 a quotient max(Ki, Kj)/(P - t) can
+    round to 1.0, where log1p raises; only then the sum is taken again, each
+    such term as the log of the exact int quotient, so every ratio the float
+    form returns keeps its bits.  Cached by argument type, so an int argument
+    is never served an entry computed for a float.
     """
     if Ki < 0 or Kj < 0 or Ki > P or Kj > P:
         raise InvalidParamsError(f"need 0 <= Ki, Kj <= P, got Ki={Ki}, Kj={Kj}, P={P}")
@@ -220,9 +223,22 @@ def no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
     if P - large < small:
         return 0.0
     # here 0 < small <= large < P, which the bound needs
-    if small * math.log1p(-large / P) < _LOG_UNDERFLOW:
-        return 0.0
-    return math.exp(math.fsum(math.log1p(-large / (P - t)) for t in range(small)))
+    try:
+        if small * math.log1p(-large / P) < _LOG_UNDERFLOW:
+            return 0.0
+        return math.exp(math.fsum(math.log1p(-large / (P - t)) for t in range(small)))
+    except ValueError:  # log1p(-1.0): a quotient large / (P - t) rounded to 1.0
+        if small * _log_avoid(large, P) < _LOG_UNDERFLOW:
+            return 0.0
+        return math.exp(math.fsum(_log_avoid(large, P - t) for t in range(small)))
+
+
+def _log_avoid(large: int, rest: int) -> float:
+    """log(1 - large/rest) for 0 < large < rest: log1p of the float quotient
+    where it is below 1.0, and at rest >= 2^54, where it can round to 1.0, the log
+    of the int quotient (rest - large) / rest, which rounds once."""
+    q = large / rest
+    return math.log1p(-q) if q < 1.0 else math.log((rest - large) / rest)
 
 
 def _b_row(P: int, a: tuple[float, ...], K: tuple[int, ...], Ki: int) -> float:
@@ -477,7 +493,7 @@ def solve_k1(
     # no answer lies past P // 2 + 1: every K_1 > P / 2 meets every ring, so b_1 = 1 there;
     # conditionals, not nested min and max: this start runs once per solve on the hot path
     root, half = (math.sqrt(P * x) if x > 0.0 else 0.0), P // 2 + 1
-    k = min(P, max(2, math.ceil(root) if root < half else half))
+    k = max(2, math.ceil(root) if root < half else half)  # below P once P > 2, and at P <= 2 never probed
     # invariant: beta_at(lo) < target <= beta_at(hi), once 1 is evaluated; the stride doubles
     # on every probe, and once a stride step would leave the bracket it stays wider than every
     # later bracket, so from the first midpoint on this is a bisection

@@ -4,9 +4,7 @@
 ``solve_k1`` used before its search was seeded; ``bisect_solve_k1_nearest``
 is ``solve_k1_nearest`` built on it.  Both evaluate beta(P) and beta(1)
 first, and raise ``solve_k1``'s message for an unachievable target.  They
-build their ring vectors with ``try_ring_sizes_for``, the ``ring_sizes_for``
-that rounded in a loop and fell back to a second formula when the loop
-raised.
+build their ring vectors with ``ring_sizes_for``, which rounds exactly.
 ``gallop_solve_k1`` is ``solve_k1`` as it searched before one loop did:
 a gallop down or up from the same start, then a bisection of the bracket the
 gallop left.  It evaluates beta through ``model_core._ring_beta``, looked up
@@ -21,28 +19,8 @@ from __future__ import annotations
 import math
 
 import rigraph.model_core as model_core
-from rigraph import InvalidParamsError, ModelParams, UnachievableError, beta
+from rigraph import InvalidParamsError, ModelParams, UnachievableError, beta, ring_sizes_for
 from rigraph.model_core import _NEWTON_MAX_STEPS, _NEWTON_MIN_B1, _NEWTON_REL_STEP, _scaled_sizes, _solver_inputs
-
-
-def try_ring_sizes_for(K1: int, ratios: tuple[float, ...], P: int) -> tuple[int, ...]:
-    """min(P, max(K1, round-half-up(ratios_j * K1))) for 1 <= K1 <= P,
-    rounding in a loop and, when a product overflows the float range,
-    recomputing every size without rounding one at or past P or below 0."""
-    sizes = []
-    try:
-        for r in ratios:
-            k = math.floor(r * K1 + 0.5)
-            if k <= K1:
-                k = K1
-            if k >= P:
-                k = P
-            sizes.append(k)
-    except (OverflowError, ValueError):  # floor of an infinite or NaN product
-        if not all(-math.inf < r < math.inf for r in ratios):
-            raise InvalidParamsError(f"ratios must be finite, got {ratios}") from None
-        return tuple(P if r * K1 >= P else max(K1, math.floor(max(r, 0.0) * K1 + 0.5)) for r in ratios)
-    return tuple(sizes)
 
 
 def full_sum_no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
@@ -64,21 +42,21 @@ def bisect_solve_k1(
     target_beta = float(target_beta)
 
     def beta_at(k1: int) -> float:
-        return beta(ModelParams(n=n, a=a, K=try_ring_sizes_for(k1, ratios, P), P=P))
+        return beta(ModelParams(n=n, a=a, K=ring_sizes_for(k1, ratios, P), P=P))
 
     top = beta_at(P)
     if top < target_beta:
         raise UnachievableError(f"target beta {target_beta} unachievable: even K=(P,...,P) gives beta {top}")
     lo, hi = 1, P
     if beta_at(lo) >= target_beta:
-        return try_ring_sizes_for(lo, ratios, P)
+        return ring_sizes_for(lo, ratios, P)
     while hi - lo > 1:  # invariant: beta_at(lo) < target <= beta_at(hi)
         mid = (lo + hi) // 2
         if beta_at(mid) >= target_beta:
             hi = mid
         else:
             lo = mid
-    return try_ring_sizes_for(hi, ratios, P)
+    return ring_sizes_for(hi, ratios, P)
 
 
 def bisect_solve_k1_nearest(
@@ -87,7 +65,7 @@ def bisect_solve_k1_nearest(
     upper = bisect_solve_k1(n, P, a, ratios, target_beta)
     if upper[0] == 1:
         return upper
-    lower = try_ring_sizes_for(upper[0] - 1, tuple(float(r) for r in ratios), P)
+    lower = ring_sizes_for(upper[0] - 1, tuple(float(r) for r in ratios), P)
 
     def achieved(K: tuple[int, ...]) -> float:
         return beta(ModelParams(n=n, a=a, K=K, P=P))

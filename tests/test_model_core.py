@@ -254,6 +254,18 @@ class TestNoOverlapRatio:
         assert float(exact_ratio) == 0.0
         assert no_overlap_ratio(P, small, large) == 0.0 == no_overlap_ratio(P, large, small)
 
+    @pytest.mark.parametrize("P, small, large", [
+        (555580775569255334, 1, 555580775569255333),  # the ratio is 1/P
+        (2**60, 3, 2**60 - 5),
+    ])
+    def test_quotient_rounding_to_one_takes_the_exact_int_quotient(self, P, small, large):
+        # large / P rounds to 1.0, where log1p raises a math domain error
+        assert large / P == 1.0
+        want = math.prod(Fraction(P - large - t, P - t) for t in range(small))
+        assert small > 1 or want == Fraction(1, P)
+        for Ki, Kj in ((small, large), (large, small)):
+            assert abs(no_overlap_ratio(P, Ki, Kj) - float(want)) <= 1e-12 * float(want)
+
 
 # ---------------------------------------------------------------- edge probabilities
 

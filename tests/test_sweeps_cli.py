@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -38,7 +40,8 @@ from rigraph.sweeps import (
 
 from conftest import exit_in_worker, small_params
 from reference_solver import bisect_solve_k1
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -808,3 +811,36 @@ class TestCli:
         assert main(["sweep", str(cfg2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+
+@st.composite
+def pool_points(draw):
+    """(n, P, small ring, large ring): P up to 2^64, a small ring of at most
+    10^4 and a large ring anywhere in [small, P], save where it is slow."""
+    P = draw(st.integers(1, 2**64))
+    small = draw(st.integers(0, min(P, 10**4)))
+    large = draw(st.integers(small, P))
+    # a large ring in between sums up to sqrt(745 P) log terms in its ratio with itself: slow, not wrong
+    assume(large <= 10**5 or large * large >= 800 * P)
+    return draw(st.integers(0, 10**6)), P, small, large
+
+
+class TestCliNeverTraces:
+    @settings(max_examples=200, deadline=None)
+    @given(point=pool_points(), command=st.sampled_from(["prob", "diag"]))
+    # large / P rounds to 1.0, where log1p raised a math domain error
+    @example(point=(10, 555580775569255334, 1, 555580775569255333), command="prob")
+    @example(point=(10, 555580775569255334, 1, 555580775569255333), command="diag")
+    def test_prob_and_diag_exit_0_2_or_3_without_a_traceback(self, point, command):
+        n, P, small, large = point
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--n", str(n), "--P", str(P), "--a", "0.5,0.5", "--K", f"{small},{large}"])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert err == ""
+            json.loads(out)
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
