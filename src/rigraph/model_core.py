@@ -55,7 +55,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     InvalidParamsError,
@@ -191,6 +191,12 @@ class ModelParams:
 
     def fingerprint(self) -> str:
         """Stable hex digest of the exact parameter values."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        """The fingerprint, hashed on first use and then kept on the
+        instance (outside the fields, so equality and hashing ignore it)."""
         a = ",".join(map(float.hex, self.a))
         canon = "n=%d;P=%d;a=%s;K=%s" % (self.n, self.P, a, ",".join(map(str, self.K)))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]

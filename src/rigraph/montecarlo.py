@@ -11,8 +11,11 @@ numbers.  Worker count comes from the ``workers`` argument, else the
 Trials run in batches of about ``_BATCH_FLOATS`` drawn floats (at least one
 trial): ``sampler.sample_batch`` realizes each batch of a trial range as a
 ``GraphBatch`` and ``graph_analysis.analyze_batch`` counts its events; this
-module knows neither the batch layout nor how trials are seeded.  A sweep
-whose points run in parallel opens one process pool when it starts.
+module knows neither the batch layout nor how trials are seeded.  A parallel
+run splits its trials into ranges of whole batches that shrink toward the
+end (``_plan``) and maps them through a process pool; a run of one range
+stays in this process.  A sweep opens one pool when it starts, sized for its
+largest plan, if any of its points needs one.
 """
 
 from __future__ import annotations
@@ -110,9 +113,14 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
+def _batch_trials(params: ModelParams) -> int:
+    """Trials per batch: about ``_BATCH_FLOATS`` drawn floats, at least one trial."""
+    return max(1, min(_BATCH_FLOATS // (params.n * (1 + params.K[-1])), _KEY_LIMIT // params.P))
+
+
 def _run_range(params: ModelParams, master_seed: int, start: int, stop: int) -> tuple[int, ...]:
     """Counts over trials [start, stop); commutative pieces only."""
-    batch = max(1, min(_BATCH_FLOATS // (params.n * (1 + params.K[-1])), _KEY_LIMIT // params.P))
+    batch = _batch_trials(params)
     scratch = np.random.PCG64(0)
     conn = noiso = fno = iso_sum = iso_sq = g1_sum = g1_sq = 0
     for a in range(start, stop, batch):
@@ -129,27 +137,38 @@ def _run_range(params: ModelParams, master_seed: int, start: int, stop: int) -> 
     return conn, noiso, fno, iso_sum, iso_sq, g1_sum, g1_sq
 
 
-def _plan(trials: int, workers: int) -> tuple[int, int]:
-    """Trials per range and pool size of a run; size 0 runs it serially.
+def _plan(params: ModelParams, trials: int, workers: int) -> tuple[list[int], int]:
+    """Range bounds and pool size of a run; size 0 runs it in this process.
 
-    A parallel run has about four ranges per worker.  The fork start method
-    forks every worker up front, so the pool never outnumbers the ranges.
+    One worker, or fewer than 64 trials, runs the whole run as one range.
+    Otherwise each range takes ceil(R / 2W) of the R batches still left, so
+    ranges are whole batches that shrink toward the end and the workers
+    finish within about one batch of each other; only the last range may end
+    in a partial batch.  The fork start method forks every worker up front,
+    so the pool never outnumbers the ranges, and one range needs no pool.
     """
-    serial = workers == 1 or trials < 64
-    chunk = trials if serial else -(-trials // (workers * 4))
-    return chunk, 0 if serial else min(workers, -(-trials // chunk))
+    if workers == 1 or trials < 64:
+        return [0, trials], 0
+    batch = _batch_trials(params)
+    bounds = [0]
+    left = -(-trials // batch)
+    while left:
+        take = -(-left // (2 * workers))
+        left -= take
+        bounds.append(min(bounds[-1] + take * batch, trials))
+    ranges = len(bounds) - 1
+    return bounds, 0 if ranges == 1 else min(workers, ranges)
 
 
 _shared_pool: ContextVar[ProcessPoolExecutor | None] = ContextVar("rigraph_shared_pool", default=None)
 
 
 @contextmanager
-def _trial_pool(trials: int, workers: int) -> Iterator:
-    """The ``map`` that runs of ``trials`` at ``workers`` use in this block:
-    the builtin one when their plan is serial, else that of the enclosing
-    block's pool or of a pool opened now at the plan's size.  A pool opened
+def _trial_pool(size: int) -> Iterator:
+    """The ``map`` that runs planned for a pool of ``size`` use in this
+    block: the builtin one when ``size`` is 0, else that of the enclosing
+    block's pool or of a pool of ``size`` workers opened now.  A pool opened
     here is shut down and joined on exit, so ``RUSAGE_CHILDREN`` counts it."""
-    size = _plan(trials, workers)[1]
     outer = _shared_pool.get()
     if size == 0 or outer is not None:
         yield outer.map if size else map
@@ -190,12 +209,10 @@ def run_trials(
     master_seed = SeedSpec(master_seed).master_seed  # validated early, as a Python int
     workers = resolve_workers(workers)
 
-    chunk = _plan(trials, workers)[0]
-    starts = range(0, trials, chunk)
-    stops = [min(s + chunk, trials) for s in starts]
-    with _trial_pool(trials, workers) as run_map:
+    bounds, size = _plan(params, trials, workers)
+    with _trial_pool(size) as run_map:
         try:
-            parts = list(run_map(partial(_run_range, params, master_seed), starts, stops))
+            parts = list(run_map(partial(_run_range, params, master_seed), bounds[:-1], bounds[1:]))
         except BrokenProcessPool:
             raise WorkerCrashError("a worker process died while running trials") from None
     conn, noiso, fno, iso_sum, iso_sq, g1_sum, g1_sq = (sum(col) for col in zip(*parts))

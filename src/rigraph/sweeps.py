@@ -32,7 +32,7 @@ from .model_core import (
     exact_quantities,
     solve_k1,
 )
-from .montecarlo import TrialAggregate, _trial_pool, resolve_workers, run_trials
+from .montecarlo import TrialAggregate, _plan, _trial_pool, resolve_workers, run_trials
 from .sampler import SeedSpec, _check_pool
 
 SCHEMA_VERSION = 1
@@ -247,9 +247,9 @@ def build_row(
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
     """Resolve and check every axis point up front (config errors and
     pools the simulator refuses must precede any simulation), then run them
-    in order, all through one process pool.  The beta-target axis checks
-    its base pool before any solve, since one solve at a pool the simulator
-    refuses can take minutes."""
+    in order, all through one process pool if any point's plan needs one.
+    The beta-target axis checks its base pool before any solve, since one
+    solve at a pool the simulator refuses can take minutes."""
     if spec.axis == "beta-target":
         _check_pool(spec.base_P)
     resolved = [(i, v, resolve_point(spec, v)) for i, v in enumerate(spec.points)]
@@ -257,7 +257,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
         _check_pool(params.P)
     workers = resolve_workers(workers)
     rows = []
-    with _trial_pool(spec.trials, workers):
+    with _trial_pool(max(_plan(params, spec.trials, workers)[1] for _, _, params in resolved)):
         for i, value, params in resolved:
             agg = run_trials(params, spec.trials, point_seed(spec.master_seed, i), workers)
             rows.append(build_row(spec.axis, value, params, agg))

@@ -2,8 +2,8 @@
 from per-vertex sets, an independent adjacency-matrix/BFS analysis oracle,
 the walk that finds names a parsed source takes from ``rigraph`` that do not
 exist, the tiny instances of the event oracle, a hypothesis strategy for
-small valid parameter tuples, and process-pool stand-ins for the trial
-runner."""
+small valid parameter tuples, and recording process pools and serial
+stand-ins for them for the trial runner."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import ast
 import importlib
 import os
 import signal
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import strategies as st
@@ -137,28 +138,57 @@ def small_params(draw, max_m: int = 3, max_P: int = 12, min_n: int = 2, max_n: i
     return ModelParams(n=n, a=a, K=tuple(K), P=P)
 
 
-@pytest.fixture
-def serial_pools(monkeypatch):
-    """Replace the trial pool with a stub that maps serially in this process;
-    the returned list records each pool's ``("open", max_workers)`` and
-    ``("close",)``, so no real pool is started."""
-    events: list[tuple] = []
+class _SerialPool:
+    """A process pool stand-in that maps in this process."""
 
-    class SerialPool:
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def _recording(pool_class, events: list[tuple]):
+    """``pool_class`` that appends ``("open", max_workers)``, then
+    ``("map", ranges)`` for each run it maps and ``("close",)`` to
+    ``events``."""
+
+    class Recording(pool_class):
         def __init__(self, max_workers):
             events.append(("open", max_workers))
-
-        def __enter__(self):
-            return self
+            super().__init__(max_workers=max_workers)
 
         def __exit__(self, *exc):
             events.append(("close",))
-            return False
+            return super().__exit__(*exc)
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, starts, stops):
+            events.append(("map", len(starts)))
+            return super().map(fn, starts, stops)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    return Recording
+
+
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """Replace the trial pool with a stub that maps serially in this process
+    and records its events (``_recording``), so no real pool is started."""
+    events: list[tuple] = []
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _recording(_SerialPool, events))
+    return events
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Real trial pools that record their events (``_recording``)."""
+    events: list[tuple] = []
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _recording(ProcessPoolExecutor, events))
     return events
 
 

@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import math
+import types
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
@@ -24,10 +26,11 @@ from rigraph import (
     solve_k1,
     wilson_interval,
 )
+import rigraph.model_core as model_core
 import rigraph.montecarlo as montecarlo
 from rigraph.errors import WorkerCrashError
 from rigraph.graph_analysis import analyze_batch
-from rigraph.montecarlo import _BATCH_FLOATS, _moments, _run_range, resolve_workers
+from rigraph.montecarlo import _BATCH_FLOATS, _batch_trials, _moments, _plan, _run_range, resolve_workers
 
 from conftest import exit_in_worker, small_params
 from reference_trials import reference_counts
@@ -104,31 +107,84 @@ class TestRunTrials:
         assert agg.no_isolated_but_disconnected.successes == f
         assert agg.mean_isolated == pytest.approx(iso / 200, abs=1e-15)
 
-    def test_worker_count_invisible(self):
+    def test_worker_count_invisible(self, recorded_pools, monkeypatch):
+        # 8 trials per batch, so the 300 trials span 38 batches and every
+        # worker count splits them into ranges that run in a real pool
+        monkeypatch.setattr(montecarlo, "_BATCH_FLOATS", 8 * 30 * (1 + 3))
         one = run_trials(SMALL, 300, master_seed=123, workers=1)
         two = run_trials(SMALL, 300, master_seed=123, workers=2)
         four = run_trials(SMALL, 300, master_seed=123, workers=4)
         assert one == two == four
+        assert recorded_pools == [("open", 2), ("map", 11), ("close",), ("open", 4), ("map", 17), ("close",)]
 
     def test_pool_never_larger_than_its_work(self, serial_pools):
-        # the fork start method forks every worker up front, so 1000 workers
-        # for 64 one-trial ranges must open a pool of 64; a stub records the
-        # size and maps serially, so no real pool is started
-        agg = run_trials(SMALL, 64, master_seed=31, workers=1000)
-        assert serial_pools == [("open", 64), ("close",)]
+        # at one trial per batch, 1000 workers split 64 trials into 64
+        # one-batch ranges; the fork start method forks every worker up
+        # front, so the pool must hold 64.  A stub records the pool and maps
+        # serially, so no real pool is started
+        with mock.patch.object(montecarlo, "_BATCH_FLOATS", 30 * (1 + 3)):
+            agg = run_trials(SMALL, 64, master_seed=31, workers=1000)
+        assert serial_pools == [("open", 64), ("map", 64), ("close",)]
         assert agg == run_trials(SMALL, 64, master_seed=31, workers=1)
+        # at the default 546 trials per batch the run is one range: no pool
+        serial_pools.clear()
+        assert run_trials(SMALL, 64, master_seed=31, workers=1000) == agg
+        assert serial_pools == []
 
     def test_sweep_forks_one_pool(self, serial_pools, tmp_path):
         spec = SweepSpec(base_n=40, base_P=60, a=(0.5, 0.5), base_K=(2, 3), ratios=None,
                          axis="n", points=(20.0, 30.0, 40.0, 50.0, 60.0), trials=64,
                          master_seed=7, output_path=str(tmp_path / "rows.csv"))
-        rows = run_sweep(spec, workers=2)
-        assert serial_pools == [("open", 2), ("close",)]
-        assert rows == run_sweep(spec, workers=1)
-        # below 64 trials every point runs in this process: no pool at all
-        serial_pools.clear()
-        run_sweep(dataclasses.replace(spec, trials=63), workers=2)
+        # 1920 floats: 24 trials per batch at n=20 down to 8 at n=60
+        with mock.patch.object(montecarlo, "_BATCH_FLOATS", 8 * 60 * (1 + 3)):
+            rows = run_sweep(spec, workers=2)
+            assert serial_pools == [("open", 2), ("map", 3), ("map", 4), ("map", 5), ("map", 6), ("map", 6), ("close",)]
+            assert rows == run_sweep(spec, workers=1)
+            # the pool is sized for the largest plan: 3 one-batch ranges at n=20, 8 at n=60
+            serial_pools.clear()
+            assert run_sweep(spec, workers=1000) == rows
+            assert serial_pools == [("open", 8), ("map", 3), ("map", 4), ("map", 6), ("map", 8), ("map", 8), ("close",)]
+            # below 64 trials every point runs in this process: no pool at all
+            serial_pools.clear()
+            run_sweep(dataclasses.replace(spec, trials=63), workers=2)
+            assert serial_pools == []
+        # nor when every point's run fits in one batch
+        assert run_sweep(spec, workers=2) == rows
         assert serial_pools == []
+
+    @given(small_params(max_n=8), st.integers(1, 400), st.integers(1, 6), st.integers(1, 512),
+           st.integers(0, 2**64 - 1))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_plan_splits_whole_batches_that_shrink(self, serial_pools, params, trials, workers, budget, seed):
+        # a small float budget makes a run span many batches
+        ran = []
+
+        def counted(params, master_seed, start, stop):
+            ran.append((start, stop))
+            return _run_range(params, master_seed, start, stop)
+
+        serial_pools.clear()
+        with mock.patch.object(montecarlo, "_BATCH_FLOATS", budget), \
+             mock.patch.object(montecarlo, "_run_range", counted):
+            batch = _batch_trials(params)
+            bounds, size = _plan(params, trials, workers)
+            agg = run_trials(params, trials, seed, workers)
+            events = list(serial_pools)
+            assert agg == run_trials(params, trials, seed, 1)
+        ranges = list(zip(bounds, bounds[1:]))
+        assert bounds[0] == 0 and bounds[-1] == trials
+        assert all(start < stop for start, stop in ranges)
+        assert all((stop - start) % batch == 0 for start, stop in ranges[:-1])
+        sizes = [stop - start for start, stop in ranges]
+        assert sizes == sorted(sizes, reverse=True)
+        assert ran[:len(ranges)] == ranges
+        if workers == 1 or trials < 64:
+            assert ranges == [(0, trials)]
+        if len(ranges) == 1:
+            assert size == 0 and events == []
+        else:
+            assert size == min(workers, len(ranges))
+            assert events == [("open", size), ("map", len(ranges)), ("close",)]
 
     def test_one_worker_opens_no_pool(self, serial_pools, monkeypatch, tmp_path):
         # one worker runs every trial of a run, however many, as one range
@@ -163,12 +219,40 @@ class TestRunTrials:
             run_trials(SMALL, 50, master_seed=3, workers=1)
         assert str(exc.value) == f"event identity broken: F={fno + 1}, no-isolated={noiso}, connected={conn}"
 
-    def test_worker_crash_is_a_rigraph_error(self, monkeypatch):
+    def test_worker_crash_is_a_rigraph_error(self, recorded_pools, monkeypatch):
+        # 8 trials per batch, so the run is 6 ranges in a real pool
+        monkeypatch.setattr(montecarlo, "_BATCH_FLOATS", 8 * 30 * (1 + 3))
         monkeypatch.setattr(montecarlo, "_run_range", exit_in_worker)
         with pytest.raises(WorkerCrashError) as exc:
             run_trials(SMALL, 64, master_seed=3, workers=2)
         assert isinstance(exc.value, RigraphError)
         assert "\n" not in str(exc.value)
+        assert recorded_pools == [("open", 2), ("map", 6), ("close",)]
+
+    def test_one_fingerprint_per_run(self, monkeypatch):
+        # the digest is hashed on first use and kept on the instance: making
+        # the params and solving for rings hash nothing, and a 50-batch run
+        # hashes once, while every batch still carries the digest
+        hashed = []
+
+        def sha256(data):
+            hashed.append(data)
+            return hashlib.sha256(data)
+
+        seen = []
+
+        def spy(batch):
+            seen.append(batch.params_hash)
+            return analyze_batch(batch)
+
+        monkeypatch.setattr(model_core, "hashlib", types.SimpleNamespace(sha256=sha256))
+        monkeypatch.setattr(montecarlo, "analyze_batch", spy)
+        solve_k1(2000, 4000, (0.5, 0.5), (1.0, 2.0), 0.0)
+        params = ModelParams(n=2000, a=(0.5, 0.5), K=(3, 6), P=4000)
+        assert hashed == []
+        agg = run_trials(params, 200, master_seed=1, workers=1)
+        assert len(hashed) == 1
+        assert len(seen) == 50 and set(seen) == {agg.params_hash} == {"b2a22e8fa3c4b5be"}
 
     def test_certain_connectivity(self):
         p = ModelParams(n=20, a=(1.0,), K=(5,), P=5)

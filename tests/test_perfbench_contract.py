@@ -1,8 +1,8 @@
 """The benchmark under ``perfbench/`` imports names from ``rigraph`` and swaps
 ``rigraph.sweeps`` globals to time the layers.  Its own tests cannot run in
 the same pytest run as these, so this checks, by reading its source,
-that every name it relies on still exists, checks that the solves it times
-still go through the global it swaps, and runs its trial-by-trial
+that every name it relies on still exists, checks that the solves and the
+per-point trial runs it times still go through the globals it swaps, and runs its trial-by-trial
 replay (what ``perfbench/run.py --trace 1`` compares with ``run_trials``) in
 a separate process."""
 
@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import rigraph.montecarlo as montecarlo
 import rigraph.sweeps as sweeps
 
 from conftest import missing_rigraph_names, rigraph_aliases
@@ -80,3 +81,25 @@ def test_nearest_solves_through_the_swappable_global(monkeypatch):
                             axis="beta-target", points=(0.0,), trials=1, master_seed=1, output_path="unused.csv")
     assert sweeps.resolve_point(spec, 0.0).K == K
     assert calls == [args, args]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_runs_each_point_through_the_swappable_global(monkeypatch, workers):
+    # ``perfbench --trace 1`` times a sweep's trials by swapping
+    # ``sweeps.run_trials`` (``workloads.traced_trials``), and its layer
+    # metrics need one such call per point; 8 trials per batch at n=40, so
+    # the 2-worker sweep runs its points through a pool
+    monkeypatch.setattr(montecarlo, "_BATCH_FLOATS", 8 * 40 * (1 + 3))
+    calls = []
+    run = sweeps.run_trials
+
+    def counted(*args):
+        calls.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(sweeps, "run_trials", counted)
+    spec = sweeps.SweepSpec(base_n=40, base_P=60, a=(0.5, 0.5), base_K=(2, 3), ratios=None, axis="n",
+                            points=(20.0, 30.0, 40.0), trials=64, master_seed=7, output_path="unused.csv")
+    sweeps.run_sweep(spec, workers=workers)
+    assert calls == [(sweeps.resolve_point(spec, v), 64, sweeps.point_seed(7, i), workers)
+                     for i, v in enumerate(spec.points)]

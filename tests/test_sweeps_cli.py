@@ -579,6 +579,8 @@ class TestCli:
         assert not (tmp_path / "x.csv").exists()
 
     def test_sweep_worker_crash_exit_1(self, capsys, tmp_path, monkeypatch):
+        # 8 trials per batch at n=40, so each point's 64 trials need the pool
+        monkeypatch.setattr(montecarlo, "_BATCH_FLOATS", 8 * 40 * (1 + 3))
         monkeypatch.setattr(montecarlo, "_run_range", exit_in_worker)
         monkeypatch.setenv("RIG_THREADS", "2")
         cfg = tmp_path / "cfg.json"
