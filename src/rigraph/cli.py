@@ -59,6 +59,7 @@ _EXIT_CODES = {
     EnumerationBudgetError: 3,
     RegimeViolationError: 3,
     WorkerCrashError: 1,
+    MemoryError: 1,
 }
 
 

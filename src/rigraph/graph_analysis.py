@@ -9,7 +9,10 @@ finds the vertex of every incidence once.  Each incidence of trial t with
 object o gets the key t*P + o, so trials never share an object: one
 ``connected_components`` call over the block-diagonal graph labels every
 trial at once, and the holder count of each key gives isolation (a vertex
-is isolated iff each of its objects has a single holder).  Each label's
+is isolated iff each of its objects has a single holder).  Where trials*P
+would pass ``_KEY_LIMIT``, the batch's object ids are first numbered densely
+(at most one id per incidence) and keyed by that numbering, so the keys stay
+inside int64 at any trial count and pool size.  Each label's
 trial is scattered into one array, whose bincount is the component count
 of every trial, in whatever order the labels come.  The labelling never
 reads the isolation counts, so the check that a connected trial has no
@@ -28,6 +31,8 @@ from scipy.sparse.csgraph import connected_components as _sp_connected_component
 from .errors import InvalidParamsError, InvariantViolation
 from .sampler import GraphBatch
 
+# keys t*P + o of a batch stay below this, inside int64
+_KEY_LIMIT = 1 << 62
 # up to this many keys per incidence, holder counts are indexed by key
 # directly; sparser key ranges (large pools) are compacted by a sort first
 _DENSE_KEYS_PER_INCIDENCE = 4
@@ -93,14 +98,18 @@ def analyze_batch(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray
     vertex is connected and isolated at once.  Raises ``InvariantViolation``
     if a sample is reported connected while having an isolated vertex.
     """
-    offsets, trials, P, n = batch.offsets, batch.trials, batch.P, batch.n
+    offsets, objects, trials, P, n = batch.offsets, batch.objects, batch.trials, batch.P, batch.n
     if n < 2:
         raise InvalidParamsError(f"analysis needs n >= 2 vertices per trial, got n={n}")
-    index = _index_dtype(trials * n, len(batch.objects))
+    if trials * P > _KEY_LIMIT:
+        # t*P + o could leave int64; a dense numbering has at most one id per incidence
+        ids, objects = np.unique(objects, return_inverse=True)
+        P = len(ids)
+    index = _index_dtype(trials * n, len(objects))
     holder = np.repeat(np.arange(trials * n, dtype=index), np.diff(offsets))  # the vertex of each incidence
     # trial t's incidence with object o has the key t*P + o, formed in int64 so that t*P
     # cannot wrap in an int32 index type
-    keys = np.multiply(holder // n, P, dtype=np.int64) + batch.objects
+    keys = np.multiply(holder // n, P, dtype=np.int64) + objects
     nodes, shared, node_count = _object_nodes(keys, trials * P)
     # a vertex is isolated iff none of its incidences is shared; the running
     # count of shared incidences does not move across its set (an empty set

@@ -10,8 +10,11 @@ numbers.  Worker count comes from the ``workers`` argument, else the
 
 Trials run in batches of about ``_BATCH_FLOATS`` drawn floats (at least one
 trial): ``sampler.sample_batch`` realizes each batch of a trial range as a
-``GraphBatch`` and ``graph_analysis.analyze_batch`` counts its events; this
-module knows neither the batch layout nor how trials are seeded.  A parallel
+``GraphBatch`` and ``graph_analysis.analyze_batch`` counts its events.  Of
+the sampler this module knows the floats a trial draws, n*(1+K_m), to size
+batches, and that it reseats one ``PCG64`` scratch generator per trial,
+which each range builds once; it knows neither the batch layout, nor how a
+trial's stream is seeded, nor how the analysis keys its objects.  A parallel
 run splits its trials into ranges of whole batches that shrink toward the
 end (``_plan``) and maps them through a process pool; a run of one range
 stays in this process.  A sweep opens one pool when it starts, sized for its
@@ -41,8 +44,6 @@ ENV_WORKERS = "RIG_THREADS"
 
 # floats drawn per batch (n*(1+K_m) per trial); bounds the batch's memory
 _BATCH_FLOATS = 1 << 16
-# the analysis tags object ids with t*P + o, which must stay inside int64
-_KEY_LIMIT = 1 << 62
 # normal quantile of the two-sided 95% Wilson intervals
 _WILSON_Z = 1.96
 
@@ -115,7 +116,7 @@ def resolve_workers(workers: int | None = None) -> int:
 
 def _batch_trials(params: ModelParams) -> int:
     """Trials per batch: about ``_BATCH_FLOATS`` drawn floats, at least one trial."""
-    return max(1, min(_BATCH_FLOATS // (params.n * (1 + params.K[-1])), _KEY_LIMIT // params.P))
+    return max(1, _BATCH_FLOATS // (params.n * (1 + params.K[-1])))
 
 
 def _run_range(params: ModelParams, master_seed: int, start: int, stop: int) -> tuple[int, ...]:

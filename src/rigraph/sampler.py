@@ -126,11 +126,14 @@ class GraphBatch:
     @classmethod
     def from_sets(cls, groups, object_sets, P: int, trials: int = 1, params_hash: str = "") -> GraphBatch:
         """The batch of per-vertex groups and sorted object sets, listed
-        vertex by vertex in batch order.  Only the shape is checked here, in
-        O(1); ``validate`` checks the ids against the params."""
-        trials = _as_int("trials", trials)
+        vertex by vertex in batch order.  Checked here are the shape and,
+        in O(incidences), that every id lies in [0, P), which the analysis's
+        keys need; ``validate`` checks the rest against the params."""
+        trials, P = _as_int("trials", trials), _as_int("P", P)
         if trials < 1:
             raise InvalidParamsError(f"trials must be >= 1, got {trials}")
+        if P < 1:
+            raise InvalidParamsError(f"P must be >= 1, got {P}")
         sets, vertices = len(object_sets), len(groups)
         if sets != vertices:
             raise InvalidParamsError(f"need one object set per group label, got {sets} and {vertices}")
@@ -138,6 +141,8 @@ class GraphBatch:
             raise InvalidParamsError(f"{vertices} vertices do not split into {trials} trials")
         offsets = np.cumsum([0, *map(len, object_sets)], dtype=np.int64)
         objects = np.fromiter(chain.from_iterable(object_sets), dtype=np.int64, count=int(offsets[-1]))
+        if len(objects) and (objects.min() < 0 or objects.max() >= P):
+            raise InvalidParamsError(f"object ids must lie in [0, {P}), got {objects.min()} to {objects.max()}")
         return cls(np.asarray(groups, dtype=np.int64), objects, offsets, trials, P, params_hash)
 
     @property

@@ -136,14 +136,17 @@ def _one_component_each(offsets, holder, nodes, node_count, trials):
     return np.ones(trials, dtype=np.int64)
 
 
-def _assert_each_trial_matches_reference(index, groups, sets, P, trials):
-    """``analyze_batch`` of the whole batch, at the int32 index type or a
-    forced int64 one, counts each trial as ``reference_stats`` does alone."""
+def _assert_each_trial_matches_reference(path, groups, sets, P, trials):
+    """``analyze_batch`` of the whole batch, at the int32 index type, a
+    forced int64 one, or with every batch's objects numbered densely first,
+    counts each trial as ``reference_stats`` does alone."""
     n = len(groups) // trials
     batch = GraphBatch.from_sets(groups, sets, P, trials=trials)
     with pytest.MonkeyPatch.context() as mp:
-        if index == "int64":
+        if path == "int64":
             mp.setattr(ga, "_index_dtype", lambda vertices, incidences: np.int64)
+        if path == "numbered":
+            mp.setattr(ga, "_KEY_LIMIT", 0)
         got = [c.tolist() for c in ga.analyze_batch(batch)]
     want = [
         reference_stats(GraphBatch.from_sets(groups[r * n:(r + 1) * n], sets[r * n:(r + 1) * n], P))
@@ -190,10 +193,10 @@ class TestOracleEquivalence:
         assert (st_.component_count, st_.isolated_count, st_.group1_isolated_count) == (comp, iso, g1)
         assert st_.connected == (comp == 1)
 
-    @pytest.mark.parametrize("index", ["int32", "int64"])
+    @pytest.mark.parametrize("path", ["int32", "int64", "numbered"])
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_multi_trial_batch_matches_reference_per_trial(self, index, data):
+    def test_multi_trial_batch_matches_reference_per_trial(self, path, data):
         # every trial of one batch is counted on its own: trials share no
         # object, and no trial's components or isolation leak into another
         trials = data.draw(st.integers(1, 6))
@@ -208,7 +211,7 @@ class TestOracleEquivalence:
             lo, hi = {"any": (0, pool), "empty": (0, 0), "singletons": (1, 1)}[kind]
             sets += [sorted(data.draw(st.lists(ids, min_size=lo, max_size=hi, unique=True))) for _ in range(n)]
             groups += data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-        _assert_each_trial_matches_reference(index, groups, sets, P, trials)
+        _assert_each_trial_matches_reference(path, groups, sets, P, trials)
 
     @pytest.mark.parametrize("index", ["int32", "int64"])
     def test_late_trial_keys_do_not_wrap_onto_early_ones(self, index):
@@ -217,6 +220,14 @@ class TestOracleEquivalence:
         # object 0 on trial 0's, merging two isolated vertices
         trials = 6
         _assert_each_trial_matches_reference(index, [1, 2] * trials, [[0], [1]] * trials, 2**30, trials)
+
+    def test_keys_past_int64_are_numbered_densely(self):
+        # t*P reaches 2**64 at t = 16,384, where int64 keys would wrap onto
+        # trial 0's and merge its two isolated vertices with trial 16,384's
+        trials = 16_385
+        batch = GraphBatch.from_sets([1] * (2 * trials), [[0], [2]] * trials, 2**50, trials)
+        for counts in ga.analyze_batch(batch):
+            assert counts.tolist() == [2] * trials
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)

@@ -244,10 +244,15 @@ class TestNoOverlapRatio:
         assert no_overlap_ratio(P, Ki, Kj).hex() == want.hex()
         assert no_overlap_ratio(P, Kj, Ki).hex() == want.hex()
 
-    def test_bound_answers_where_the_full_sum_leaves_the_log_domain(self):
+    @pytest.mark.parametrize("P, small, large", [
         # past 2^53 a late term's large / (P - t) rounds to 1.0, where log1p
         # raises; the first term's does not, so the bound gives 0.0 first
-        P, small, large = 555580775569255334, 63, 555580775569255271
+        (555580775569255334, 63, 555580775569255271),
+        # the first term's rounds to 1.0 too, so the bound on the exact int
+        # quotient gives 0.0: 20 log(20 / 2^60) = -771.9 and the ratio is about 1e-343
+        (2**60, 20, 2**60 - 20),
+    ], ids=["late-quotient", "first-quotient"])
+    def test_bound_answers_where_the_full_sum_leaves_the_log_domain(self, P, small, large):
         with pytest.raises(ValueError):
             full_sum_no_overlap_ratio(P, small, large)
         exact_ratio = math.prod(Fraction(P - large - t, P - t) for t in range(small))

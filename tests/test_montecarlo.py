@@ -322,8 +322,8 @@ class TestRunTrials:
 
     def test_huge_pool_keeps_keys_in_range(self, monkeypatch):
         # at the largest pool the sampler takes, t*P + o would pass 2^63 for
-        # a full batch of 7,281 trials, so batches shrink to 2^62 / P = 512;
-        # int64 wraparound would rarely show in the counts, so watch the batches
+        # a batch of 1,024 trials; the batch size stays the float budget's and
+        # the analysis numbers the objects densely instead, so watch the batches
         batch_trials = []
 
         def spy(batch):
@@ -333,7 +333,7 @@ class TestRunTrials:
         monkeypatch.setattr(montecarlo, "analyze_batch", spy)
         params = ModelParams(n=3, a=(1.0,), K=(2,), P=2**53)
         agg = run_trials(params, 600, master_seed=23, workers=1)
-        assert batch_trials == [512, 88]
+        assert batch_trials == [600]
         _assert_aggregate_matches(agg, reference_counts(params, 23, 0, 600))
 
     def test_validation(self):

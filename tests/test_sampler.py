@@ -277,6 +277,19 @@ class TestSampleGraph:
         with pytest.raises(InvalidParamsError, match=message):
             GraphBatch.from_sets(groups, sets, 3, trials)
 
+    @pytest.mark.parametrize("sets, P, message", [
+        # the analysis used to count these wrong or fail with another error:
+        # a false InvariantViolation, an IndexError, numpy's ValueError
+        ([[0], [2], [1], [0]], 2, r"^object ids must lie in \[0, 2\), got 0 to 2$"),
+        ([[0], [7], [1], [0]], 2, r"^object ids must lie in \[0, 2\), got 0 to 7$"),
+        ([[-1], [0], [1], [0]], 2, r"^object ids must lie in \[0, 2\), got -1 to 1$"),
+        ([[], [], [], []], 0, "^P must be >= 1, got 0$"),
+        ([[0], [1], [1], [0]], 2.0, "^P must be an integer, got 2.0$"),
+    ], ids=["id-at-P", "id-past-P", "negative-id", "zero-P", "float-P"])
+    def test_from_sets_refuses_ids_outside_the_pool(self, sets, P, message):
+        with pytest.raises(InvalidParamsError, match=message):
+            GraphBatch.from_sets([1] * 4, sets, P, trials=2)
+
     def test_group_independence_in_pairs(self):
         # joint (g_1, g_2) frequency factorizes to a_i * a_j
         p = ModelParams(n=2, a=(0.3, 0.7), K=(1, 1), P=10)

@@ -24,6 +24,7 @@ from rigraph import (
     solve_k1,
     solve_k1_nearest,
 )
+import rigraph.cli as cli
 import rigraph.model_core as model_core
 import rigraph.montecarlo as montecarlo
 import rigraph.sweeps as sweeps
@@ -432,6 +433,21 @@ class TestCli:
         )
         assert code == 2
         assert "RIG_THREADS" in err and "'abc'" in err
+        assert not out.exists()
+
+    def test_simulate_out_of_memory_exit_1(self, capsys, tmp_path, monkeypatch):
+        # numpy raises a MemoryError subclass for an array it cannot allocate
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array with shape (2000000000000,)")
+
+        monkeypatch.setattr(cli, "simulate_row", out_of_memory)
+        out = tmp_path / "run.csv"
+        code, js, err = run_cli(
+            capsys, "simulate", "--n", "20", "--P", "5", "--a", "1", "--K", "5",
+            "--trials", "1", "--seed", "1", "--out", str(out),
+        )
+        assert (code, js) == (1, "")
+        assert err == "error: Unable to allocate 14.6 TiB for an array with shape (2000000000000,)\n"
         assert not out.exists()
 
     def test_simulate_requires_budget_and_seed(self, capsys):
