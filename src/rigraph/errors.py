@@ -28,3 +28,9 @@ class InvariantViolation(RigraphError, AssertionError):
 
 class WorkerCrashError(RigraphError, RuntimeError):
     """A worker process of the trial pool died (killed, or out of memory)."""
+
+
+class StateLayoutError(RigraphError, RuntimeError):
+    """numpy's PCG64 keeps its state words in a layout the sampler cannot
+    seat: the import-time probe read back words that are no permutation of
+    the state and increment it had set."""

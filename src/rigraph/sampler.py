@@ -15,6 +15,19 @@ every output bit depends on every input bit).  Trial t is therefore
 independent of whether trials 0..t-1 were ever generated, which is what
 makes parallel trial execution deterministic.
 
+A trial's generator is seated by writing those four words straight into
+the four uint64 words that hold ``PCG64``'s state and increment, through
+numpy's ctypes interface (``bg.ctypes.state_address``).  Where numpy keeps
+each word (a native 128-bit integer or an emulated {high, low} pair, of
+either byte order) is not assumed: at import, one probe seats a known state
+through the documented ``bg.state`` dict setter, reads the stored words
+back and records their order, and it raises ``StateLayoutError`` if they
+are no permutation of the words it set.  Only state and increment are
+written; the generator's buffered ``has_uint32``/``uinteger`` pair is left
+as found, and the double draws below never read it.  The dict setter stays
+the reference: a generator it seats from the same words draws the same
+stream.
+
 A trial consumes randomness in a fixed order: one block of n uniforms for
 group assignment (inverse CDF over the cumulative a), then one block of
 sum_x K_{g_x} uniforms for the object sets, vertex by vertex.  Each vertex's
@@ -38,12 +51,13 @@ Bit-compatibility is promised only within this implementation.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidParamsError, InvariantViolation
+from .errors import InvalidParamsError, InvariantViolation, StateLayoutError
 from .model_core import ModelParams, _as_int
 
 _M64 = (1 << 64) - 1
@@ -81,6 +95,47 @@ def _state_dict(w1: int, w2: int, w3: int, w4: int) -> dict:
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def _stored_words(bg: np.random.PCG64) -> ctypes.Array:
+    """The four uint64 words that hold ``bg``'s state and increment, as a
+    ctypes array over the generator's own memory: ``state_address`` points
+    at numpy's ``pcg64_state``, whose first field points at them.  The
+    array does not keep ``bg`` alive, so it must not outlive it."""
+    words = ctypes.c_void_p.from_address(bg.ctypes.state_address).value
+    return (ctypes.c_uint64 * 4).from_address(words)
+
+
+# four distinct words; the last is odd, so the increment is stored as given
+_PROBE_WORDS = (0x0123456789ABCDEF, 0x1032547698BADCFE, 0x2301674589EFCDAB, 0x3210765498FEDCBB)
+
+
+def _learn_word_order() -> tuple[int, ...]:
+    """Where numpy stores the words of a PCG64 state: stored word i holds
+    word ``order[i]`` of (state >> 64, state & M64, inc >> 64, inc & M64).
+    Learnt by seating ``_PROBE_WORDS`` through the dict setter and reading
+    them back; words that are no permutation of those set raise
+    ``StateLayoutError``."""
+    bg = np.random.PCG64(0)
+    bg.state = _state_dict(*_PROBE_WORDS)
+    stored = list(_stored_words(bg))
+    if sorted(stored) != sorted(_PROBE_WORDS):
+        raise StateLayoutError(
+            f"PCG64 state words read back as {[hex(w) for w in stored]}, "
+            f"no permutation of the words set, {[hex(w) for w in _PROBE_WORDS]}"
+        )
+    return tuple(map(_PROBE_WORDS.index, stored))
+
+
+_WORD_ORDER = _learn_word_order()
+
+
+def _seating_rows(words: np.ndarray) -> list[list[int]]:
+    """Rows of ``trial_state_words`` as the values of the four stored
+    words, in storage order, the increment's low word made odd."""
+    stored = words[:, _WORD_ORDER]
+    stored[:, _WORD_ORDER.index(3)] |= np.uint64(1)
+    return stored.tolist()
 
 
 @dataclass(frozen=True)
@@ -262,7 +317,15 @@ def sample_batch(
 ) -> GraphBatch:
     """Realize trials [start, stop) of ``master_seed``, trial t from the
     stream of ``SeedSpec(master_seed, t)``; ``scratch``, if given, is the
-    bit generator reseated for each trial."""
+    ``PCG64`` reseated for each trial.
+
+    Each trial's generator is seated by writing its state and increment
+    into the generator's four stored words, in the order the import-time
+    probe learnt from the ``bg.state`` dict setter, which stays the
+    reference.  The ``has_uint32``/``uinteger`` pair of ``scratch`` is left
+    as found: the double draws never read it, so a pending 32-bit half
+    changes no batch.
+    """
     _check_pool(params.P)
     seed = SeedSpec(master_seed, start)
     trials = _as_int("stop", stop) - seed.trial_index
@@ -273,9 +336,12 @@ def sample_batch(
     width = n * (1 + params.K[-1])
     U = np.empty((trials, width))
     bg = scratch if scratch is not None else np.random.PCG64(0)
+    if not isinstance(bg, np.random.PCG64):
+        raise InvalidParamsError(f"scratch must be a numpy PCG64, got {type(bg).__name__}")
     gen = np.random.Generator(bg)
-    for row, w in zip(U, words.tolist()):
-        bg.state = _state_dict(*w)
+    stored = _stored_words(bg)  # a view into bg, dropped with this call
+    for row, w in zip(U, _seating_rows(words)):
+        stored[:] = w
         gen.random(out=row)
 
     # group of u: 1 + #{l < m-1 : u >= cum_l}, the inverse CDF with the

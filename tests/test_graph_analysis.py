@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +231,21 @@ class TestOracleEquivalence:
         batch = GraphBatch.from_sets([1] * (2 * trials), [[0], [2]] * trials, 2**50, trials)
         for counts in ga.analyze_batch(batch):
             assert counts.tolist() == [2] * trials
+
+    def test_numpy_integer_pool_and_trials_count_as_ints(self):
+        # a batch built without from_sets may carry numpy integers, whose
+        # product trials * P used to wrap in int64 with only a RuntimeWarning
+        trials = 16_385
+        batch = GraphBatch.from_sets([1] * (2 * trials), [[0], [2]] * trials, 2**50, trials)
+        want = [c.tolist() for c in ga.analyze_batch(batch)]
+        for bad in (
+            dataclasses.replace(batch, P=np.int64(2**50)),
+            dataclasses.replace(batch, trials=np.int64(trials)),
+            dataclasses.replace(batch, P=np.int64(2**50), trials=np.int64(trials)),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert [c.tolist() for c in ga.analyze_batch(bad)] == want
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)

@@ -20,7 +20,8 @@ from rigraph import (
     wilson_interval,
 )
 import rigraph.montecarlo as montecarlo
-from rigraph.errors import InvariantViolation
+import rigraph.sampler as sampler
+from rigraph.errors import InvariantViolation, StateLayoutError
 from rigraph.sampler import (
     _NETWORK_MAX_K,
     GAMMA,
@@ -28,6 +29,7 @@ from rigraph.sampler import (
     _floyd_batch,
     _ring_sets,
     _sorted_rows,
+    _state_dict,
     sample_batch,
     trial_state_words,
 )
@@ -42,10 +44,10 @@ def floyd_draws(P, K, draws, seed=7):
     return np.array(_ring_sets(P, K, U.T)).T.tolist()
 
 
-def assert_trials_match_reference(params, seed, start, trials):
+def assert_trials_match_reference(params, seed, start, trials, scratch=None):
     """``sample_batch`` over trials [start, start+trials) is the reference
     sample of each trial, back to back, bit for bit."""
-    batch = sample_batch(params, seed, start, start + trials)
+    batch = sample_batch(params, seed, start, start + trials, scratch)
     n = params.n
     for name in ("groups", "objects", "offsets"):
         assert getattr(batch, name).dtype == np.int64, name
@@ -108,6 +110,91 @@ class TestSeeding:
     def test_distinct_trials_distinct_streams(self):
         seeds = {SeedSpec(99, t).trial_seed() for t in range(1000)}
         assert len(seeds) == 1000
+
+
+def scratch_of(kind, words=(1, 2, 3, 4), uinteger=0):
+    """A caller's scratch generator: none, one holding a pending 32-bit
+    half, or one left at an arbitrary state with one buffered."""
+    if kind == "none":
+        return None
+    bg = np.random.PCG64(sum(words))
+    if kind == "pending":
+        np.random.Generator(bg).integers(0, 10, dtype=np.uint32)
+        assert bg.state["has_uint32"] == 1
+    else:
+        w1, w2, w3, w4 = words
+        state = {"state": (w1 << 64) | w2, "inc": (w3 << 64) | w4}
+        bg.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 1, "uinteger": uinteger}
+    return bg
+
+
+SCRATCH_KINDS = ["none", "pending", "arbitrary"]
+words64 = st.integers(0, 2**64 - 1)
+
+
+class TestSeating:
+    """Each trial's PCG64 is seated by writing its four stored words; the
+    dict setter, through ``generator_for``, is the reference."""
+
+    def test_word_order_is_a_permutation(self):
+        assert sorted(sampler._WORD_ORDER) == [0, 1, 2, 3]
+
+    @given(st.tuples(words64, words64, words64, words64))
+    @settings(max_examples=100, deadline=None)
+    def test_stored_words_seat_the_dict_state(self, words):
+        bg = np.random.PCG64(0)
+        sampler._stored_words(bg)[:] = sampler._seating_rows(np.array([words], dtype=np.uint64))[0]
+        assert bg.state["state"] == _state_dict(*words)["state"]
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 3, 2)], ids=["high-low", "low-high"])
+    def test_probe_learns_either_word_order(self, monkeypatch, order):
+        # {high, low} pairs (emulated 128-bit, or native big-endian) and
+        # native little-endian 128-bit words
+        monkeypatch.setattr(sampler, "_stored_words", lambda bg: [sampler._PROBE_WORDS[i] for i in order])
+        assert sampler._learn_word_order() == order
+
+    @pytest.mark.parametrize("read_back", [
+        lambda known: [0, 0, 0, 0],
+        lambda known: [known[0], known[1], known[2], known[3] ^ 1],  # one bit off
+        lambda known: [known[0], known[0], known[2], known[3]],  # a word twice
+        lambda known: [int.from_bytes(w.to_bytes(8, "little"), "big") for w in known],  # bytes swapped
+    ], ids=["zeros", "bit-off", "repeated", "byte-swapped"])
+    def test_read_back_matching_no_permutation_is_refused(self, monkeypatch, read_back):
+        monkeypatch.setattr(sampler, "_stored_words", lambda bg: read_back(sampler._PROBE_WORDS))
+        with pytest.raises(StateLayoutError, match="no permutation"):
+            sampler._learn_word_order()
+
+    @pytest.mark.parametrize("kind", SCRATCH_KINDS)
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_extreme_seeds_and_even_increment_words(self, seed, kind):
+        # trials 2^63 - 4 .. 2^63 + 3 of both seeds include a w4 that is
+        # even, where the increment's odd bit must be set by the seating
+        start, trials = 2**63 - 4, 8
+        assert (trial_state_words(seed, start, start + trials)[:, 3] & np.uint64(1) == 0).any()
+        params = ModelParams(n=5, a=(0.4, 0.6), K=(2, 3), P=11)
+        assert_trials_match_reference(params, seed, start, trials, scratch_of(kind))
+
+    @given(
+        small_params(max_P=10, max_n=8),
+        st.one_of(st.sampled_from([0, 2**64 - 1]), words64),
+        st.integers(2**63 - 32, 2**63 + 32),
+        st.integers(1, 4),
+        st.sampled_from(SCRATCH_KINDS),
+        st.tuples(words64, words64, words64, words64),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_scratch_gives_the_reference_batch(self, params, seed, start, trials, kind, words, uinteger):
+        scratch = scratch_of(kind, words, uinteger)
+        buffered = None if scratch is None else (scratch.state["has_uint32"], scratch.state["uinteger"])
+        assert_trials_match_reference(params, seed, start, trials, scratch)
+        if scratch is not None:  # the pending 32-bit half is left as found
+            assert (scratch.state["has_uint32"], scratch.state["uinteger"]) == buffered
+
+    def test_scratch_must_be_a_pcg64(self):
+        params = ModelParams(n=3, a=(1.0,), K=(2,), P=6)
+        with pytest.raises(InvalidParamsError, match="PCG64"):
+            sample_batch(params, 1, 0, 2, np.random.PCG64DXSM(0))
 
 
 class TestAssignGroup:
