@@ -29,7 +29,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _sp_connected_components
 
 from .errors import InvalidParamsError, InvariantViolation
-from .model_core import _as_int
 from .sampler import GraphBatch
 
 # keys t*P + o of a batch stay below this, inside int64
@@ -99,10 +98,7 @@ def analyze_batch(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray
     vertex is connected and isolated at once.  Raises ``InvariantViolation``
     if a sample is reported connected while having an isolated vertex.
     """
-    # as Python ints: a numpy-integer trials or P (a batch built without
-    # from_sets) would let trials * P wrap in int64 and skip the numbering
-    trials, P = _as_int("trials", batch.trials), _as_int("P", batch.P)
-    offsets, objects, n = batch.offsets, batch.objects, batch.n
+    trials, P, offsets, objects, n = batch.trials, batch.P, batch.offsets, batch.objects, batch.n
     if n < 2:
         raise InvalidParamsError(f"analysis needs n >= 2 vertices per trial, got n={n}")
     if trials * P > _KEY_LIMIT:

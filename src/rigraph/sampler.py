@@ -169,6 +169,14 @@ class GraphBatch:
     each in 0..P-1.  So ``groups`` has trials*n entries and ``offsets`` one
     more.  Edges are implicit (two vertices of one trial are adjacent iff
     their sets intersect) and never materialized.
+
+    Construction checks the layout, whoever builds the batch: ``trials``
+    and ``P`` are integers >= 1 (numpy integers are stored as Python ints),
+    ``offsets`` has one entry per vertex plus one and runs from 0 to
+    ``len(objects)``, the vertices split evenly into the trials, and, in
+    O(incidences), every id lies in [0, P), which the analysis's keys need.
+    A breach raises ``InvalidParamsError``.  ``validate`` checks the rest
+    against the params.
     """
 
     groups: np.ndarray  # int64, 1-based group per vertex
@@ -178,26 +186,31 @@ class GraphBatch:
     P: int
     params_hash: str
 
-    @classmethod
-    def from_sets(cls, groups, object_sets, P: int, trials: int = 1, params_hash: str = "") -> GraphBatch:
-        """The batch of per-vertex groups and sorted object sets, listed
-        vertex by vertex in batch order.  Checked here are the shape and,
-        in O(incidences), that every id lies in [0, P), which the analysis's
-        keys need; ``validate`` checks the rest against the params."""
-        trials, P = _as_int("trials", trials), _as_int("P", P)
+    def __post_init__(self) -> None:
+        trials, P = _as_int("trials", self.trials), _as_int("P", self.P)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "P", P)
         if trials < 1:
             raise InvalidParamsError(f"trials must be >= 1, got {trials}")
         if P < 1:
             raise InvalidParamsError(f"P must be >= 1, got {P}")
-        sets, vertices = len(object_sets), len(groups)
-        if sets != vertices:
-            raise InvalidParamsError(f"need one object set per group label, got {sets} and {vertices}")
+        objects, offsets, vertices = self.objects, self.offsets, len(self.groups)
+        if len(offsets) != vertices + 1:
+            raise InvalidParamsError(f"need one object set per group label, got {len(offsets) - 1} and {vertices}")
+        if offsets[0] != 0 or offsets[-1] != len(objects):
+            raise InvalidParamsError(f"offsets must run from 0 to {len(objects)}, got {offsets[0]} to {offsets[-1]}")
         if vertices % trials:
             raise InvalidParamsError(f"{vertices} vertices do not split into {trials} trials")
-        offsets = np.cumsum([0, *map(len, object_sets)], dtype=np.int64)
-        objects = np.fromiter(chain.from_iterable(object_sets), dtype=np.int64, count=int(offsets[-1]))
         if len(objects) and (objects.min() < 0 or objects.max() >= P):
             raise InvalidParamsError(f"object ids must lie in [0, {P}), got {objects.min()} to {objects.max()}")
+
+    @classmethod
+    def from_sets(cls, groups, object_sets, P: int, trials: int = 1, params_hash: str = "") -> GraphBatch:
+        """The batch of per-vertex groups and sorted object sets, listed
+        vertex by vertex in batch order; the constructor checks the
+        layout."""
+        offsets = np.cumsum([0, *map(len, object_sets)], dtype=np.int64)
+        objects = np.fromiter(chain.from_iterable(object_sets), dtype=np.int64, count=int(offsets[-1]))
         return cls(np.asarray(groups, dtype=np.int64), objects, offsets, trials, P, params_hash)
 
     @property
@@ -208,18 +221,16 @@ class GraphBatch:
         return self.objects[self.offsets[x]:self.offsets[x + 1]]
 
     def validate(self, params: ModelParams) -> None:
-        """Check the structural invariants of every trial against the
-        generating params."""
+        """Check every trial against the generating params: pool size and
+        vertex count, group labels, ring sizes, ids rising within each set,
+        and fingerprint.  The layout was checked at construction."""
         groups, objects, offsets = self.groups, self.objects, self.offsets
-        if (self.P, len(groups), len(offsets)) != (params.P, self.trials * params.n, len(groups) + 1):
+        if (self.P, self.n) != (params.P, params.n):
             raise InvariantViolation("batch shape does not match params")
         if groups.min(initial=1) < 1 or groups.max(initial=1) > params.m:
             raise InvariantViolation("group labels out of range")
-        expect = np.asarray(params.K, dtype=np.int64)[groups - 1]
-        if offsets[0] != 0 or offsets[-1] != len(objects) or not np.array_equal(np.diff(offsets), expect):
+        if not np.array_equal(np.diff(offsets), np.asarray(params.K, dtype=np.int64)[groups - 1]):
             raise InvariantViolation("object-set sizes do not match ring sizes")
-        if len(objects) and (objects.min() < 0 or objects.max() >= params.P):
-            raise InvariantViolation("object id outside pool")
         # every step inside a set must rise; the step from one set's last id
         # to the next set's first id may fall
         falls = np.diff(objects) <= 0

@@ -1,14 +1,15 @@
 """Shared helpers: a wall-clock limit on every test, a one-trial batch built
 from per-vertex sets, an independent adjacency-matrix/BFS analysis oracle,
-the walk that finds names a parsed source takes from ``rigraph`` that do not
-exist, the tiny instances of the event oracle, a hypothesis strategy for
-small valid parameter tuples, and recording process pools and serial
-stand-ins for them for the trial runner."""
+the walk that finds names, attributes and keywords a parsed source takes
+from ``rigraph`` that do not exist, the tiny instances of the event oracle,
+a hypothesis strategy for small valid parameter tuples, and recording
+process pools and serial stand-ins for them for the trial runner."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import os
 import signal
 from concurrent.futures import ProcessPoolExecutor
@@ -85,27 +86,56 @@ def naive_stats(sample: GraphBatch) -> tuple[bool, int, int, int]:
     return comps == 1, comps, iso, g1
 
 
-def rigraph_aliases(tree: ast.AST) -> dict:
-    """Local name -> module, for each ``import rigraph... as name``."""
-    return {a.asname: importlib.import_module(a.name)
-            for node in ast.walk(tree) if isinstance(node, ast.Import)
-            for a in node.names if a.name.split(".")[0] == "rigraph" and a.asname}
+def rigraph_bindings(tree: ast.AST) -> dict:
+    """Local name -> object, for each name the parsed source binds from
+    ``rigraph``: ``import rigraph...`` with or without ``as``, and each
+    ``from rigraph... import`` name that exists."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "rigraph":
+                    module = importlib.import_module(a.name)
+                    bound[a.asname or "rigraph"] = module if a.asname else importlib.import_module("rigraph")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rigraph":
+            module = importlib.import_module(node.module)
+            bound.update({a.asname or a.name: getattr(module, a.name) for a in node.names if hasattr(module, a.name)})
+    return bound
 
 
 def missing_rigraph_names(tree: ast.AST) -> list[str]:
-    """Every name the parsed source imports from ``rigraph`` or reads as an
-    attribute of an imported ``rigraph`` module that does not exist."""
+    """Everything the parsed source takes from ``rigraph`` that does not
+    exist: each name it imports, each attribute it reads off such a name
+    (``sweeps.run_sweep``, ``b_vector.cache_info``), and each keyword it
+    passes to such a callable (``sample_graph(..., scratch=...)``)."""
     missing = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rigraph":
             module = importlib.import_module(node.module)
             missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
-    aliases = rigraph_aliases(tree)
+    bound = rigraph_bindings(tree)
+
+    def resolve(node: ast.AST) -> object:
+        """The object a name or attribute chain rooted at a rigraph binding
+        stands for; None for any other expression or a missing link."""
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute) and (owner := resolve(node.value)) is not None:
+            return getattr(owner, node.attr, None)
+        return None
+
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            module = aliases.get(node.value.id)
-            if module is not None and not hasattr(module, node.attr):
-                missing.append(f"{module.__name__}.{node.attr}")
+        if isinstance(node, ast.Attribute):
+            owner = resolve(node.value)
+            if owner is not None and not hasattr(owner, node.attr):
+                missing.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) and (fn := resolve(node.func)) is not None:
+            for kw in node.keywords:  # a **mapping (arg None) is not read
+                try:
+                    if kw.arg is not None:
+                        inspect.signature(fn).bind_partial(**{kw.arg: None})
+                except TypeError:
+                    missing.append(f"{ast.unparse(node.func)}({kw.arg}=)")
     return missing
 
 

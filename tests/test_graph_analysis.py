@@ -233,8 +233,8 @@ class TestOracleEquivalence:
             assert counts.tolist() == [2] * trials
 
     def test_numpy_integer_pool_and_trials_count_as_ints(self):
-        # a batch built without from_sets may carry numpy integers, whose
-        # product trials * P used to wrap in int64 with only a RuntimeWarning
+        # numpy integers, whose product trials * P used to wrap in int64
+        # with only a RuntimeWarning, are stored as Python ints
         trials = 16_385
         batch = GraphBatch.from_sets([1] * (2 * trials), [[0], [2]] * trials, 2**50, trials)
         want = [c.tolist() for c in ga.analyze_batch(batch)]

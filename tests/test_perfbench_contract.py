@@ -1,7 +1,9 @@
 """The benchmark under ``perfbench/`` imports names from ``rigraph`` and swaps
 ``rigraph.sweeps`` globals to time the layers.  Its own tests cannot run in
 the same pytest run as these, so this checks, by reading its source,
-that every name it relies on still exists, checks that the solves and the
+that every name it relies on still exists, with every attribute it reads
+off one (``b_vector.cache_info``) and every keyword it passes to one
+(``sample_graph(..., scratch=...)``), checks that the solves and the
 per-point trial runs it times still go through the globals it swaps, and runs its trial-by-trial
 replay (what ``perfbench/run.py --trace 1`` compares with ``run_trials``) in
 a separate process."""
@@ -18,7 +20,7 @@ import pytest
 import rigraph.montecarlo as montecarlo
 import rigraph.sweeps as sweeps
 
-from conftest import missing_rigraph_names, rigraph_aliases
+from conftest import missing_rigraph_names, rigraph_bindings
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
@@ -43,16 +45,31 @@ def test_benchmark_sources_found():
 def test_names_used_from_rigraph_exist(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     missing = missing_rigraph_names(tree)
-    aliases = rigraph_aliases(tree)
+    bound = rigraph_bindings(tree)
     for node in ast.walk(tree):
         # _patched(module, "name", wrapper) swaps a module global
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_patched":
             target, name = node.args[0], node.args[1]
-            module = aliases.get(getattr(target, "id", None))
+            module = bound.get(getattr(target, "id", None))
             assert module is not None, f"{path.name}: _patched on {ast.unparse(target)}"
             if name.value not in vars(module):
                 missing.append(f"{module.__name__}.{name.value} (swapped global)")
     assert missing == []
+
+
+def test_walk_reports_missing_attributes_and_keywords():
+    tree = ast.parse(
+        "import rigraph.sweeps as sweeps\n"
+        "from rigraph import ModelParams, b_vector, sample_graph\n"
+        "b_vector.cache_info(); b_vector.cache_infos()\n"
+        "sample_graph(p, s, scratch=g); sample_graph(p, s, scratsh=g)\n"
+        "sweeps.run_sweep(spec, workers=2); sweeps.run_sweep(spec, worker=2)\n"
+        "sweeps.SweepSpec(base_n=1, bse_P=2); ModelParams(n=2, a=a, K=K, P=4, m=1, **extra)\n"
+    )
+    assert sorted(missing_rigraph_names(tree)) == [
+        "ModelParams(m=)", "b_vector.cache_infos", "sample_graph(scratsh=)",
+        "sweeps.SweepSpec(bse_P=)", "sweeps.run_sweep(worker=)",
+    ]
 
 
 def test_trace_replay_matches_run_trials():

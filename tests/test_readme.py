@@ -1,6 +1,7 @@
 """The README's ``python`` blocks import names from ``rigraph``; this checks,
-by parsing them, that each of those names still exists, so a public name
-cannot be removed while the README still shows it."""
+by parsing them, that each of those names, each attribute read off one and
+each keyword passed to one still exists, so a public name cannot be removed
+while the README still shows it."""
 
 from __future__ import annotations
 

@@ -38,6 +38,13 @@ from conftest import small_params
 from reference_trials import assign_group, generator_for, mix64, reference_sample
 
 
+def built_directly(groups, sets, P, trials):
+    """The batch of ``GraphBatch.from_sets(groups, sets, P, trials)``, its
+    arrays built here and passed to the constructor."""
+    offsets = np.cumsum([0, *map(len, sets)])
+    return GraphBatch(np.array(groups), np.array([o for s in sets for o in s], dtype=np.int64), offsets, trials, P, "")
+
+
 def floyd_draws(P, K, draws, seed=7):
     """``draws`` Floyd K-subsets from one trial stream, one per row."""
     U = generator_for(SeedSpec(seed, 0)).random((draws, K))
@@ -322,7 +329,7 @@ class TestSampleGraph:
         batch = sample_batch(p, 5, 0, 3)
         batch.validate(p)
         v = 2 * p.n + 1
-        lo, hi = batch.offsets[v], batch.offsets[v + 1]
+        lo = batch.offsets[v]
 
         def corrupt(name, index, value):
             arr = getattr(batch, name).copy()
@@ -334,7 +341,6 @@ class TestSampleGraph:
             (corrupt("groups", v, 3), "group labels"),
             (corrupt("groups", v, 0), "group labels"),
             (corrupt("groups", v, 3 - batch.groups[v]), "sizes"),  # the other group's ring size
-            (corrupt("objects", hi - 1, p.P), "outside pool"),
             (corrupt("objects", lo + 1, objects[lo]), "vertex 1 in trial 2"),  # a duplicate id
             (corrupt("objects", [lo, lo + 1], objects[[lo + 1, lo]]), "vertex 1 in trial 2"),  # unsorted
             (dataclasses.replace(batch, params_hash="0" * 16), "fingerprint"),
@@ -344,6 +350,37 @@ class TestSampleGraph:
         for bad, match in cases:
             with pytest.raises(InvariantViolation, match=match):
                 bad.validate(p)
+
+    @pytest.mark.parametrize("fields, message", [
+        # the analysis used to count the first wrong (trial 0 read 0
+        # components) and end the others in numpy's ValueError
+        ({"objects": np.array([2, 3, 0, 1])}, r"^object ids must lie in \[0, 2\), got 0 to 3$"),
+        ({"offsets": np.arange(4)}, "^need one object set per group label, got 3 and 4$"),
+        ({"offsets": np.array([1, 1, 2, 3, 4])}, "^offsets must run from 0 to 4, got 1 to 4$"),
+        ({"offsets": np.array([0, 1, 2, 3, 3])}, "^offsets must run from 0 to 4, got 0 to 3$"),
+        ({"offsets": np.array([0, 1, 2, 3, 5])}, "^offsets must run from 0 to 4, got 0 to 5$"),
+    ], ids=["found-example", "short-offsets", "offsets-from-1", "offsets-short-of-end", "offsets-past-end"])
+    def test_constructor_refuses_layouts_that_do_not_fit(self, fields, message):
+        # two trials of two vertices with one object each, built directly;
+        # the from_sets tests below build their cases both ways
+        good = {"groups": np.ones(4, dtype=np.int64), "objects": np.array([0, 1, 1, 0]), "offsets": np.arange(5),
+                "trials": 2, "P": 2, "params_hash": ""}
+        GraphBatch(**good)
+        with pytest.raises(InvalidParamsError, match=message):
+            GraphBatch(**{**good, **fields})
+
+    def test_replace_checks_the_layout(self):
+        # dataclasses.replace runs the constructor's checks too; numpy
+        # integers are stored as Python ints, so trials * P cannot wrap
+        p = ModelParams(n=4, a=(0.5, 0.5), K=(2, 3), P=9)
+        batch = sample_batch(p, 5, 0, 3)
+        objects = batch.objects.copy()
+        objects[batch.offsets[2 * p.n + 2] - 1] = p.P  # the last id of vertex 1 in trial 2
+        with pytest.raises(InvalidParamsError, match=r"^object ids must lie in \[0, 9\), got \d to 9$"):
+            dataclasses.replace(batch, objects=objects)
+        wide = dataclasses.replace(batch, P=np.int64(2**50), trials=np.int32(3))
+        assert (wide.P, wide.trials) == (2**50, 3)
+        assert type(wide.P) is int and type(wide.trials) is int
 
     def test_validate_allows_a_fall_between_sets(self):
         # only the steps inside a set must rise, not those between vertices
@@ -361,8 +398,9 @@ class TestSampleGraph:
         ([1, 1, 1], [[0], [1], [2]], 2, "^3 vertices do not split into 2 trials$"),
     ], ids=["more-sets", "fewer-sets", "zero-trials", "negative-trials", "float-trials", "uneven-trials"])
     def test_from_sets_refuses_shapes_that_do_not_fit(self, groups, sets, trials, message):
-        with pytest.raises(InvalidParamsError, match=message):
-            GraphBatch.from_sets(groups, sets, 3, trials)
+        for build in (GraphBatch.from_sets, built_directly):
+            with pytest.raises(InvalidParamsError, match=message):
+                build(groups, sets, 3, trials)
 
     @pytest.mark.parametrize("sets, P, message", [
         # the analysis used to count these wrong or fail with another error:
@@ -374,8 +412,9 @@ class TestSampleGraph:
         ([[0], [1], [1], [0]], 2.0, "^P must be an integer, got 2.0$"),
     ], ids=["id-at-P", "id-past-P", "negative-id", "zero-P", "float-P"])
     def test_from_sets_refuses_ids_outside_the_pool(self, sets, P, message):
-        with pytest.raises(InvalidParamsError, match=message):
-            GraphBatch.from_sets([1] * 4, sets, P, trials=2)
+        for build in (GraphBatch.from_sets, built_directly):
+            with pytest.raises(InvalidParamsError, match=message):
+                build([1] * 4, sets, P, 2)
 
     def test_group_independence_in_pairs(self):
         # joint (g_1, g_2) frequency factorizes to a_i * a_j
