@@ -11,24 +11,22 @@ from .errors import (
     RigraphError,
     UnachievableError,
 )
-from .graph_analysis import TrialStats, analyze
+from .graph_analysis import analyze
 from .model_core import (
     ExactQuantities,
     ModelParams,
     RegimeDiagnostics,
     b_vector,
     beta,
-    beta_from_b1,
     cross_moment_ratio,
     diagnostics,
     exact_quantities,
     expected_isolated,
     expected_isolated_from_b,
     no_overlap_ratio,
-    ring_sizes_for,
     solve_k1,
 )
-from .montecarlo import EstimateRow, TrialAggregate, run_trials, wilson_interval
+from .montecarlo import EstimateRow, TrialAggregate, run_trials
 from .oracle import EventProbs, enumerate_event_probs, enumerate_pair_prob
 from .sampler import GraphBatch, SeedSpec, sample_batch, sample_graph
 from .sweeps import (
@@ -41,4 +39,4 @@ from .sweeps import (
     write_sweep_csv,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

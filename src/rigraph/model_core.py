@@ -259,23 +259,22 @@ def b_vector(params: ModelParams) -> tuple[float, ...]:
     return tuple(_b_row(P, a, K, Ki) for Ki in K)
 
 
-def beta_from_b1(n: int, b1: float) -> float:
+def _beta_from_b1(n: int, b1: float) -> float:
     """Deviation of b_1 from the connectivity-critical scaling ln(n)/n,
-    i.e. the beta solving b_1 = (ln n + beta)/n."""
-    if n < 2:
-        raise InvalidParamsError(f"beta needs n >= 2, got n={n}")
+    i.e. the beta solving b_1 = (ln n + beta)/n; n >= 2 is the caller's
+    check."""
     return n * b1 - math.log(n)
 
 
 def beta(params: ModelParams) -> float:
     """Threshold deviation n*b_1 - ln n for this parameter point."""
-    return beta_from_b1(params.n, b_vector(params)[0])
+    return _beta_from_b1(params.n, b_vector(params)[0])
 
 
 def _ring_beta(n: int, P: int, a: tuple[float, ...], K: tuple[int, ...]) -> float:
     """``beta(ModelParams(n, a, K, P))`` bit for bit from the n, a and P that
     ``_model_inputs`` returns, computing row 1 of b only."""
-    return beta_from_b1(n, _b_row(P, a, K, K[0]))
+    return _beta_from_b1(n, _b_row(P, a, K, K[0]))
 
 
 def _isolation_term(n: int, b: float) -> float:
@@ -342,9 +341,9 @@ def _scaled_sizes(values, scale, low: int, P: int) -> tuple[int, ...]:
     [low, P] for a low <= P: a product at or past P gives P and one below
     low gives low, neither rounded, so +-inf and ints past the float range
     need no exception path.  The one rule behind every ring vector: those of
-    ``ring_sizes_for``, of each solver probe and of the K1-scale sweep
-    axis.  A loop, not a comprehension, which would cost a call per vector
-    on the solver's hot path."""
+    each solver probe and of the K1-scale sweep axis.  A loop, not a
+    comprehension, which would cost a call per vector on the solver's hot
+    path."""
     sizes = []
     for v in values:
         x = v * scale
@@ -352,22 +351,6 @@ def _scaled_sizes(values, scale, low: int, P: int) -> tuple[int, ...]:
         # integer, where x + 0.5 would round a tie to even, and an int product is exact
         sizes.append(P if x >= P else low if x < low else math.floor(x + 0.5) if x < 2.0**52 else int(x))
     return tuple(sizes)
-
-
-def ring_sizes_for(K1: int, ratios: tuple[float, ...], P: int) -> tuple[int, ...]:
-    """Ring-size vector generated by a base size and fixed ratios.
-
-    K_j = min(P, max(K1, round-half-up(ratios_j * K1))), by the one rule
-    that also builds the solver's vectors and the K1-scale sweep axis's;
-    nondecreasing when the ratios are.  A finite ratio whose product with
-    K1 is at or past P gives P, and one whose product is below K1 gives K1,
-    ints past the float range included; non-finite ratios are refused.  At
-    K1 > P every size is P.
-    """
-    # a comparison, unlike math.isfinite, takes an int past the float range
-    if not all(-math.inf < r < math.inf for r in ratios):
-        raise InvalidParamsError(f"ratios must be finite, got {ratios}")
-    return _scaled_sizes(ratios, K1, min(K1, P), P)
 
 
 def _solver_inputs(n, P, a, ratios, target_beta) -> tuple[int, int, tuple[float, ...], tuple[float, ...], float]:
@@ -414,10 +397,10 @@ def solve_k1(
 ) -> tuple[int, ...]:
     """Smallest ratio-shaped ring vector whose deviation reaches a target.
 
-    Searches base sizes K_1 in [1, P] with K_j tied to K_1 through
-    ``ring_sizes_for`` and returns the smallest vector with
-    beta(params) >= target_beta.  Raises ``UnachievableError`` when even
-    K = (P, ..., P) stays below the target.
+    Searches base sizes K_1 in [1, P], with K_j = min(P, max(K_1,
+    round-half-up(ratios_j * K_1))) by ``_scaled_sizes``, and returns the
+    smallest vector with beta(params) >= target_beta.  Raises
+    ``UnachievableError`` when even K = (P, ..., P) stays below the target.
 
     With ``nearest=True`` it returns instead whichever of that vector and
     its base-size-minus-one sibling has the achieved beta nearest the
@@ -533,7 +516,7 @@ def _regime(n: int, b1: float, window: float) -> tuple[float, float, str]:
     """Yagan's c = n*b_1/ln n, beta = n*b_1 - ln n, and the regime label:
     the coarse c-below/above-1 law outside ``window`` around c = 1, and the
     sign of beta inside it, where the coarse law is silent."""
-    dev = beta_from_b1(n, b1)  # refuses n < 2
+    dev = _beta_from_b1(n, b1)
     window = _as_float("critical window", window)
     if not 0.0 <= window < math.inf:
         raise InvalidParamsError(f"critical window must be finite and >= 0, got {window!r}")
@@ -623,7 +606,7 @@ def exact_quantities(params: ModelParams) -> ExactQuantities:
         p=tuple(tuple(1.0 - no_overlap_ratio(P, Ki, Kj) for Kj in K) for Ki in K),
         b=b,
         edge_prob=math.fsum(ai * bi for ai, bi in zip(a, b)),
-        beta=beta_from_b1(n, b[0]),
+        beta=_beta_from_b1(n, b[0]),
         expected_isolated=e_j,
         expected_group1_isolated=e_i,
         cross_moment_ratio=cmr,

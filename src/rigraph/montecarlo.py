@@ -48,16 +48,14 @@ _BATCH_FLOATS = 1 << 16
 _WILSON_Z = 1.96
 
 
-def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion, clamped to [0, 1].
+def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, clamped to [0, 1],
+    for integer counts 0 <= successes <= trials, trials >= 1, which
+    ``run_trials`` and ``EstimateRow`` check.
 
     Chosen over the Wald interval because it behaves correctly at 0 and 1,
     where a sharp zero-one transition parks most estimates.
     """
-    if trials < 1:
-        raise InvalidParamsError(f"trials must be >= 1, got {trials}")
-    if not 0 <= successes <= trials:
-        raise InvalidParamsError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     phat = successes / trials
     z2 = _WILSON_Z * _WILSON_Z
     denom = 1.0 + z2 / trials
@@ -225,7 +223,7 @@ def run_trials(
     mean_g1, se_g1 = _moments(g1_sum, g1_sq, trials)
 
     def row(successes: int) -> EstimateRow:
-        low, high = wilson_interval(successes, trials)
+        low, high = _wilson_interval(successes, trials)
         return EstimateRow(
             trials=trials,
             successes=successes,

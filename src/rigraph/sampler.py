@@ -172,11 +172,12 @@ class GraphBatch:
 
     Construction checks the layout, whoever builds the batch: ``trials``
     and ``P`` are integers >= 1 (numpy integers are stored as Python ints),
-    ``offsets`` has one entry per vertex plus one and runs from 0 to
-    ``len(objects)``, the vertices split evenly into the trials, and, in
-    O(incidences), every id lies in [0, P), which the analysis's keys need.
-    A breach raises ``InvalidParamsError``.  ``validate`` checks the rest
-    against the params.
+    the three arrays are 1-D numpy arrays of a signed integer dtype,
+    ``offsets`` has one entry per vertex plus one, never falls and runs
+    from 0 to ``len(objects)``, the vertices split evenly into the trials,
+    and, in O(incidences), every id lies in [0, P), which the analysis's
+    keys need.  A breach raises ``InvalidParamsError``.  ``validate``
+    checks the rest against the params.
     """
 
     groups: np.ndarray  # int64, 1-based group per vertex
@@ -194,11 +195,18 @@ class GraphBatch:
             raise InvalidParamsError(f"trials must be >= 1, got {trials}")
         if P < 1:
             raise InvalidParamsError(f"P must be >= 1, got {P}")
+        for name in ("groups", "objects", "offsets"):
+            x = getattr(self, name)
+            if not isinstance(x, np.ndarray) or x.ndim != 1 or x.dtype.kind != "i":
+                got = f"a {x.ndim}-D {x.dtype} array" if isinstance(x, np.ndarray) else type(x).__name__
+                raise InvalidParamsError(f"{name} must be a 1-D numpy array of signed integers, got {got}")
         objects, offsets, vertices = self.objects, self.offsets, len(self.groups)
         if len(offsets) != vertices + 1:
             raise InvalidParamsError(f"need one object set per group label, got {len(offsets) - 1} and {vertices}")
         if offsets[0] != 0 or offsets[-1] != len(objects):
             raise InvalidParamsError(f"offsets must run from 0 to {len(objects)}, got {offsets[0]} to {offsets[-1]}")
+        if (falls := offsets[1:] < offsets[:-1]).any():
+            raise InvalidParamsError(f"offsets must never fall, got a negative set size at vertex {np.argmax(falls)}")
         if vertices % trials:
             raise InvalidParamsError(f"{vertices} vertices do not split into {trials} trials")
         if len(objects) and (objects.min() < 0 or objects.max() >= P):

@@ -121,9 +121,7 @@ def sweep_spec_from_dict(doc: dict[str, Any]) -> SweepSpec:
             master_seed=_integral(doc["master_seed"], "master_seed"),
             output_path=doc["output_path"],
         )
-    except InvalidParamsError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidParamsError(f"malformed sweep config: {exc!r}") from exc
     return SweepSpec(**args)
 

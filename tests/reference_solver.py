@@ -1,10 +1,13 @@
 """Slow references for the ring-size solver and the avoidance ratio.
 
-``bisect_solve_k1`` is the plain integer bisection over [1, P] that
-``solve_k1`` used before its search was seeded; ``bisect_solve_k1_nearest``
-is ``solve_k1_nearest`` built on it.  Both evaluate beta(P) and beta(1)
-first, and raise ``solve_k1``'s message for an unachievable target.  They
-build their ring vectors with ``ring_sizes_for``, which rounds exactly.
+``ring_sizes(K1, ratios, P)`` is the ring vector of base size K1:
+K_j = min(P, max(K1, round-half-up(ratios_j * K1))), by the library's one
+rule, ``model_core._scaled_sizes``, which rounds exactly; at K1 > P every
+size is P.  ``bisect_solve_k1`` is the plain integer bisection over [1, P]
+that ``solve_k1`` used before its search was seeded;
+``bisect_solve_k1_nearest`` is ``solve_k1_nearest`` built on it.  Both
+evaluate beta(P) and beta(1) first, raise ``solve_k1``'s message for an
+unachievable target, and build their ring vectors with ``ring_sizes``.
 ``gallop_solve_k1`` is ``solve_k1`` as it searched before one loop did:
 a gallop down or up from the same start, then a bisection of the bracket the
 gallop left.  It evaluates beta through ``model_core._ring_beta``, looked up
@@ -19,8 +22,12 @@ from __future__ import annotations
 import math
 
 import rigraph.model_core as model_core
-from rigraph import InvalidParamsError, ModelParams, UnachievableError, beta, ring_sizes_for
+from rigraph import InvalidParamsError, ModelParams, UnachievableError, beta
 from rigraph.model_core import _NEWTON_MAX_STEPS, _NEWTON_MIN_B1, _NEWTON_REL_STEP, _scaled_sizes, _solver_inputs
+
+
+def ring_sizes(K1: int, ratios: tuple[float, ...], P: int) -> tuple[int, ...]:
+    return _scaled_sizes(ratios, K1, min(K1, P), P)
 
 
 def full_sum_no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
@@ -42,21 +49,21 @@ def bisect_solve_k1(
     target_beta = float(target_beta)
 
     def beta_at(k1: int) -> float:
-        return beta(ModelParams(n=n, a=a, K=ring_sizes_for(k1, ratios, P), P=P))
+        return beta(ModelParams(n=n, a=a, K=ring_sizes(k1, ratios, P), P=P))
 
     top = beta_at(P)
     if top < target_beta:
         raise UnachievableError(f"target beta {target_beta} unachievable: even K=(P,...,P) gives beta {top}")
     lo, hi = 1, P
     if beta_at(lo) >= target_beta:
-        return ring_sizes_for(lo, ratios, P)
+        return ring_sizes(lo, ratios, P)
     while hi - lo > 1:  # invariant: beta_at(lo) < target <= beta_at(hi)
         mid = (lo + hi) // 2
         if beta_at(mid) >= target_beta:
             hi = mid
         else:
             lo = mid
-    return ring_sizes_for(hi, ratios, P)
+    return ring_sizes(hi, ratios, P)
 
 
 def bisect_solve_k1_nearest(
@@ -65,7 +72,7 @@ def bisect_solve_k1_nearest(
     upper = bisect_solve_k1(n, P, a, ratios, target_beta)
     if upper[0] == 1:
         return upper
-    lower = ring_sizes_for(upper[0] - 1, tuple(float(r) for r in ratios), P)
+    lower = ring_sizes(upper[0] - 1, tuple(float(r) for r in ratios), P)
 
     def achieved(K: tuple[int, ...]) -> float:
         return beta(ModelParams(n=n, a=a, K=K, P=P))

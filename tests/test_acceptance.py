@@ -27,9 +27,9 @@ from rigraph import (
     no_overlap_ratio,
     run_trials,
     solve_k1,
-    wilson_interval,
 )
 import rigraph.montecarlo as montecarlo
+from rigraph.montecarlo import _wilson_interval
 from rigraph.sweeps import run_sweep, sweep_spec_from_dict, write_sweep_csv
 
 from conftest import tiny_instances
@@ -147,7 +147,7 @@ def test_criterion_2_event_oracle_equivalence_and_mc_bands():
         for idx, successes, trials in pool.map(_c2_mc, range(len(TINY))):
             _record(trials)
             with mock.patch.object(montecarlo, "_WILSON_Z", 3.0):
-                low, high = wilson_interval(successes, trials)
+                low, high = _wilson_interval(successes, trials)
             if not (low <= oracles[idx] <= high):
                 outside.append(idx)
     elapsed = time.perf_counter() - start

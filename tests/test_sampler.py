@@ -17,9 +17,9 @@ from rigraph import (
     exact_quantities,
     run_trials,
     sample_graph,
-    wilson_interval,
 )
 import rigraph.montecarlo as montecarlo
+from rigraph.montecarlo import _wilson_interval
 import rigraph.sampler as sampler
 from rigraph.errors import InvariantViolation, StateLayoutError
 from rigraph.sampler import (
@@ -359,7 +359,24 @@ class TestSampleGraph:
         ({"offsets": np.array([1, 1, 2, 3, 4])}, "^offsets must run from 0 to 4, got 1 to 4$"),
         ({"offsets": np.array([0, 1, 2, 3, 3])}, "^offsets must run from 0 to 4, got 0 to 3$"),
         ({"offsets": np.array([0, 1, 2, 3, 5])}, "^offsets must run from 0 to 4, got 0 to 5$"),
-    ], ids=["found-example", "short-offsets", "offsets-from-1", "offsets-short-of-end", "offsets-past-end"])
+        # these used to end in numpy's ValueError, TypeError or AttributeError
+        ({"offsets": np.array([0, 2, 1, 3, 4])}, "^offsets must never fall, got a negative set size at vertex 1$"),
+        ({"objects": np.array([0.0, 1.0, 1.0, 0.0])}, "^objects must be a 1-D numpy array of signed integers, "
+                                                      "got a 1-D float64 array$"),
+        ({"objects": np.array([0, 1, 1, 0], dtype=np.uint64)}, "^objects must be a 1-D numpy array of signed "
+                                                               "integers, got a 1-D uint64 array$"),
+        ({"objects": np.array([[0, 1], [1, 0]])}, "^objects must be a 1-D numpy array of signed integers, "
+                                                  "got a 2-D int64 array$"),
+        ({"groups": [1, 1, 1, 1]}, "^groups must be a 1-D numpy array of signed integers, got list$"),
+        ({"objects": [0, 1, 1, 0]}, "^objects must be a 1-D numpy array of signed integers, got list$"),
+        ({"offsets": [0, 1, 2, 3, 4]}, "^offsets must be a 1-D numpy array of signed integers, got list$"),
+        ({"offsets": np.arange(5.0)}, "^offsets must be a 1-D numpy array of signed integers, "
+                                      "got a 1-D float64 array$"),
+        ({"groups": np.ones((2, 2), dtype=np.int64)}, "^groups must be a 1-D numpy array of signed integers, "
+                                                      "got a 2-D int64 array$"),
+    ], ids=["found-example", "short-offsets", "offsets-from-1", "offsets-short-of-end", "offsets-past-end",
+            "falling-offsets", "float-objects", "uint64-objects", "2d-objects", "list-groups", "list-objects",
+            "list-offsets", "float-offsets", "2d-groups"])
     def test_constructor_refuses_layouts_that_do_not_fit(self, fields, message):
         # two trials of two vertices with one object each, built directly;
         # the from_sets tests below build their cases both ways
@@ -480,5 +497,5 @@ class TestSampleGraph:
         p = ModelParams(n=2, a=(0.5, 0.5), K=(1, 2), P=5)
         agg = run_trials(p, 100_000, master_seed=31)
         with mock.patch.object(montecarlo, "_WILSON_Z", 3.0):
-            low, high = wilson_interval(agg.connected.successes, agg.connected.trials)
+            low, high = _wilson_interval(agg.connected.successes, agg.connected.trials)
         assert low <= exact_quantities(p).edge_prob <= high
