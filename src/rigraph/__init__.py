@@ -39,4 +39,4 @@ from .sweeps import (
     write_sweep_csv,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -55,7 +55,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import (
     InvalidParamsError,
@@ -119,12 +119,15 @@ def _model_inputs(n, a, P) -> tuple[int, tuple[float, ...], int]:
                 raise InvalidParamsError(f"{name} must be finite, got an integer past the float range")
     weights = []
     in_range = True
-    for x in a:
-        if type(x) is not float:
-            x = _as_float("every group probability", x)
-        if not 0.0 < x < math.inf:  # also true for NaN
-            in_range = False
-        weights.append(x)
+    try:
+        for x in a:
+            if type(x) is not float:
+                x = _as_float("every group probability", x)
+            if not 0.0 < x < math.inf:  # also true for NaN
+                in_range = False
+            weights.append(x)
+    except TypeError:  # ``a`` is not iterable
+        raise InvalidParamsError(f"a must be a sequence of group probabilities, got {a!r}") from None
     a = tuple(weights)
     if not in_range:
         raise InvalidParamsError(f"every group probability must be finite and > 0, got {a}")
@@ -164,13 +167,16 @@ class ModelParams:
         sizes = []
         ordered = True  # every K_i in [1, P] and none below the one before
         low = 1
-        for k in K:
-            if type(k) is not int:
-                k = _as_int("every K_i", k)
-            if not low <= k <= P:
-                ordered = False
-            low = k
-            sizes.append(k)
+        try:
+            for k in K:
+                if type(k) is not int:
+                    k = _as_int("every K_i", k)
+                if not low <= k <= P:
+                    ordered = False
+                low = k
+                sizes.append(k)
+        except TypeError:  # ``K`` is not iterable
+            raise InvalidParamsError(f"K must be a sequence of ring sizes, got {K!r}") from None
         K = tuple(sizes)
         if len(a) != len(K):
             raise InvalidParamsError(f"a and K must be equally long, got {len(a)} and {len(K)}")
@@ -190,13 +196,8 @@ class ModelParams:
         return len(self.a)
 
     def fingerprint(self) -> str:
-        """Stable hex digest of the exact parameter values."""
-        return self._digest
-
-    @cached_property
-    def _digest(self) -> str:
-        """The fingerprint, hashed on first use and then kept on the
-        instance (outside the fields, so equality and hashing ignore it)."""
+        """Stable hex digest of the exact parameter values (the first 16
+        hex digits of a sha256), hashed anew on every call."""
         a = ",".join(map(float.hex, self.a))
         canon = "n=%d;P=%d;a=%s;K=%s" % (self.n, self.P, a, ",".join(map(str, self.K)))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -361,13 +362,16 @@ def _solver_inputs(n, P, a, ratios, target_beta) -> tuple[int, int, tuple[float,
     checked = []
     ordered = True  # every ratio finite, none below 1 or the one before
     low = 1.0
-    for r in ratios:
-        if type(r) is not float:
-            r = _as_float("every ratio", r)
-        if not low <= r < math.inf:
-            ordered = False
-        low = r
-        checked.append(r)
+    try:
+        for r in ratios:
+            if type(r) is not float:
+                r = _as_float("every ratio", r)
+            if not low <= r < math.inf:
+                ordered = False
+            low = r
+            checked.append(r)
+    except TypeError:  # ``ratios`` is not iterable
+        raise InvalidParamsError(f"ratios must be a sequence of numbers, got {ratios!r}") from None
     ratios = tuple(checked)
     if len(ratios) != len(a):
         raise InvalidParamsError(f"ratios must have one entry per group, got {len(ratios)} for m={len(a)}")

@@ -1,12 +1,14 @@
 """Trial runner and estimators.
 
 ``run_trials`` estimates P[connected], P[no isolated vertex] and
-P[no isolated vertex but disconnected] plus isolated-count moments.  Trial t
-always uses ``SeedSpec(master_seed, t)``, and aggregation is a commutative
-integer sum, so the result is a pure function of (params, trials,
-master_seed): worker count and scheduling change the wall time, never the
-numbers.  Worker count comes from the ``workers`` argument, else the
-``RIG_THREADS`` env var, else 1.
+P[no isolated vertex but disconnected] plus isolated-count moments; each
+estimate is an ``EstimateRow``, which derives its point estimate and 95%
+Wilson interval from its two counts.  Trial t always uses
+``SeedSpec(master_seed, t)``, and aggregation is a commutative integer sum,
+so the result is a pure function of (params, trials, master_seed): worker
+count and scheduling change the wall time, never the numbers.  Worker count
+comes from the ``workers`` argument, else the ``RIG_THREADS`` env var, else
+1.
 
 Trials run in batches of about ``_BATCH_FLOATS`` drawn floats (at least one
 trial): ``sampler.sample_batch`` realizes each batch of a trial range as a
@@ -29,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator
 
@@ -48,45 +50,45 @@ _BATCH_FLOATS = 1 << 16
 _WILSON_Z = 1.96
 
 
-def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion, clamped to [0, 1],
-    for integer counts 0 <= successes <= trials, trials >= 1, which
-    ``run_trials`` and ``EstimateRow`` check.
-
-    Chosen over the Wald interval because it behaves correctly at 0 and 1,
-    where a sharp zero-one transition parks most estimates.
-    """
-    phat = successes / trials
-    z2 = _WILSON_Z * _WILSON_Z
-    denom = 1.0 + z2 / trials
-    center = (phat + z2 / (2.0 * trials)) / denom
-    half = (_WILSON_Z / denom) * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
-    # the score interval always brackets phat; enforce it against rounding
-    return max(0.0, min(center - half, phat)), min(1.0, max(center + half, phat))
-
-
 @dataclass(frozen=True)
 class EstimateRow:
-    """One event estimate: success count, point estimate and Wilson interval."""
+    """One event estimate: ``successes`` of ``trials``, the point estimate
+    ``successes / trials`` and its two-sided 95% Wilson score interval,
+    clamped to [0, 1]; the last three are derived from the counts.
+
+    Wilson is chosen over the Wald interval because it behaves correctly at
+    0 and 1, where a sharp zero-one transition parks most estimates.
+    """
 
     trials: int
     successes: int
-    point: float
-    ci_low: float
-    ci_high: float
+    point: float = field(init=False)
+    ci_low: float = field(init=False)
+    ci_high: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.successes <= self.trials:
+        trials, successes = _as_int("trials", self.trials), _as_int("successes", self.successes)
+        if trials < 1:
+            raise InvariantViolation(f"trials must be >= 1, got {trials}")
+        if not 0 <= successes <= trials:
             raise InvariantViolation("successes outside 0..trials")
-        if not (0.0 <= self.ci_low <= self.point <= self.ci_high <= 1.0):
-            raise InvariantViolation("interval must satisfy 0 <= low <= point <= high <= 1")
+        phat = successes / trials
+        z2 = _WILSON_Z * _WILSON_Z
+        denom = 1.0 + z2 / trials
+        center = (phat + z2 / (2.0 * trials)) / denom
+        half = (_WILSON_Z / denom) * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "successes", successes)
+        object.__setattr__(self, "point", phat)
+        # the score interval always brackets phat; enforce it against rounding
+        object.__setattr__(self, "ci_low", max(0.0, min(center - half, phat)))
+        object.__setattr__(self, "ci_high", min(1.0, max(center + half, phat)))
 
 
 @dataclass(frozen=True)
 class TrialAggregate:
     """Deterministic aggregate of one run."""
 
-    params_hash: str
     trials: int
     master_seed: int
     connected: EstimateRow
@@ -221,24 +223,12 @@ def run_trials(
         )
     mean_iso, se_iso = _moments(iso_sum, iso_sq, trials)
     mean_g1, se_g1 = _moments(g1_sum, g1_sq, trials)
-
-    def row(successes: int) -> EstimateRow:
-        low, high = _wilson_interval(successes, trials)
-        return EstimateRow(
-            trials=trials,
-            successes=successes,
-            point=successes / trials,
-            ci_low=low,
-            ci_high=high,
-        )
-
     return TrialAggregate(
-        params_hash=params.fingerprint(),
         trials=trials,
         master_seed=master_seed,
-        connected=row(conn),
-        no_isolated=row(noiso),
-        no_isolated_but_disconnected=row(fno),
+        connected=EstimateRow(trials, conn),
+        no_isolated=EstimateRow(trials, noiso),
+        no_isolated_but_disconnected=EstimateRow(trials, fno),
         mean_isolated=mean_iso,
         stderr_isolated=se_iso,
         mean_group1_isolated=mean_g1,

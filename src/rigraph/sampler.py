@@ -185,7 +185,6 @@ class GraphBatch:
     offsets: np.ndarray  # int64 set boundaries into objects
     trials: int
     P: int
-    params_hash: str
 
     def __post_init__(self) -> None:
         trials, P = _as_int("trials", self.trials), _as_int("P", self.P)
@@ -213,13 +212,13 @@ class GraphBatch:
             raise InvalidParamsError(f"object ids must lie in [0, {P}), got {objects.min()} to {objects.max()}")
 
     @classmethod
-    def from_sets(cls, groups, object_sets, P: int, trials: int = 1, params_hash: str = "") -> GraphBatch:
+    def from_sets(cls, groups, object_sets, P: int, trials: int = 1) -> GraphBatch:
         """The batch of per-vertex groups and sorted object sets, listed
         vertex by vertex in batch order; the constructor checks the
         layout."""
         offsets = np.cumsum([0, *map(len, object_sets)], dtype=np.int64)
         objects = np.fromiter(chain.from_iterable(object_sets), dtype=np.int64, count=int(offsets[-1]))
-        return cls(np.asarray(groups, dtype=np.int64), objects, offsets, trials, P, params_hash)
+        return cls(np.asarray(groups, dtype=np.int64), objects, offsets, trials, P)
 
     @property
     def n(self) -> int:
@@ -229,9 +228,12 @@ class GraphBatch:
         return self.objects[self.offsets[x]:self.offsets[x + 1]]
 
     def validate(self, params: ModelParams) -> None:
-        """Check every trial against the generating params: pool size and
-        vertex count, group labels, ring sizes, ids rising within each set,
-        and fingerprint.  The layout was checked at construction."""
+        """Check every trial against ``params``: pool size and vertex count,
+        group labels, ring sizes and ids rising within each set.  The layout
+        was checked at construction.  A batch that passes has positive
+        probability under ``params`` (every a_i > 0, and every labelling and
+        every ring of the right sizes can be drawn), so this checks that the
+        params can draw the batch, not which params drew it."""
         groups, objects, offsets = self.groups, self.objects, self.offsets
         if (self.P, self.n) != (params.P, params.n):
             raise InvariantViolation("batch shape does not match params")
@@ -246,8 +248,6 @@ class GraphBatch:
         if falls.any():
             r, x = divmod(int(np.searchsorted(offsets, np.argmax(falls), side="right")) - 1, params.n)
             raise InvariantViolation(f"object set of vertex {x} in trial {r} not strictly increasing")
-        if self.params_hash != params.fingerprint():
-            raise InvariantViolation("params fingerprint mismatch")
 
 
 # column sorts of up to this many draws run through an odd-even
@@ -390,7 +390,7 @@ def sample_batch(
             np.take(floats[s:], first, out=row, mode="clip")
         for s, row in enumerate(_ring_sets(P, Kg, draws)):
             objects[s:][at] = row
-    return GraphBatch(groups, objects, offsets, trials, P, params.fingerprint())
+    return GraphBatch(groups, objects, offsets, trials, P)
 
 
 def sample_graph(params: ModelParams, seed: SeedSpec, *, scratch: np.random.PCG64 | None = None) -> GraphBatch:

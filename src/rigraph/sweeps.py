@@ -55,7 +55,9 @@ def solve_k1_nearest(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Validated sweep definition (JSON schema version 1)."""
+    """Validated sweep definition (JSON schema version 1).  Construction
+    takes ``points`` as floats (``_point``) and ``trials`` as an int
+    (``_integral``), however the spec is built."""
 
     base_n: int
     base_P: int
@@ -69,6 +71,8 @@ class SweepSpec:
     output_path: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "points", tuple(map(_point, self.points)))
+        object.__setattr__(self, "trials", _integral(self.trials, "trials"))
         if self.axis not in AXES:
             raise InvalidParamsError(f"axis must be one of {AXES}, got {self.axis!r}")
         if len(self.points) == 0:
@@ -116,8 +120,8 @@ def sweep_spec_from_dict(doc: dict[str, Any]) -> SweepSpec:
             base_K=tuple(_integral(k, "every K_i") for k in base["K"]) if "K" in base else None,
             ratios=tuple(_as_float("every ratio", r) for r in doc["ratios"]) if "ratios" in doc else None,
             axis=str(doc["axis"]),
-            points=tuple(_point(p) for p in doc["points"]),
-            trials=_integral(doc["trials"], "trials"),
+            points=tuple(doc["points"]),  # a points value that is no list is a malformed config
+            trials=doc["trials"],
             master_seed=_integral(doc["master_seed"], "master_seed"),
             output_path=doc["output_path"],
         )

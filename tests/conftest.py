@@ -55,7 +55,7 @@ def make_sample(groups: list[int], object_sets: list[list[int]], P: int | None =
     sets = [sorted(s) for s in object_sets]
     if P is None:
         P = max((o for s in sets for o in s), default=0) + 1
-    return GraphBatch.from_sets(groups, sets, P, params_hash="test")
+    return GraphBatch.from_sets(groups, sets, P)
 
 
 def naive_stats(sample: GraphBatch) -> tuple[bool, int, int, int]:

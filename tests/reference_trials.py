@@ -76,7 +76,6 @@ def sample_scalar(params: ModelParams, rng: np.random.Generator) -> GraphBatch:
         offsets=np.asarray(offsets, dtype=np.int64),
         trials=1,
         P=P,
-        params_hash=params.fingerprint(),
     )
 
 

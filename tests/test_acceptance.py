@@ -17,6 +17,7 @@ from unittest import mock
 import pytest
 
 from rigraph import (
+    EstimateRow,
     ModelParams,
     cross_moment_ratio,
     exact_quantities,
@@ -29,7 +30,6 @@ from rigraph import (
     solve_k1,
 )
 import rigraph.montecarlo as montecarlo
-from rigraph.montecarlo import _wilson_interval
 from rigraph.sweeps import run_sweep, sweep_spec_from_dict, write_sweep_csv
 
 from conftest import tiny_instances
@@ -147,8 +147,8 @@ def test_criterion_2_event_oracle_equivalence_and_mc_bands():
         for idx, successes, trials in pool.map(_c2_mc, range(len(TINY))):
             _record(trials)
             with mock.patch.object(montecarlo, "_WILSON_Z", 3.0):
-                low, high = _wilson_interval(successes, trials)
-            if not (low <= oracles[idx] <= high):
+                row = EstimateRow(trials, successes)
+            if not (row.ci_low <= oracles[idx] <= row.ci_high):
                 outside.append(idx)
     elapsed = time.perf_counter() - start
     ok = not outside and elapsed < 120.0

@@ -942,6 +942,7 @@ class TestInputChecks:
         ("P", None, "P must be an integer, got None"),
         ("P", HUGE, "P must be finite, got an integer past the float range"),
         ("P", 0, "P must be an integer >= 1, got 0"),
+        ("a", None, "a must be a sequence of group probabilities, got None"),
         ("a", (True, 0.5), "every group probability must be a number, got True"),
         ("a", ("0.5", 0.5), "every group probability must be a number, got '0.5'"),
         ("a", (None, 0.5), "every group probability must be a number, got None"),
@@ -950,6 +951,8 @@ class TestInputChecks:
         ("a", (0.5, HUGE), "every group probability must be finite, got an integer past the float range"),
         ("a", (0.5, -0.5), "every group probability must be finite and > 0, got (0.5, -0.5)"),
         ("a", (0.4, 0.4), "group probabilities must sum to 1 within 1e-09, got sum 0.8"),
+        ("K", None, "K must be a sequence of ring sizes, got None"),
+        ("K", 3, "K must be a sequence of ring sizes, got 3"),
         ("K", (True, 3), "every K_i must be an integer, got True"),
         ("K", ("2", 3), "every K_i must be an integer, got '2'"),
         ("K", (None, 3), "every K_i must be an integer, got None"),
@@ -984,6 +987,8 @@ class TestInputChecks:
         ("P", None, "P must be an integer, got None"),
         ("P", HUGE, "P must be finite, got an integer past the float range"),
         ("P", 0, "P must be an integer >= 1, got 0"),
+        ("a", None, "a must be a sequence of group probabilities, got None"),
+        ("a", 0.5, "a must be a sequence of group probabilities, got 0.5"),
         ("a", (0.25, True, 0.5), "every group probability must be a number, got True"),
         ("a", (0.25, "0.25", 0.5), "every group probability must be a number, got '0.25'"),
         ("a", (0.25, None, 0.5), "every group probability must be a number, got None"),
@@ -991,6 +996,7 @@ class TestInputChecks:
         ("a", (0.25, 0.25, math.inf), "every group probability must be finite and > 0, got (0.25, 0.25, inf)"),
         ("a", (0.25, 0.25, HUGE), "every group probability must be finite, got an integer past the float range"),
         ("a", (), "group probabilities must sum to 1 within 1e-09, got sum 0.0"),
+        ("ratios", None, "ratios must be a sequence of numbers, got None"),
         ("ratios", (1.0, True, 3.0), "every ratio must be a number, got True"),
         ("ratios", (1.0, "2", 3.0), "every ratio must be a number, got '2'"),
         ("ratios", (1.0, None, 3.0), "every ratio must be a number, got None"),

@@ -1,7 +1,6 @@
 import dataclasses
-import hashlib
 import math
-import types
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -25,7 +24,6 @@ from rigraph import (
     sample_graph,
     solve_k1,
 )
-import rigraph.model_core as model_core
 import rigraph.montecarlo as montecarlo
 from rigraph.errors import WorkerCrashError
 from rigraph.graph_analysis import analyze_batch
@@ -35,7 +33,6 @@ from rigraph.montecarlo import (
     _moments,
     _plan,
     _run_range,
-    _wilson_interval,
     resolve_workers,
 )
 
@@ -43,20 +40,25 @@ from conftest import exit_in_worker, small_params
 from reference_trials import reference_counts
 
 
+def wilson(successes, trials):
+    row = EstimateRow(trials, successes)
+    return row.ci_low, row.ci_high
+
+
 class TestWilsonInterval:
     def test_zero_successes(self):
-        low, high = _wilson_interval(0, 100)
+        low, high = wilson(0, 100)
         assert low == 0.0
         assert high == pytest.approx(0.03700, abs=5e-5)
 
     def test_all_successes_mirrors_zero(self):
-        low, high = _wilson_interval(100, 100)
-        zl, zh = _wilson_interval(0, 100)
+        low, high = wilson(100, 100)
+        zl, zh = wilson(0, 100)
         assert high == 1.0
         assert low == pytest.approx(1.0 - zh, abs=1e-12)
 
     def test_symmetric_at_half(self):
-        low, high = _wilson_interval(50, 100)
+        low, high = wilson(50, 100)
         assert low + high == pytest.approx(1.0, abs=1e-12)
         assert low < 0.5 < high
 
@@ -68,7 +70,7 @@ class TestWilsonInterval:
 
         successes = data.draw(st.integers(0, trials))
         with mock.patch.object(montecarlo, "_WILSON_Z", float(norm.ppf(0.975))):
-            low, high = _wilson_interval(successes, trials)
+            low, high = wilson(successes, trials)
         ref = binomtest(successes, trials).proportion_ci(confidence_level=0.95, method="wilson")
         assert low == pytest.approx(ref.low, abs=1e-9)
         assert high == pytest.approx(ref.high, abs=1e-9)
@@ -78,17 +80,33 @@ SMALL = ModelParams(n=30, a=(0.5, 0.5), K=(2, 3), P=40)
 
 
 class TestEstimateRow:
-    @pytest.mark.parametrize("successes", [-1, 11])
-    def test_successes_outside_trials_raise(self, successes):
-        with pytest.raises(InvariantViolation, match=r"^successes outside 0\.\.trials$"):
-            EstimateRow(trials=10, successes=successes, point=0.5, ci_low=0.4, ci_high=0.6)
+    @pytest.mark.parametrize("trials, successes, error, message", [
+        (10, -1, InvariantViolation, r"^successes outside 0\.\.trials$"),
+        (10, 11, InvariantViolation, r"^successes outside 0\.\.trials$"),
+        (0, 0, InvariantViolation, r"^trials must be >= 1, got 0$"),
+        ("10", 5, InvalidParamsError, r"^trials must be an integer, got '10'$"),
+    ], ids=["-1", "11", "zero-trials", "string-trials"])
+    def test_successes_outside_trials_raise(self, trials, successes, error, message):
+        with pytest.raises(error, match=message):
+            EstimateRow(trials=trials, successes=successes)
 
-    @pytest.mark.parametrize("low, point, high", [
-        (0.6, 0.5, 0.7), (0.4, 0.5, 0.45), (0.7, 0.5, 0.3), (-0.1, 0.5, 0.6), (0.4, 0.5, 1.1),
-    ], ids=["low-above-point", "high-below-point", "reversed", "low-below-0", "high-above-1"])
-    def test_interval_out_of_order_raises(self, low, point, high):
-        with pytest.raises(InvariantViolation, match=r"^interval must satisfy 0 <= low <= point <= high <= 1$"):
-            EstimateRow(trials=10, successes=5, point=point, ci_low=low, ci_high=high)
+    @given(st.integers(1, 10**6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_interval_brackets_the_point(self, trials, data):
+        # the guarantee the derived interval gives: ordered, inside [0, 1]
+        # and around the plain success fraction
+        successes = data.draw(st.integers(0, trials))
+        row = EstimateRow(trials, successes)
+        assert 0.0 <= row.ci_low <= row.point <= row.ci_high <= 1.0
+        assert row.point == successes / trials
+
+    def test_derived_fields_are_fields(self):
+        row = EstimateRow(np.int64(40), np.int32(13))
+        assert type(row.trials) is int and type(row.successes) is int
+        assert dataclasses.asdict(row) == {"trials": 40, "successes": 13, "point": 13 / 40,
+                                           "ci_low": row.ci_low, "ci_high": row.ci_high}
+        assert row == EstimateRow(40, 13) != EstimateRow(40, 14)
+        assert dataclasses.replace(row, successes=14) == EstimateRow(40, 14)
 
 
 class TestRunTrials:
@@ -228,37 +246,20 @@ class TestRunTrials:
         assert "\n" not in str(exc.value)
         assert recorded_pools == [("open", 2), ("map", 6), ("close",)]
 
-    def test_one_fingerprint_per_run(self, monkeypatch):
-        # the digest is hashed on first use and kept on the instance: making
-        # the params and solving for rings hash nothing, and a 50-batch run
-        # hashes once, while every batch still carries the digest
-        hashed = []
-
-        def sha256(data):
-            hashed.append(data)
-            return hashlib.sha256(data)
-
-        seen = []
-
-        def spy(batch):
-            seen.append(batch.params_hash)
-            return analyze_batch(batch)
-
-        monkeypatch.setattr(model_core, "hashlib", types.SimpleNamespace(sha256=sha256))
-        monkeypatch.setattr(montecarlo, "analyze_batch", spy)
-        solve_k1(2000, 4000, (0.5, 0.5), (1.0, 2.0), 0.0)
-        params = ModelParams(n=2000, a=(0.5, 0.5), K=(3, 6), P=4000)
-        assert hashed == []
-        agg = run_trials(params, 200, master_seed=1, workers=1)
-        assert len(hashed) == 1
-        assert len(seen) == 50 and set(seen) == {agg.params_hash} == {"b2a22e8fa3c4b5be"}
-
     def test_certain_connectivity(self):
         p = ModelParams(n=20, a=(1.0,), K=(5,), P=5)
         agg = run_trials(p, 150, master_seed=9)
         assert agg.connected.successes == agg.trials == 150
         assert agg.connected.point == 1.0
         assert agg.mean_isolated == 0.0
+
+    def test_aggregate_survives_pickling(self):
+        # the pickle restores each estimate's derived fields without
+        # recomputing them, and the copy equals the original
+        agg = run_trials(SMALL, 50, master_seed=4)
+        back = pickle.loads(pickle.dumps(agg))
+        assert back == agg
+        assert dataclasses.asdict(back) == dataclasses.asdict(agg)
 
     def test_event_identity(self):
         # per-sample: F = no-isolated minus connected, exactly

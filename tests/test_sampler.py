@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from rigraph import (
+    EstimateRow,
     InvalidParamsError,
     ModelParams,
     SeedSpec,
@@ -19,7 +20,6 @@ from rigraph import (
     sample_graph,
 )
 import rigraph.montecarlo as montecarlo
-from rigraph.montecarlo import _wilson_interval
 import rigraph.sampler as sampler
 from rigraph.errors import InvariantViolation, StateLayoutError
 from rigraph.sampler import (
@@ -42,7 +42,7 @@ def built_directly(groups, sets, P, trials):
     """The batch of ``GraphBatch.from_sets(groups, sets, P, trials)``, its
     arrays built here and passed to the constructor."""
     offsets = np.cumsum([0, *map(len, sets)])
-    return GraphBatch(np.array(groups), np.array([o for s in sets for o in s], dtype=np.int64), offsets, trials, P, "")
+    return GraphBatch(np.array(groups), np.array([o for s in sets for o in s], dtype=np.int64), offsets, trials, P)
 
 
 def floyd_draws(P, K, draws, seed=7):
@@ -283,7 +283,6 @@ class TestSampleGraph:
         assert np.array_equal(s1.groups, s2.groups)
         assert np.array_equal(s1.objects, s2.objects)
         assert np.array_equal(s1.offsets, s2.offsets)
-        assert s1.params_hash == s2.params_hash
 
     def test_trial_independent_of_history(self):
         p = ModelParams(n=10, a=(1.0,), K=(2,), P=12)
@@ -314,7 +313,6 @@ class TestSampleGraph:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype
             assert np.array_equal(a, b), name
-        assert got.params_hash == want.params_hash
 
     @given(small_params(max_P=10, max_n=10), st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
@@ -343,7 +341,6 @@ class TestSampleGraph:
             (corrupt("groups", v, 3 - batch.groups[v]), "sizes"),  # the other group's ring size
             (corrupt("objects", lo + 1, objects[lo]), "vertex 1 in trial 2"),  # a duplicate id
             (corrupt("objects", [lo, lo + 1], objects[[lo + 1, lo]]), "vertex 1 in trial 2"),  # unsorted
-            (dataclasses.replace(batch, params_hash="0" * 16), "fingerprint"),
             (dataclasses.replace(batch, P=p.P + 1), "shape"),
             (dataclasses.replace(batch, trials=2), "shape"),
         ]
@@ -381,7 +378,7 @@ class TestSampleGraph:
         # two trials of two vertices with one object each, built directly;
         # the from_sets tests below build their cases both ways
         good = {"groups": np.ones(4, dtype=np.int64), "objects": np.array([0, 1, 1, 0]), "offsets": np.arange(5),
-                "trials": 2, "P": 2, "params_hash": ""}
+                "trials": 2, "P": 2}
         GraphBatch(**good)
         with pytest.raises(InvalidParamsError, match=message):
             GraphBatch(**{**good, **fields})
@@ -404,7 +401,7 @@ class TestSampleGraph:
         # or between trials
         p = ModelParams(n=2, a=(1.0,), K=(2,), P=9)
         sets = [[5, 8], [0, 1], [3, 7], [2, 4]]
-        GraphBatch.from_sets([1, 1, 1, 1], sets, p.P, trials=2, params_hash=p.fingerprint()).validate(p)
+        GraphBatch.from_sets([1, 1, 1, 1], sets, p.P, trials=2).validate(p)
 
     @pytest.mark.parametrize("groups, sets, trials, message", [
         ([1, 1], [[0], [1], [2]], 1, "^need one object set per group label, got 3 and 2$"),
@@ -497,5 +494,5 @@ class TestSampleGraph:
         p = ModelParams(n=2, a=(0.5, 0.5), K=(1, 2), P=5)
         agg = run_trials(p, 100_000, master_seed=31)
         with mock.patch.object(montecarlo, "_WILSON_Z", 3.0):
-            low, high = _wilson_interval(agg.connected.successes, agg.connected.trials)
-        assert low <= exact_quantities(p).edge_prob <= high
+            row = EstimateRow(agg.connected.trials, agg.connected.successes)
+        assert row.ci_low <= exact_quantities(p).edge_prob <= row.ci_high

@@ -148,6 +148,11 @@ def spec_dict(**over):
     return doc
 
 
+# the fields of ``spec_dict()``'s spec, for building a SweepSpec directly
+SPEC_FIELDS = dict(base_n=40, base_P=60, a=(0.5, 0.5), base_K=(2, 3), ratios=None, axis="n",
+                   points=(30.0, 40.0), trials=50, master_seed=7, output_path="out.csv")
+
+
 class TestSweepSpec:
     def test_valid_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -192,6 +197,27 @@ class TestSweepSpec:
         bad.write_text("{not json")
         with pytest.raises(InvalidParamsError):
             load_sweep_spec(str(bad))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("trials", "5", "trials must be a number, got '5'"),
+        ("trials", 2.5, "trials must be an integer, got 2.5"),
+        ("points", "ab", "every point must be a number, got 'a'"),
+    ])
+    def test_direct_spec_refuses(self, field, value, message):
+        # a SweepSpec built in code converts trials and points as a config does
+        with pytest.raises(InvalidParamsError) as err:
+            sweeps.SweepSpec(**dict(SPEC_FIELDS, **{field: value}))
+        assert str(err.value) == message
+
+    def test_direct_spec_converts_as_a_config_does(self):
+        spec = sweeps.SweepSpec(**dict(SPEC_FIELDS, points=(30, 40), trials=50.0))
+        assert spec == sweep_spec_from_dict(spec_dict())
+        assert [type(v) for v in (*spec.points, spec.trials)] == [float, float, int]
+
+    def test_points_not_a_list_stays_a_malformed_config(self):
+        with pytest.raises(InvalidParamsError) as err:
+            sweep_spec_from_dict(spec_dict(points=5))
+        assert str(err.value) == "malformed sweep config: TypeError(\"'int' object is not iterable\")"
 
 
 class TestResolvePoint:
