@@ -13,9 +13,7 @@ from .errors import (
 )
 from .graph_analysis import analyze
 from .model_core import (
-    ExactQuantities,
     ModelParams,
-    RegimeDiagnostics,
     b_vector,
     beta,
     cross_moment_ratio,
@@ -26,17 +24,9 @@ from .model_core import (
     no_overlap_ratio,
     solve_k1,
 )
-from .montecarlo import EstimateRow, TrialAggregate, run_trials
-from .oracle import EventProbs, enumerate_event_probs, enumerate_pair_prob
+from .montecarlo import EstimateRow, run_trials
+from .oracle import enumerate_event_probs, enumerate_pair_prob
 from .sampler import GraphBatch, SeedSpec, sample_batch, sample_graph
-from .sweeps import (
-    SweepRow,
-    SweepSpec,
-    load_sweep_spec,
-    run_sweep,
-    simulate_row,
-    solve_k1_nearest,
-    write_sweep_csv,
-)
+from .sweeps import SweepSpec, run_sweep, write_sweep_csv
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

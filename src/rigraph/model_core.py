@@ -24,7 +24,8 @@ raw factorials are never formed, so P up to ~1e9 is fine.  A ratio whose exp
 would underflow is returned as 0.0 without the full sum, by one bound tested
 before every sum, so one ratio costs O(min(K_i, K_j, sqrt(745 P))) terms.
 b, the p-matrix, the cross-moment denominator and the ring-size solver share
-its 4096-entry cache, so each (P, K_i, K_j) in it is computed once.
+its 4096-entry cache (``_no_overlap_ratio``, which takes sizes already
+checked), so each (P, K_i, K_j) in it is computed once.
 ``exact_quantities`` is the one place that assembles the p-matrix and the
 unconditional edge probability, and it takes every quantity built on b from
 one b.
@@ -32,6 +33,8 @@ one b.
 Each model rule has one owner.  ``_model_inputs`` checks n, a and P for
 ``ModelParams`` and for the solver, walking each tuple once; n >= 2 is one
 of its rules, so no function taking a ``ModelParams`` checks it again.
+``_ring_pair`` checks the pool and ring sizes that ``no_overlap_ratio`` and
+the oracle's pair enumeration take.
 ``_scaled_sizes`` builds every ring vector from a base and a scale,
 rounding half up exactly and clamping to [low, P] without an exception path.  The
 solver then evaluates beta on those plain values, row 1 of b only,
@@ -101,6 +104,15 @@ def _as_float(name: str, value) -> float:
         return float(value)
     except OverflowError:  # an integer past the float range
         raise InvalidParamsError(f"{name} must be finite, got an integer past the float range") from None
+
+
+def _each(name: str, values, convert, what: str) -> tuple:
+    """``convert(what, x)`` for each item x of ``values``, as a tuple; a
+    ``values`` that cannot be iterated is refused."""
+    try:
+        return tuple(convert(what, x) for x in values)
+    except TypeError:  # ``values`` is not iterable
+        raise InvalidParamsError(f"{name} must be a sequence, got {values!r}") from None
 
 
 def _model_inputs(n, a, P) -> tuple[int, tuple[float, ...], int]:
@@ -203,10 +215,32 @@ class ModelParams:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-@lru_cache(maxsize=4096, typed=True)
+def _ring_pair(P, Ki, Kj) -> tuple[int, int, int]:
+    """P, Ki and Kj as ints, or ``InvalidParamsError`` unless both ring
+    sizes lie in [0, P]: the one rule for a pair of rings in a pool."""
+    if type(P) is not int:
+        P = _as_int("P", P)
+    if type(Ki) is not int:
+        Ki = _as_int("Ki", Ki)
+    if type(Kj) is not int:
+        Kj = _as_int("Kj", Kj)
+    if Ki < 0 or Kj < 0 or Ki > P or Kj > P:
+        raise InvalidParamsError(f"need 0 <= Ki, Kj <= P, got Ki={Ki}, Kj={Kj}, P={P}")
+    return P, Ki, Kj
+
+
 def no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
     """Probability that a uniform Ki-subset and an independent uniform
     Kj-subset of a P-element pool are disjoint: C(P-Ki, Kj) / C(P, Kj).
+    P, Ki and Kj must be integers with 0 <= Ki, Kj <= P (``_ring_pair``);
+    ``_no_overlap_ratio`` computes it."""
+    return _no_overlap_ratio(*_ring_pair(P, Ki, Kj))
+
+
+@lru_cache(maxsize=4096)
+def _no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
+    """``no_overlap_ratio`` of ints with 0 <= Ki, Kj <= P, which every
+    caller in this module has checked, cached.
 
     Computed as the exp of a compensated sum of min(Ki, Kj) log1p terms,
     log1p(-max(Ki, Kj)/(P - t)); the sum always runs over the smaller size,
@@ -219,11 +253,8 @@ def no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
     sqrt(745 P))) terms.  At P >= 2^54 a quotient max(Ki, Kj)/(P - t) can
     round to 1.0, where log1p raises; only then the sum is taken again, each
     such term as the log of the exact int quotient, so every ratio the float
-    form returns keeps its bits.  Cached by argument type, so an int argument
-    is never served an entry computed for a float.
+    form returns keeps its bits.
     """
-    if Ki < 0 or Kj < 0 or Ki > P or Kj > P:
-        raise InvalidParamsError(f"need 0 <= Ki, Kj <= P, got Ki={Ki}, Kj={Kj}, P={P}")
     small, large = (Ki, Kj) if Ki <= Kj else (Kj, Ki)
     if small == 0:
         return 1.0
@@ -250,7 +281,7 @@ def _log_avoid(large: int, rest: int) -> float:
 
 def _b_row(P: int, a: tuple[float, ...], K: tuple[int, ...], Ki: int) -> float:
     """b_i = sum_j a_j p_ij for the group whose ring size is Ki."""
-    return math.fsum([aj * (1.0 - no_overlap_ratio(P, Ki, Kj)) for aj, Kj in zip(a, K)])
+    return math.fsum([aj * (1.0 - _no_overlap_ratio(P, Ki, Kj)) for aj, Kj in zip(a, K)])
 
 
 @lru_cache(maxsize=512)
@@ -289,18 +320,34 @@ def expected_isolated_from_b(n: int, a: tuple[float, ...], b: tuple[float, ...])
     """E[#isolated] and E[#group-1 isolated] from explicit b values.
 
     E[J] = n * sum_i a_i (1-b_i)^(n-1),  E[I] = n * a_1 (1-b_1)^(n-1).
+    n must be an integer in 2..max float, and a and b equally long
+    nonempty sequences of numbers, every a_i in (0, 1] and every b_i >= 0
+    (a b_i >= 1 leaves no group-i vertex isolated).
     """
+    if type(n) is not int:
+        n = _as_int("n", n)
     if n < 2:
         raise InvalidParamsError(f"isolation moments need n >= 2, got n={n}")
+    if n > _INT_FLOAT_MAX:
+        raise InvalidParamsError("n must be finite, got an integer past the float range")
+    a, b = _each("a", a, _as_float, "every a_i"), _each("b", b, _as_float, "every b_i")
+    if not len(a) == len(b) >= 1:
+        raise InvalidParamsError(f"a and b must be equally long and nonempty, got {len(a)} and {len(b)}")
+    if not all(0.0 < x <= 1.0 for x in a) or not all(x >= 0.0 for x in b):
+        raise InvalidParamsError(f"need every a_i in (0, 1] and every b_i >= 0, got a={a}, b={b}")
+    return _isolation_moments(n, a, b)
+
+
+def _isolation_moments(n: int, a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, float]:
+    """``expected_isolated_from_b`` on values already checked: the n and a
+    of a ``ModelParams`` and its b."""
     terms = [ai * _isolation_term(n, bi) for ai, bi in zip(a, b)]
-    e_j = n * math.fsum(terms)
-    e_i = n * terms[0]
-    return e_j, e_i
+    return n * math.fsum(terms), n * terms[0]
 
 
 def expected_isolated(params: ModelParams) -> tuple[float, float]:
     """Expected isolated-vertex count E[J] and its group-1 part E[I]."""
-    return expected_isolated_from_b(params.n, params.a, b_vector(params))
+    return _isolation_moments(params.n, params.a, b_vector(params))
 
 
 def cross_moment_ratio(params: ModelParams) -> float:
@@ -323,8 +370,8 @@ def cross_moment_ratio(params: ModelParams) -> float:
         raise RegimeViolationError(
             f"double-avoidance ratio needs 2*K_1 <= P, got K_1={K1}, P={P}"
         )
-    num = math.fsum(al * no_overlap_ratio(P, 2 * K1, Kl) for al, Kl in zip(a, K))
-    den = math.fsum(al * no_overlap_ratio(P, K1, Kl) for al, Kl in zip(a, K))
+    num = math.fsum(al * _no_overlap_ratio(P, 2 * K1, Kl) for al, Kl in zip(a, K))
+    den = math.fsum(al * _no_overlap_ratio(P, K1, Kl) for al, Kl in zip(a, K))
     if den == 0.0:
         raise RegimeViolationError(
             "single-vertex avoidance probability is zero; ratio undefined"
@@ -600,14 +647,14 @@ def exact_quantities(params: ModelParams) -> ExactQuantities:
     probability, beta and the isolation terms all come from one b."""
     n, P, a, K = params.n, params.P, params.a, params.K
     b = b_vector(params)
-    e_j, e_i = expected_isolated_from_b(n, a, b)
+    e_j, e_i = _isolation_moments(n, a, b)
     cmr: float | None
     try:
         cmr = cross_moment_ratio(params)
     except (RegimeViolationError, InvalidParamsError):
         cmr = None
     return ExactQuantities(
-        p=tuple(tuple(1.0 - no_overlap_ratio(P, Ki, Kj) for Kj in K) for Ki in K),
+        p=tuple(tuple(1.0 - _no_overlap_ratio(P, Ki, Kj) for Kj in K) for Ki in K),
         b=b,
         edge_prob=math.fsum(ai * bi for ai, bi in zip(a, b)),
         beta=_beta_from_b1(n, b[0]),

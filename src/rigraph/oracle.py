@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 
-from .errors import EnumerationBudgetError, InvalidParamsError
+from .errors import EnumerationBudgetError
 from .graph_analysis import analyze_batch
-from .model_core import ModelParams
+from .model_core import ModelParams, _ring_pair
 from .sampler import GraphBatch
 
 BUDGET = 10_000_000
@@ -32,9 +32,9 @@ _ANALYSIS_BATCH = 4096
 
 def enumerate_pair_prob(P: int, Ki: int, Kj: int) -> Fraction:
     """Exact P[two independent uniform subsets of sizes Ki, Kj intersect],
-    by counting intersecting ordered pairs over all C(P,Ki)*C(P,Kj) pairs."""
-    if Ki < 0 or Kj < 0 or Ki > P or Kj > P:
-        raise InvalidParamsError(f"need 0 <= Ki, Kj <= P, got Ki={Ki}, Kj={Kj}, P={P}")
+    by counting intersecting ordered pairs over all C(P,Ki)*C(P,Kj) pairs;
+    P, Ki and Kj must be integers with 0 <= Ki, Kj <= P."""
+    P, Ki, Kj = _ring_pair(P, Ki, Kj)
     total = math.comb(P, Ki) * math.comb(P, Kj)
     if total > BUDGET:
         raise EnumerationBudgetError(

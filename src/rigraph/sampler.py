@@ -224,9 +224,6 @@ class GraphBatch:
     def n(self) -> int:
         return len(self.groups) // self.trials
 
-    def object_set(self, x: int) -> np.ndarray:
-        return self.objects[self.offsets[x]:self.offsets[x + 1]]
-
     def validate(self, params: ModelParams) -> None:
         """Check every trial against ``params``: pool size and vertex count,
         group labels, ring sizes and ids rising within each set.  The layout

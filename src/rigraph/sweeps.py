@@ -27,6 +27,7 @@ from .errors import InvalidParamsError
 from .model_core import (
     ModelParams,
     _as_float,
+    _each,
     _scaled_sizes,
     diagnostics,
     exact_quantities,
@@ -56,8 +57,12 @@ def solve_k1_nearest(
 @dataclass(frozen=True)
 class SweepSpec:
     """Validated sweep definition (JSON schema version 1).  Construction
-    takes ``points`` as floats (``_point``) and ``trials`` as an int
-    (``_integral``), however the spec is built."""
+    applies each field's rule, however the spec is built: base n, base P,
+    every K_i, trials and master_seed are integers (``_integral``), the seed
+    one of 64 bits (``SeedSpec``), every a_i and ratio a number, and every
+    point a float (``_point``); a, base_K, ratios and points become tuples,
+    and one that is no sequence is refused.  So a spec built in code equals,
+    and hashes as, the one its JSON twin gives."""
 
     base_n: int
     base_P: int
@@ -71,9 +76,17 @@ class SweepSpec:
     output_path: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(map(_point, self.points)))
-        object.__setattr__(self, "trials", _integral(self.trials, "trials"))
-        if self.axis not in AXES:
+        # each field's rule, in field order, so the first bad field is the one named
+        object.__setattr__(self, "base_n", _integral("base n", self.base_n))
+        object.__setattr__(self, "base_P", _integral("base P", self.base_P))
+        object.__setattr__(self, "a", _each("a", self.a, _as_float, "every a_i"))
+        for name, rule, what in (("base_K", _integral, "every K_i"), ("ratios", _as_float, "every ratio")):
+            if getattr(self, name) is not None:  # either may be absent
+                object.__setattr__(self, name, _each(name, getattr(self, name), rule, what))
+        object.__setattr__(self, "points", _each("points", self.points, _point, "every point"))
+        object.__setattr__(self, "trials", _integral("trials", self.trials))
+        object.__setattr__(self, "master_seed", SeedSpec(_integral("master_seed", self.master_seed)).master_seed)
+        if not isinstance(self.axis, str) or self.axis not in AXES:
             raise InvalidParamsError(f"axis must be one of {AXES}, got {self.axis!r}")
         if len(self.points) == 0:
             raise InvalidParamsError("points must be nonempty")
@@ -113,24 +126,24 @@ def sweep_spec_from_dict(doc: dict[str, Any]) -> SweepSpec:
     if not isinstance(base, dict):
         raise InvalidParamsError("config needs a 'base' object with n, P, a")
     try:
-        args = dict(
-            base_n=_integral(base["n"], "base n"),
-            base_P=_integral(base["P"], "base P"),
-            a=tuple(_as_float("every a_i", x) for x in base["a"]),
-            base_K=tuple(_integral(k, "every K_i") for k in base["K"]) if "K" in base else None,
-            ratios=tuple(_as_float("every ratio", r) for r in doc["ratios"]) if "ratios" in doc else None,
+        return SweepSpec(
+            base_n=base["n"],
+            base_P=base["P"],
+            # a list field that is no list is a malformed config; SweepSpec converts the values
+            a=tuple(base["a"]),
+            base_K=tuple(base["K"]) if "K" in base else None,
+            ratios=tuple(doc["ratios"]) if "ratios" in doc else None,
             axis=str(doc["axis"]),
-            points=tuple(doc["points"]),  # a points value that is no list is a malformed config
+            points=tuple(doc["points"]),
             trials=doc["trials"],
-            master_seed=_integral(doc["master_seed"], "master_seed"),
+            master_seed=doc["master_seed"],
             output_path=doc["output_path"],
         )
     except (KeyError, TypeError) as exc:
         raise InvalidParamsError(f"malformed sweep config: {exc!r}") from exc
-    return SweepSpec(**args)
 
 
-def _integral(value, what: str) -> int:
+def _integral(what: str, value) -> int:
     """``value`` as an int: integral floats such as 2000.0 pass; fractional
     and non-finite floats, bools and non-numbers such as ``"7"`` are refused."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
@@ -141,12 +154,12 @@ def _integral(value, what: str) -> int:
     return int(value)
 
 
-def _point(value) -> float:
+def _point(what: str, value) -> float:
     """An axis point as a float; an integer no float holds exactly, such as
     2^53 + 1, is refused rather than run at a neighbouring value."""
-    x = _as_float("every point", value)
+    x = _as_float(what, value)
     if isinstance(value, numbers.Integral) and int(value) != x:
-        raise InvalidParamsError(f"every point must be a number a float holds exactly, got {value}")
+        raise InvalidParamsError(f"{what} must be a number a float holds exactly, got {value}")
     return x
 
 
@@ -154,9 +167,9 @@ def resolve_point(spec: SweepSpec, value: float) -> ModelParams:
     """Materialize the parameter point for one axis value."""
     n, P, a = spec.base_n, spec.base_P, spec.a
     if spec.axis == "n":
-        return ModelParams(n=_integral(value, "n axis point"), a=a, K=spec.base_K, P=P)
+        return ModelParams(n=_integral("n axis point", value), a=a, K=spec.base_K, P=P)
     if spec.axis == "P":
-        return ModelParams(n=n, a=a, K=spec.base_K, P=_integral(value, "P axis point"))
+        return ModelParams(n=n, a=a, K=spec.base_K, P=_integral("P axis point", value))
     if spec.axis == "K1-scale":
         base = ModelParams(n=n, a=a, K=spec.base_K, P=P)
         # scaling, rounding half up and clamping are monotone, so the checked base K stays nondecreasing

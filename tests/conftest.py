@@ -64,7 +64,7 @@ def naive_stats(sample: GraphBatch) -> tuple[bool, int, int, int]:
     Returns (connected, component_count, isolated, group1_isolated).
     """
     n = sample.n
-    sets = [set(sample.object_set(x).tolist()) for x in range(n)]
+    sets = [set(sample.objects[sample.offsets[x]:sample.offsets[x + 1]].tolist()) for x in range(n)]
     adj = [[bool(sets[i] & sets[j]) and i != j for j in range(n)] for i in range(n)]
     seen = [False] * n
     comps = 0

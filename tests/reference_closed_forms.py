@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 from rigraph import (
-    ExactQuantities,
     InvalidParamsError,
     ModelParams,
     RegimeViolationError,
@@ -19,6 +18,7 @@ from rigraph import (
     expected_isolated,
     no_overlap_ratio,
 )
+from rigraph.model_core import ExactQuantities
 
 
 def reference_exact_quantities(params: ModelParams) -> ExactQuantities:

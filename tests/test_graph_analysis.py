@@ -35,7 +35,7 @@ class TestInvertedIndex:
         for obj in sorted(index):
             for v in index[obj]:
                 rebuilt[v].append(obj)
-        assert [sorted(x) for x in rebuilt] == [s.object_set(x).tolist() for x in range(s.n)]
+        assert [sorted(x) for x in rebuilt] == [s.objects[s.offsets[x]:s.offsets[x + 1]].tolist() for x in range(s.n)]
 
     def test_total_length_is_incidence_count(self):
         s = make_sample([1, 1], [[0, 1, 2], [2, 3]])

@@ -26,12 +26,12 @@ from rigraph import (
     expected_isolated_from_b,
     no_overlap_ratio,
     solve_k1,
-    solve_k1_nearest,
 )
 import rigraph.model_core as model_core
 import rigraph.sweeps as sweeps
 from rigraph.model_core import _INT_FLOAT_MAX, _beta_from_b1, _ring_beta
 from rigraph.oracle import enumerate_pair_prob
+from rigraph.sweeps import solve_k1_nearest
 
 import exact
 from conftest import small_params

@@ -294,7 +294,7 @@ class TestSampleGraph:
         p = ModelParams(n=6, a=(1.0,), K=(4,), P=4)
         s = sample_graph(p, SeedSpec(1, 0))
         for x in range(6):
-            assert s.object_set(x).tolist() == [0, 1, 2, 3]
+            assert s.objects[s.offsets[x]:s.offsets[x + 1]].tolist() == [0, 1, 2, 3]
 
     @given(
         small_params(max_P=10, max_n=70),

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -14,15 +15,12 @@ import pytest
 from rigraph import (
     InvalidParamsError,
     ModelParams,
-    SweepRow,
     UnachievableError,
     b_vector,
     beta,
     diagnostics,
     run_sweep,
-    simulate_row,
     solve_k1,
-    solve_k1_nearest,
 )
 import rigraph.cli as cli
 import rigraph.model_core as model_core
@@ -32,9 +30,12 @@ from rigraph.cli import main
 from rigraph.model_core import CRITICAL_WINDOW, _regime
 from rigraph.sweeps import (
     CSV_COLUMNS,
+    SweepRow,
     load_sweep_spec,
     resolve_point,
     rows_to_csv_text,
+    simulate_row,
+    solve_k1_nearest,
     sweep_spec_from_dict,
     write_sweep_csv,
 )
@@ -152,6 +153,51 @@ def spec_dict(**over):
 SPEC_FIELDS = dict(base_n=40, base_P=60, a=(0.5, 0.5), base_K=(2, 3), ratios=None, axis="n",
                    points=(30.0, 40.0), trials=50, master_seed=7, output_path="out.csv")
 
+# one config per axis
+AXIS_CONFIGS = [
+    spec_dict(),
+    spec_dict(axis="P", points=[50, 70]),
+    spec_dict(axis="K1-scale", points=[0.5, 1.5, 2.0]),
+    spec_dict(base={"n": 2000, "P": 4000, "a": [0.5, 0.5]}, axis="beta-target", points=[-4, 4], ratios=[1, 2]),
+]
+
+SEQUENCE_FIELDS = ("a", "base_K", "ratios", "points")
+CONFIG_BASE_KEYS = {"base_n": "n", "base_P": "P", "a": "a", "base_K": "K"}
+
+# (field, value, message) for a SweepSpec built in code from ``SPEC_FIELDS``
+# with one field changed; a config with the same value gives the same message,
+# except where the value is no sequence (a malformed config) or no JSON value
+DIRECT_REFUSALS = [
+    ("base_n", 2.5, "base n must be an integer, got 2.5"),
+    ("base_n", "40", "base n must be a number, got '40'"),
+    ("base_P", None, "base P must be a number, got None"),
+    ("a", (0.5, "x"), "every a_i must be a number, got 'x'"),
+    ("a", None, "a must be a sequence, got None"),
+    ("base_K", (2, 3.5), "every K_i must be an integer, got 3.5"),
+    ("base_K", 3, "base_K must be a sequence, got 3"),
+    ("ratios", (1, None), "every ratio must be a number, got None"),
+    ("ratios", 2.0, "ratios must be a sequence, got 2.0"),
+    ("axis", "K2", f"axis must be one of {sweeps.AXES}, got 'K2'"),
+    ("axis", np.array(["n", "P"]), f"axis must be one of {sweeps.AXES}, got array(['n', 'P'], dtype='<U1')"),
+    ("points", "ab", "every point must be a number, got 'a'"),
+    ("points", (30, 2**53 + 1), f"every point must be a number a float holds exactly, got {2**53 + 1}"),
+    ("points", 5, "points must be a sequence, got 5"),
+    ("points", None, "points must be a sequence, got None"),
+    ("trials", "5", "trials must be a number, got '5'"),
+    ("trials", 2.5, "trials must be an integer, got 2.5"),
+    ("trials", 0, "trials must be >= 1, got 0"),
+    ("master_seed", 7.5, "master_seed must be an integer, got 7.5"),
+    ("master_seed", math.inf, "master_seed must be an integer, got inf"),
+    ("master_seed", -1, "master_seed must be a 64-bit unsigned integer, got -1"),
+    ("master_seed", 2**64, f"master_seed must be a 64-bit unsigned integer, got {2**64}"),
+    ("output_path", "", "output_path must be a nonempty string, got ''"),
+]
+
+
+def field_types(spec) -> list:
+    """The type of each field of a spec, and of each item of a tuple field."""
+    return [(type(v), tuple(map(type, v)) if isinstance(v, tuple) else ()) for v in dataclasses.astuple(spec)]
+
 
 class TestSweepSpec:
     def test_valid_roundtrip(self, tmp_path):
@@ -198,21 +244,53 @@ class TestSweepSpec:
         with pytest.raises(InvalidParamsError):
             load_sweep_spec(str(bad))
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("trials", "5", "trials must be a number, got '5'"),
-        ("trials", 2.5, "trials must be an integer, got 2.5"),
-        ("points", "ab", "every point must be a number, got 'a'"),
-    ])
+    @pytest.mark.parametrize("field, value, message", DIRECT_REFUSALS)
     def test_direct_spec_refuses(self, field, value, message):
-        # a SweepSpec built in code converts trials and points as a config does
+        # a SweepSpec built in code applies each field's rule as a config does
         with pytest.raises(InvalidParamsError) as err:
             sweeps.SweepSpec(**dict(SPEC_FIELDS, **{field: value}))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("field, value, message", [
+        case for case in DIRECT_REFUSALS
+        if not isinstance(case[1], np.ndarray) and (case[0] not in SEQUENCE_FIELDS or isinstance(case[1], (tuple, str)))
+    ])
+    def test_config_refuses_with_the_same_message(self, field, value, message):
+        doc = spec_dict()
+        if field in CONFIG_BASE_KEYS:
+            doc["base"][CONFIG_BASE_KEYS[field]] = value
+        else:
+            doc[field] = value
+        with pytest.raises(InvalidParamsError) as err:
+            sweep_spec_from_dict(doc)
         assert str(err.value) == message
 
     def test_direct_spec_converts_as_a_config_does(self):
         spec = sweeps.SweepSpec(**dict(SPEC_FIELDS, points=(30, 40), trials=50.0))
         assert spec == sweep_spec_from_dict(spec_dict())
         assert [type(v) for v in (*spec.points, spec.trials)] == [float, float, int]
+
+    @pytest.mark.parametrize("number", [int, float, np.int64], ids=["int", "integral-float", "numpy-int"])
+    @pytest.mark.parametrize("doc", AXIS_CONFIGS, ids=[d["axis"] for d in AXIS_CONFIGS])
+    def test_spec_built_in_code_equals_its_config(self, doc, number):
+        # lists in place of tuples, and each whole number as ``number``
+        def whole(x):
+            return number(x) if isinstance(x, int) else x
+
+        base = doc["base"]
+        spec = sweeps.SweepSpec(
+            base_n=whole(base["n"]), base_P=whole(base["P"]), a=list(base["a"]),
+            base_K=[whole(k) for k in base["K"]] if "K" in base else None,
+            ratios=[whole(r) for r in doc["ratios"]] if "ratios" in doc else None,
+            axis=doc["axis"], points=[whole(p) for p in doc["points"]], trials=whole(doc["trials"]),
+            master_seed=whole(doc["master_seed"]), output_path=doc["output_path"],
+        )
+        twin = sweep_spec_from_dict(doc)
+        assert spec == twin and hash(spec) == hash(twin)
+        assert field_types(spec) == field_types(twin)
+        moved = dataclasses.replace(spec, output_path="other.csv")
+        assert moved == dataclasses.replace(twin, output_path="other.csv")
+        assert field_types(moved) == field_types(twin)
 
     def test_points_not_a_list_stays_a_malformed_config(self):
         with pytest.raises(InvalidParamsError) as err:
