@@ -16,19 +16,19 @@ import math
 import sys
 
 from rigraph import ModelParams, beta, cross_moment_ratio, expected_isolated, expected_isolated_from_b, solve_k1
+from rigraph.cli import _floats_csv, _ints_csv, _run
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--exponents", default="3,4,5,6", help="powers of 10 for n")
-    ap.add_argument("--a", default="0.5,0.5")
-    ap.add_argument("--ratios", default="1,2")
-    args = ap.parse_args()
+    ap.add_argument("--exponents", type=_ints_csv, default="3,4,5,6", help="powers of 10 for n")
+    ap.add_argument("--a", type=_floats_csv, default="0.5,0.5")
+    ap.add_argument("--ratios", type=_floats_csv, default="1,2")
+    return _run(_print_tables, ap.parse_args())
 
-    a = tuple(float(x) for x in args.a.split(","))
-    ratios = tuple(float(x) for x in args.ratios.split(","))
-    exps = [int(x) for x in args.exponents.split(",")]
 
+def _print_tables(args: argparse.Namespace) -> None:
+    a, ratios, exps = args.a, args.ratios, args.exponents
     print("integer ring sizes solved for target beta = 0 (P = 2n):")
     print(f"{'n':>9} {'K':>9} {'beta':>8} {'E[I]':>12} {'a1*e^-beta':>12} {'cross_ratio':>12}")
     for e in exps:
@@ -48,7 +48,6 @@ def main() -> int:
         b1 = math.log(n) / n
         _, e_i = expected_isolated_from_b(n, a, (b1,) * len(a))
         print(f"{n:>9} {e_i:>12.9f} {abs(e_i - a[0]):>12.3e}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -177,14 +177,20 @@ def _cmd_diag(args) -> None:
     _emit(dataclasses.asdict(diagnostics(_params_from(args), args.window)))
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(handler, args: argparse.Namespace) -> int:
+    """Call ``handler(args)`` and return the exit code: 0, or that of an error ``_EXIT_CODES``
+    names, which is printed as one ``error:`` line."""
     try:
-        args.handler(args)
+        handler(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return _run(args.handler, args)
 
 
 if __name__ == "__main__":

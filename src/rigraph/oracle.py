@@ -9,8 +9,9 @@ float-vs-float comparisons):
   expected isolated count, summed over every n-tuple of object sets drawn
   from the per-vertex set law, in chunks so that memory stays flat.
 
-Enumeration size is capped at 1e7 evaluations with a hard error so a typo'd
-instance cannot melt CI.
+Enumeration size, and the ids its subsets list, are capped at 1e7 with a
+hard error so a typo'd instance cannot melt CI; both are counted with an
+early stop, so a huge instance is refused at once.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ def enumerate_pair_prob(P: int, Ki: int, Kj: int) -> Fraction:
     by counting intersecting ordered pairs over all C(P,Ki)*C(P,Kj) pairs;
     P, Ki and Kj must be integers with 0 <= Ki, Kj <= P."""
     P, Ki, Kj = _ring_pair(P, Ki, Kj)
+    _check_listed_ids(P, (Ki, Kj))
     total = math.comb(P, Ki) * math.comb(P, Kj)
     if total > BUDGET:
         raise EnumerationBudgetError(
@@ -44,6 +46,30 @@ def enumerate_pair_prob(P: int, Ki: int, Kj: int) -> Fraction:
     masks_j = [_mask(c) for c in combinations(range(P), Kj)]
     hits = sum(1 for mi in masks_i for mj in masks_j if mi & mj)
     return Fraction(hits, total)
+
+
+def _check_listed_ids(P: int, sizes) -> None:
+    """Refuse, before any subset is built, an enumeration whose subsets of
+    ``sizes`` in a P-element pool list more than BUDGET ids in all.
+
+    C(P, i) rises with i up to P/2, so each C(P, k) is built upward from
+    C(P, 0) and abandoned once it passes the budget, within a few dozen
+    steps at any P; no count past the budget is built or printed.  A size of
+    P lists P ids in its one subset, so a huge pool is refused there too.
+    """
+    ids = 0
+    for k in sizes:
+        count = 1
+        for i in range(min(k, P - k)):
+            count = count * (P - i) // (i + 1)
+            if count > BUDGET:
+                break
+        ids += count * k
+        if ids > BUDGET:
+            raise EnumerationBudgetError(
+                f"the subsets of sizes {', '.join(map(str, sizes))} of a pool of {P} "
+                f"list more than {BUDGET} ids, past the enumeration budget"
+            )
 
 
 def _mask(objs: tuple[int, ...]) -> int:
@@ -71,11 +97,17 @@ def enumerate_event_probs(params: ModelParams) -> EventProbs:
     weighted by the product of its vertices' probabilities and its events
     evaluated with the same analysis kernel the simulator uses.
     """
+    _check_listed_ids(params.P, params.K)
     per_vertex = sum(math.comb(params.P, Kg) for Kg in params.K)
-    if per_vertex ** params.n > BUDGET:
-        raise EnumerationBudgetError(
-            f"{per_vertex}^{params.n} joint assignments exceed the {BUDGET} budget"
-        )
+    # multiplied with an early stop; a factor of 2 or more passes the budget
+    # within BUDGET.bit_length() steps, so more never change the answer
+    assignments = 1
+    for _ in range(min(params.n, BUDGET.bit_length())):
+        assignments *= per_vertex
+        if assignments > BUDGET:
+            raise EnumerationBudgetError(
+                f"{per_vertex}^{params.n} joint assignments exceed the {BUDGET} budget"
+            )
     a_total = sum(map(Fraction, params.a))
     set_prob: dict[int, Fraction] = {}  # per ring size, each set's probability
     for ag, Kg in zip(params.a, params.K):

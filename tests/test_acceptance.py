@@ -8,10 +8,12 @@ check.  The heavy zero-one sweep is computed once and shared by criteria
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -30,14 +32,14 @@ from rigraph import (
     solve_k1,
 )
 import rigraph.montecarlo as montecarlo
-from rigraph.sweeps import run_sweep, sweep_spec_from_dict, write_sweep_csv
+from rigraph.sweeps import load_sweep_spec, run_sweep, write_sweep_csv
 
 from conftest import tiny_instances
 
 C2_TRIALS = 100_000
 C2_SEED_BASE = 2_000_000
 C3_SEED = 42
-C4_SWEEP_SEED = 101
+ZERO_ONE_CONFIG = Path(__file__).resolve().parent.parent / "scripts" / "zero_one.json"
 
 _ACCOUNTING = {"trials": 0, "runs": 0}
 
@@ -77,17 +79,10 @@ def c3_run():
 
 @pytest.fixture(scope="module")
 def c4_sweep(tmp_path_factory):
-    spec = sweep_spec_from_dict(
-        {
-            "schema": 1,
-            "base": {"n": 2000, "P": 4000, "a": [0.5, 0.5]},
-            "ratios": [1, 2],
-            "axis": "beta-target",
-            "points": [-4, -2, 0, 2, 4],
-            "trials": 2000,
-            "master_seed": C4_SWEEP_SEED,
-            "output_path": str(tmp_path_factory.mktemp("sweep") / "zero_one.csv"),
-        }
+    # the experiment users run, written to a temporary CSV in place of its output_path
+    spec = dataclasses.replace(
+        load_sweep_spec(str(ZERO_ONE_CONFIG)),
+        output_path=str(tmp_path_factory.mktemp("sweep") / "zero_one.csv"),
     )
     start = time.perf_counter()
     rows = run_sweep(spec, workers=1)  # criterion 4 runtime is single-threaded

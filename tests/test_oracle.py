@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from rigraph import (
     exact_quantities,
     expected_isolated,
 )
+from rigraph.cli import main
 
 from conftest import small_params, tiny_instances
 from reference_oracle import reference_event_probs
@@ -38,6 +40,18 @@ class TestEnumeratePairProb:
     def test_argument_validation(self):
         with pytest.raises(InvalidParamsError):
             enumerate_pair_prob(4, 5, 1)
+
+    @pytest.mark.parametrize("P, Ki, Kj", [
+        (10**6, 10**4, 1),  # C(P, Ki) has about 24,000 digits
+        (10**12, 3 * 10**5, 2),
+        (10**9, 10**9, 0),  # one pair, but a subset listing 10^9 ids
+        (10**9, 0, 10**9),
+    ])
+    def test_budget_refuses_huge_counts_without_building_them(self, P, Ki, Kj):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetError, match="list more than 10000000 ids"):
+            enumerate_pair_prob(P, Ki, Kj)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestEnumerateEventProbs:
@@ -87,6 +101,17 @@ class TestEnumerateEventProbs:
             with pytest.raises(EnumerationBudgetError, match="4004\\^2"):
                 enumerate_events(p)
 
+    @pytest.mark.parametrize("params, message", [
+        (ModelParams(n=2, a=(1.0,), K=(10**5,), P=10**9), "list more than 10000000 ids"),
+        (ModelParams(n=2, a=(1.0,), K=(10**9,), P=10**9), "list more than 10000000 ids"),
+        (ModelParams(n=10**7, a=(1.0,), K=(1,), P=3), "3\\^10000000 joint assignments"),
+    ])
+    def test_budget_refuses_huge_counts_without_building_them(self, params, message):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetError, match=message):
+            enumerate_event_probs(params)
+        assert time.perf_counter() - start < 0.1
+
     @pytest.mark.parametrize("params", tiny_instances() + [
         ModelParams(n=3, a=(0.2, 0.3, 0.5), K=(1, 2, 2), P=4),
         ModelParams(n=2, a=(0.1, 0.3, 0.6), K=(1, 1, 3), P=5),
@@ -103,3 +128,19 @@ class TestEnumerateEventProbs:
     def test_rejects_single_vertex(self):
         with pytest.raises(InvalidParamsError):
             enumerate_event_probs(ModelParams(n=1, a=(1.0,), K=(1,), P=2))
+
+
+@pytest.mark.parametrize("argv", [
+    ("pair", "--P", "1000000", "--Ki", "10000", "--Kj", "1"),
+    ("events", "--n", "2", "--P", "1000000000", "--a", "1", "--K", "100000"),
+    ("events", "--n", "10000000", "--P", "3", "--a", "1", "--K", "1"),
+])
+def test_cli_budget_refusal_exit_3(capsys, argv):
+    # each once ended in a traceback from formatting a huge count, or took seconds to refuse
+    start = time.perf_counter()
+    code = main(["oracle", *argv])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "")
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert elapsed < 0.5

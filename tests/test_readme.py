@@ -2,11 +2,13 @@
 by parsing them, that each of those names, each attribute read off one and
 each keyword passed to one still exists, so a public name cannot be removed
 while the README still shows it.  It also runs each block in a fresh
-process, so every call the README shows still works as shown."""
+process, so every call the README shows still works as shown, and pins its
+sweep config block to the shipped ``scripts/zero_one.json``."""
 
 from __future__ import annotations
 
 import ast
+import json
 import re
 import subprocess
 import sys
@@ -24,6 +26,12 @@ def test_readme_names_from_rigraph_exist():
                 if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rigraph")]
     assert imported, "no python block of the README imports from rigraph"
     assert [name for tree in trees for name in missing_rigraph_names(tree)] == []
+
+
+def test_readme_sweep_config_is_the_shipped_one():
+    # the schema-1 example is the zero-one experiment that scripts/zero_one.json defines
+    [block] = re.findall(r"^```json\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+    assert json.loads(block) == json.loads((README.parent / "scripts" / "zero_one.json").read_text())
 
 
 def test_readme_python_blocks_run(tmp_path):
