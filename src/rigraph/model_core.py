@@ -33,8 +33,12 @@ one b.
 Each model rule has one owner.  ``_model_inputs`` checks n, a and P for
 ``ModelParams`` and for the solver, walking each tuple once; n >= 2 is one
 of its rules, so no function taking a ``ModelParams`` checks it again.
-``_ring_pair`` checks the pool and ring sizes that ``no_overlap_ratio`` and
-the oracle's pair enumeration take.
+``_walk`` converts the ring sizes of ``ModelParams`` and the solver's
+ratios and flags any out of range or order; each caller names the rule
+broken.  ``_at_least`` is the one floor on a count (trials, workers, a
+trial index, a pool size) across the package.  ``_ring_pair`` checks the
+pool and ring sizes that ``no_overlap_ratio`` and the oracle's pair
+enumeration take.
 ``_scaled_sizes`` builds every ring vector from a base and a scale,
 rounding half up exactly and clamping to [low, P] without an exception path.  The
 solver then evaluates beta on those plain values, row 1 of b only,
@@ -93,6 +97,15 @@ def _as_int(name: str, value) -> int:
         raise InvalidParamsError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _at_least(name: str, value, floor: int) -> int:
+    """``_as_int`` of ``value``, refused below ``floor``: the one rule for
+    a count such as trials, workers or a trial index."""
+    value = _as_int(name, value)
+    if value < floor:
+        raise InvalidParamsError(f"{name} must be >= {floor}, got {value}")
+    return value
+
+
 def _as_float(name: str, value) -> float:
     """``value`` as a Python float; bools, strings and other non-numbers,
     and integers past the float range are rejected."""
@@ -113,6 +126,28 @@ def _each(name: str, values, convert, what: str) -> tuple:
         return tuple(convert(what, x) for x in values)
     except TypeError:  # ``values`` is not iterable
         raise InvalidParamsError(f"{name} must be a sequence, got {values!r}") from None
+
+
+def _walk(values, kind: type, convert, what: str, low, high, refusal: str) -> tuple[tuple, bool]:
+    """The items of ``values`` as a tuple, each one ``convert(what, x)``
+    unless it is a plain ``kind`` already, and whether every item lies in
+    [low, high] and none below the one before; a ``values`` that cannot be
+    iterated is refused as ``refusal``.  The one walk of the ring sizes and
+    the solver's ratios, both on every solve: a plain loop, since a
+    comprehension plus ``all`` passes costs about twice as much."""
+    items = []
+    ordered = True
+    try:
+        for x in values:
+            if type(x) is not kind:
+                x = convert(what, x)
+            if not low <= x <= high:  # also true for NaN
+                ordered = False
+            low = x
+            items.append(x)
+    except TypeError:  # ``values`` is not iterable
+        raise InvalidParamsError(f"{refusal}, got {values!r}") from None
+    return tuple(items), ordered
 
 
 def _model_inputs(n, a, P) -> tuple[int, tuple[float, ...], int]:
@@ -176,20 +211,7 @@ class ModelParams:
 
     def __init__(self, n: int, a: tuple[float, ...], K: tuple[int, ...], P: int) -> None:
         n, a, P = _model_inputs(n, a, P)
-        sizes = []
-        ordered = True  # every K_i in [1, P] and none below the one before
-        low = 1
-        try:
-            for k in K:
-                if type(k) is not int:
-                    k = _as_int("every K_i", k)
-                if not low <= k <= P:
-                    ordered = False
-                low = k
-                sizes.append(k)
-        except TypeError:  # ``K`` is not iterable
-            raise InvalidParamsError(f"K must be a sequence of ring sizes, got {K!r}") from None
-        K = tuple(sizes)
+        K, ordered = _walk(K, int, _as_int, "every K_i", 1, P, "K must be a sequence of ring sizes")
         if len(a) != len(K):
             raise InvalidParamsError(f"a and K must be equally long, got {len(a)} and {len(K)}")
         if not ordered:  # name the first rule broken, range before order
@@ -250,9 +272,10 @@ def _no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
     once min(Ki, Kj) copies of that fall below the underflow cut-off the
     result is 0.0 without the sum, where the full sum's exp is 0.0 too; the
     bound is tested before the sum, so one ratio costs O(min(Ki, Kj,
-    sqrt(745 P))) terms.  Each term follows ``_log_avoid``'s rule: at P >=
-    2^54 a quotient max(Ki, Kj)/(P - t) can round to 1.0, where log1p
-    raises, and such a term is the log of the exact int quotient instead.
+    sqrt(745 P))) terms.  Each term, the bound's first too, is log1p of the
+    float quotient max(Ki, Kj)/(P - t) where that is below 1.0; at P >= 2^54
+    it can round to 1.0, where log1p raises, and such a term is the log of
+    the int quotient (P - t - max)/(P - t), which rounds once.
     """
     small, large = (Ki, Kj) if Ki <= Kj else (Kj, Ki)
     if small == 0:
@@ -260,21 +283,13 @@ def _no_overlap_ratio(P: int, Ki: int, Kj: int) -> float:
     if P - large < small:
         return 0.0
     # here 0 < small <= large < P, which the bound needs
-    if small * _log_avoid(large, P) < _LOG_UNDERFLOW:
+    if small * (math.log1p(-q) if (q := large / P) < 1.0 else math.log((P - large) / P)) < _LOG_UNDERFLOW:
         return 0.0
-    # _log_avoid inline: a call per term slows a long sum by about 40%
+    # the term inline: a call per term slows a long sum by about 40%
     return math.exp(math.fsum(
         math.log1p(-q) if (q := large / (P - t)) < 1.0 else math.log((P - t - large) / (P - t))
         for t in range(small)
     ))
-
-
-def _log_avoid(large: int, rest: int) -> float:
-    """log(1 - large/rest) for 0 < large < rest: log1p of the float quotient
-    where it is below 1.0, and at rest >= 2^54, where it can round to 1.0, the log
-    of the int quotient (rest - large) / rest, which rounds once."""
-    q = large / rest
-    return math.log1p(-q) if q < 1.0 else math.log((rest - large) / rest)
 
 
 def _b_row(P: int, a: tuple[float, ...], K: tuple[int, ...], Ki: int) -> float:
@@ -404,20 +419,9 @@ def _solver_inputs(n, P, a, ratios, target_beta) -> tuple[int, int, tuple[float,
     and P as a ``ModelParams`` stores them, the ratios and target as floats.
     Plain floats skip conversion, and the ratios are walked once."""
     n, a, P = _model_inputs(n, a, P)
-    checked = []
-    ordered = True  # every ratio finite, none below 1 or the one before
-    low = 1.0
-    try:
-        for r in ratios:
-            if type(r) is not float:
-                r = _as_float("every ratio", r)
-            if not low <= r < math.inf:
-                ordered = False
-            low = r
-            checked.append(r)
-    except TypeError:  # ``ratios`` is not iterable
-        raise InvalidParamsError(f"ratios must be a sequence of numbers, got {ratios!r}") from None
-    ratios = tuple(checked)
+    # every ratio finite (at most the largest float), none below 1 or the one before
+    ratios, ordered = _walk(ratios, float, _as_float, "every ratio", 1.0, sys.float_info.max,
+                            "ratios must be a sequence of numbers")
     if len(ratios) != len(a):
         raise InvalidParamsError(f"ratios must have one entry per group, got {len(ratios)} for m={len(a)}")
     if not ordered or ratios[0] - 1.0 > 1e-12:  # name the first rule broken

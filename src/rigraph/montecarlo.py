@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, InvariantViolation, WorkerCrashError
 from .graph_analysis import analyze_batch
-from .model_core import ModelParams, _as_int
+from .model_core import ModelParams, _as_int, _at_least
 from .sampler import SeedSpec, _check_pool, sample_batch
 
 ENV_WORKERS = "RIG_THREADS"
@@ -67,11 +67,9 @@ class EstimateRow:
     ci_high: float = field(init=False)
 
     def __post_init__(self) -> None:
-        trials, successes = _as_int("trials", self.trials), _as_int("successes", self.successes)
-        if trials < 1:
-            raise InvariantViolation(f"trials must be >= 1, got {trials}")
+        trials, successes = _at_least("trials", self.trials, 1), _as_int("successes", self.successes)
         if not 0 <= successes <= trials:
-            raise InvariantViolation("successes outside 0..trials")
+            raise InvalidParamsError("successes outside 0..trials")
         phat = successes / trials
         z2 = _WILSON_Z * _WILSON_Z
         denom = 1.0 + z2 / trials
@@ -108,10 +106,7 @@ def resolve_workers(workers: int | None = None) -> int:
             workers = int(raw) if raw.strip() else 1
         except ValueError:
             raise InvalidParamsError(f"{ENV_WORKERS} must be an integer, got {raw!r}") from None
-    workers = _as_int("workers", workers)
-    if workers < 1:
-        raise InvalidParamsError(f"workers must be >= 1, got {workers}")
-    return workers
+    return _at_least("workers", workers, 1)
 
 
 def _batch_trials(params: ModelParams) -> int:
@@ -203,9 +198,7 @@ def run_trials(
     raises, it is never averaged away), and the per-sample identity
     #F = #no-isolated - #connected is re-asserted on the aggregate.
     """
-    trials = _as_int("trials", trials)
-    if trials < 1:
-        raise InvalidParamsError(f"trials must be >= 1, got {trials}")
+    trials = _at_least("trials", trials, 1)
     _check_pool(params.P)
     master_seed = SeedSpec(master_seed).master_seed  # validated early, as a Python int
     workers = resolve_workers(workers)

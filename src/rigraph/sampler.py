@@ -58,7 +58,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InvalidParamsError, InvariantViolation, StateLayoutError
-from .model_core import ModelParams, _as_int
+from .model_core import ModelParams, _as_int, _at_least
 
 _M64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -146,17 +146,25 @@ class SeedSpec:
     trial_index: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "master_seed", _as_int("master_seed", self.master_seed))
-        object.__setattr__(self, "trial_index", _as_int("trial_index", self.trial_index))
-        if not 0 <= self.master_seed <= _M64:
-            raise InvalidParamsError(
-                f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}"
-            )
-        if self.trial_index < 0:
-            raise InvalidParamsError(f"trial_index must be >= 0, got {self.trial_index!r}")
+        master_seed = _as_int("master_seed", self.master_seed)
+        if not 0 <= master_seed <= _M64:
+            raise InvalidParamsError(f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
+        object.__setattr__(self, "master_seed", master_seed)
+        object.__setattr__(self, "trial_index", _at_least("trial_index", self.trial_index, 0))
 
     def trial_seed(self) -> int:
         return int(_trial_seeds(self.master_seed, self.trial_index, self.trial_index + 1)[0])
+
+
+def _int64s(what: str, values: list) -> np.ndarray:
+    """``values`` as an int64 array, each an integer (``_as_int``) in the
+    int64 range; a list of plain ints skips the item-by-item conversion."""
+    if not set(map(type, values)) <= {int}:
+        values = [x if type(x) is int else _as_int(what, x) for x in values]
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise InvalidParamsError(f"{what} must lie in the int64 range") from None
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
@@ -187,13 +195,9 @@ class GraphBatch:
     P: int
 
     def __post_init__(self) -> None:
-        trials, P = _as_int("trials", self.trials), _as_int("P", self.P)
+        trials, P = _at_least("trials", self.trials, 1), _at_least("P", self.P, 1)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "P", P)
-        if trials < 1:
-            raise InvalidParamsError(f"trials must be >= 1, got {trials}")
-        if P < 1:
-            raise InvalidParamsError(f"P must be >= 1, got {P}")
         for name in ("groups", "objects", "offsets"):
             x = getattr(self, name)
             if not isinstance(x, np.ndarray) or x.ndim != 1 or x.dtype.kind != "i":
@@ -215,10 +219,17 @@ class GraphBatch:
     def from_sets(cls, groups, object_sets, P: int, trials: int = 1) -> GraphBatch:
         """The batch of per-vertex groups and sorted object sets, listed
         vertex by vertex in batch order; the constructor checks the
-        layout."""
-        offsets = np.cumsum([0, *map(len, object_sets)], dtype=np.int64)
-        objects = np.fromiter(chain.from_iterable(object_sets), dtype=np.int64, count=int(offsets[-1]))
-        return cls(np.asarray(groups, dtype=np.int64), objects, offsets, trials, P)
+        layout.  Every group label and object id must be an integer
+        (``_as_int``: numpy integers pass, bools, floats and strings are
+        refused) in the int64 range, so none is truncated on the way in."""
+        try:
+            sizes = [0, *map(len, object_sets)]
+            ids, labels = list(chain.from_iterable(object_sets)), list(groups)
+        except TypeError:  # ``groups``, ``object_sets`` or a set is not a sequence
+            raise InvalidParamsError("groups must be a sequence of integers and object_sets "
+                                     "a sequence of sequences of integers") from None
+        offsets = np.cumsum(sizes, dtype=np.int64)
+        return cls(_int64s("every group label", labels), _int64s("every object id", ids), offsets, trials, P)
 
     @property
     def n(self) -> int:

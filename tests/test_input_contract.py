@@ -71,6 +71,10 @@ def _batch(trials, P):
     return GraphBatch(np.array([1, 1]), np.array([0, 1]), np.array([0, 1, 2]), trials, P)
 
 
+def _from_sets(groups, sets):
+    return GraphBatch.from_sets(groups, sets, 20)
+
+
 # each call, with one strategy per drawn argument, and valid arguments it must accept
 CALLS = {
     "ModelParams": (ModelParams, [number(2, 10, np.int64(40)), sequence((0.5, 0.5), (1.0,)),
@@ -83,6 +87,11 @@ CALLS = {
     ], (40, 60, (0.5, 0.5), (2, 3), None, "n", (30, 40), 50, 7)),
     "EstimateRow": (EstimateRow, [number(1, 10), number(0, 5)], (10, 5)),
     "GraphBatch": (_batch, [number(1, 2), number(2, 5)], (1, 2)),
+    # raw group labels and object ids; 2**70 is past the int64 range
+    "GraphBatch.from_sets": (_from_sets, [
+        sequence((1, 1), (1, 2**70)),
+        st.one_of(st.lists(sequence((0,), (1, 2**70)), max_size=3), st.sampled_from(MALFORMED)),
+    ], ((1, 1), ((0,), (1,)))),
     "solve_k1": (solve_k1, [number(10, 100), number(20, 1000), sequence((0.5, 0.5)), sequence((1.0, 2.0)),
                             number(0.0, -2.0, 2.0)], (100, 1000, (0.5, 0.5), (1.0, 2.0), 0.0)),
     "run_trials": (lambda *args: run_trials(PARAMS, *args), [number(1, 5), number(0, 7), optional(number(1, 2))],

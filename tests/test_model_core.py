@@ -16,6 +16,7 @@ from rigraph import (
     InvalidParamsError,
     ModelParams,
     RegimeViolationError,
+    RigraphError,
     UnachievableError,
     b_vector,
     beta,
@@ -29,7 +30,7 @@ from rigraph import (
 )
 import rigraph.model_core as model_core
 import rigraph.sweeps as sweeps
-from rigraph.model_core import _INT_FLOAT_MAX, _beta_from_b1, _ring_beta
+from rigraph.model_core import _INT_FLOAT_MAX, _beta_from_b1, _ring_beta, _solver_inputs
 from rigraph.oracle import enumerate_pair_prob
 from rigraph.sweeps import solve_k1_nearest
 
@@ -43,6 +44,7 @@ from reference_solver import (
     gallop_solve_k1,
     ring_sizes,
 )
+from reference_walks import reference_ring_sizes, reference_solver_inputs
 
 
 @contextmanager
@@ -1031,6 +1033,52 @@ class TestInputChecks:
                                    ((1.0, np.float64(1.6)), np.float64(-1.2))]:
                 want = solve(500, 4000, plain_weights, tuple(float(r) for r in ratios), float(target))
                 assert solve(np.int64(500), np.int32(4000), weights, ratios, target) == want
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_shared_walk_matches_the_walks_it_replaced(self, data):
+        # the same tuple, or the same error class and message, as the two
+        # loops that ModelParams and _solver_inputs wrote out before _walk
+        a = data.draw(st.sampled_from([(1.0,), (0.5, 0.5), (0.25, 0.25, 0.5)]))
+        P = data.draw(st.sampled_from([1, 5, 20, np.int64(20)]))
+        K = data.draw(walked(len(a), st.integers(1, 20), st.one_of(
+            st.integers(-2, 25), st.sampled_from([np.int64(3), np.int32(30), 2.0, np.float64(2.0), HUGE]))))
+        assert outcome(lambda: ModelParams(10, a, K, P).K) == outcome(lambda: reference_ring_sizes(10, a, K, P))
+        ratios = data.draw(walked(len(a), st.sampled_from([1.0, 1, 1.5, 2.0, np.float64(2.5), np.int64(3)]),
+                                  st.one_of(st.floats(-2.0, 1e300),
+                                            st.sampled_from([1 - 1e-13, 1 + 1e-13, np.float64(math.nan), HUGE]))))
+        args = (100, P, a, ratios, 0.0)
+        want = outcome(lambda: reference_solver_inputs(*args))
+        assert outcome(lambda: _solver_inputs(*args)) == want
+        if want[0] is InvalidParamsError:
+            assert outcome(lambda: solve_k1(*args)) == want
+        else:
+            assert outcome(lambda: solve_k1(*args)) == outcome(lambda: solve_k1(*want[1]))
+
+
+def outcome(call) -> tuple:
+    """("returned", value) of ``call()``, or the class and message of the
+    ``RigraphError`` it raises."""
+    try:
+        return "returned", call()
+    except RigraphError as err:
+        return type(err), str(err)
+
+
+def walked(m, items, odd):
+    """A sequence to walk, most often of length ``m``: draws of ``items``
+    sorted or as drawn, a list mixing them with out-of-range and malformed
+    values (draws of ``odd``, bools, NaN, +-inf, strings, None, an array),
+    or a value that is no sequence."""
+    malformed = [True, False, math.nan, math.inf, -math.inf, "2", None, np.ones(2)]
+    mixed = st.one_of(items, odd, st.sampled_from(malformed))
+    return st.one_of(
+        st.lists(items, min_size=m, max_size=m).map(sorted).map(tuple),
+        st.lists(items, min_size=m, max_size=m).map(tuple),
+        st.lists(mixed, min_size=m, max_size=m).map(tuple),
+        st.lists(mixed, max_size=4),
+        st.sampled_from([None, 3, 2.5, "12", np.float64(1.0)]),
+    )
 
 
 # ---------------------------------------------------------------- diagnostics

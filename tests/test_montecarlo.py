@@ -81,9 +81,9 @@ SMALL = ModelParams(n=30, a=(0.5, 0.5), K=(2, 3), P=40)
 
 class TestEstimateRow:
     @pytest.mark.parametrize("trials, successes, error, message", [
-        (10, -1, InvariantViolation, r"^successes outside 0\.\.trials$"),
-        (10, 11, InvariantViolation, r"^successes outside 0\.\.trials$"),
-        (0, 0, InvariantViolation, r"^trials must be >= 1, got 0$"),
+        (10, -1, InvalidParamsError, r"^successes outside 0\.\.trials$"),
+        (10, 11, InvalidParamsError, r"^successes outside 0\.\.trials$"),
+        (0, 0, InvalidParamsError, r"^trials must be >= 1, got 0$"),
         ("10", 5, InvalidParamsError, r"^trials must be an integer, got '10'$"),
     ], ids=["-1", "11", "zero-trials", "string-trials"])
     def test_successes_outside_trials_raise(self, trials, successes, error, message):

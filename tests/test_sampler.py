@@ -430,6 +430,32 @@ class TestSampleGraph:
             with pytest.raises(InvalidParamsError, match=message):
                 build([1] * 4, sets, P, 2)
 
+    @pytest.mark.parametrize("groups, sets, message", [
+        # these used to be truncated to ints, or end in numpy's ValueError
+        # or OverflowError
+        ([1, 1], [[0.5], [1.9]], "^every object id must be an integer, got 0.5$"),
+        ([True, 1.7], [[0], [1]], "^every group label must be an integer, got True$"),
+        ([1, 1.7], [[0], [1]], "^every group label must be an integer, got 1.7$"),
+        (["1", 1], [[0], [1]], "^every group label must be an integer, got '1'$"),
+        ([1, 1], [[0], ["1"]], "^every object id must be an integer, got '1'$"),
+        ([1, 1], [[0], [np.float64(1.0)]], r"^every object id must be an integer, got np.float64\(1.0\)$"),
+        ([1, 1], [[2**70], [1]], "^every object id must lie in the int64 range$"),
+        ([2**63, 1], [[0], [1]], "^every group label must lie in the int64 range$"),
+        (None, [[0], [1]], "^groups must be a sequence of integers and object_sets a sequence of sequences"),
+        ([1, 1], [None, [1]], "^groups must be a sequence of integers and object_sets a sequence of sequences"),
+    ], ids=["float-ids", "bool-group", "float-group", "string-group", "string-id", "numpy-float-id",
+            "id-past-int64", "group-past-int64", "groups-none", "set-none"])
+    def test_from_sets_refuses_ids_and_groups_no_int64_holds(self, groups, sets, message):
+        with pytest.raises(InvalidParamsError, match=message):
+            GraphBatch.from_sets(groups, sets, 20)
+
+    def test_from_sets_takes_numpy_integers_as_ints(self):
+        got = GraphBatch.from_sets(np.array([1, 2]), [(np.int32(0), np.int64(3)), range(2)], 20)
+        want = GraphBatch.from_sets([1, 2], [[0, 3], [0, 1]], 20)
+        for name in ("groups", "objects", "offsets"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == np.int64
+
     def test_group_independence_in_pairs(self):
         # joint (g_1, g_2) frequency factorizes to a_i * a_j
         p = ModelParams(n=2, a=(0.3, 0.7), K=(1, 1), P=10)
