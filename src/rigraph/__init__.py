@@ -29,4 +29,4 @@ from .oracle import enumerate_event_probs, enumerate_pair_prob
 from .sampler import GraphBatch, SeedSpec, sample_batch, sample_graph
 from .sweeps import SweepSpec, run_sweep, write_sweep_csv
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -56,7 +56,6 @@ is used by the test suite as ground truth for the float path.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 import operator
@@ -228,13 +227,6 @@ class ModelParams:
     def m(self) -> int:
         """Number of groups."""
         return len(self.a)
-
-    def fingerprint(self) -> str:
-        """Stable hex digest of the exact parameter values (the first 16
-        hex digits of a sha256), hashed anew on every call."""
-        a = ",".join(map(float.hex, self.a))
-        canon = "n=%d;P=%d;a=%s;K=%s" % (self.n, self.P, a, ",".join(map(str, self.K)))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def _ring_pair(P, Ki, Kj) -> tuple[int, int, int]:

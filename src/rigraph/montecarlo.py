@@ -26,7 +26,9 @@ largest plan, if any of its points needs one.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -48,6 +50,10 @@ ENV_WORKERS = "RIG_THREADS"
 _BATCH_FLOATS = 1 << 16
 # normal quantile of the two-sided 95% Wilson intervals
 _WILSON_Z = 1.96
+# the trial pool's start method: fork on Linux, whose workers inherit the
+# imported numpy and scipy (forkserver, the default from Python 3.14, and
+# spawn import them afresh in every worker); the platform default elsewhere
+_POOL_CONTEXT = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,7 @@ def _trial_pool(size: int) -> Iterator:
     if size == 0 or outer is not None:
         yield outer.map if size else map
         return
-    with ProcessPoolExecutor(max_workers=size) as pool:
+    with ProcessPoolExecutor(max_workers=size, mp_context=_POOL_CONTEXT) as pool:
         token = _shared_pool.set(pool)
         try:
             yield pool.map
@@ -208,7 +214,12 @@ def run_trials(
         try:
             parts = list(run_map(partial(_run_range, params, master_seed), bounds[:-1], bounds[1:]))
         except BrokenProcessPool:
-            raise WorkerCrashError("a worker process died while running trials") from None
+            message = "a worker process died while running trials"
+            method = (_POOL_CONTEXT or multiprocessing.get_context()).get_start_method()
+            if method != "fork":  # each worker imports the main module anew
+                message += (f"; under the {method} start method a script that runs trials"
+                            ' needs an `if __name__ == "__main__":` guard')
+            raise WorkerCrashError(message) from None
     conn, noiso, fno, iso_sum, iso_sq, g1_sum, g1_sq = (sum(col) for col in zip(*parts))
     if fno != noiso - conn:
         raise InvariantViolation(

@@ -57,7 +57,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidParamsError, InvariantViolation, StateLayoutError
+from .errors import InvalidParamsError, StateLayoutError
 from .model_core import ModelParams, _as_int, _at_least
 
 _M64 = (1 << 64) - 1
@@ -184,8 +184,9 @@ class GraphBatch:
     ``offsets`` has one entry per vertex plus one, never falls and runs
     from 0 to ``len(objects)``, the vertices split evenly into the trials,
     and, in O(incidences), every id lies in [0, P), which the analysis's
-    keys need.  A breach raises ``InvalidParamsError``.  ``validate``
-    checks the rest against the params.
+    keys need.  A breach raises ``InvalidParamsError``.  What only the
+    params fix (labels in 1..m, set sizes K_i, ids rising within each set)
+    is not checked here; ``sample_batch`` builds it so.
     """
 
     groups: np.ndarray  # int64, 1-based group per vertex
@@ -234,28 +235,6 @@ class GraphBatch:
     @property
     def n(self) -> int:
         return len(self.groups) // self.trials
-
-    def validate(self, params: ModelParams) -> None:
-        """Check every trial against ``params``: pool size and vertex count,
-        group labels, ring sizes and ids rising within each set.  The layout
-        was checked at construction.  A batch that passes has positive
-        probability under ``params`` (every a_i > 0, and every labelling and
-        every ring of the right sizes can be drawn), so this checks that the
-        params can draw the batch, not which params drew it."""
-        groups, objects, offsets = self.groups, self.objects, self.offsets
-        if (self.P, self.n) != (params.P, params.n):
-            raise InvariantViolation("batch shape does not match params")
-        if groups.min(initial=1) < 1 or groups.max(initial=1) > params.m:
-            raise InvariantViolation("group labels out of range")
-        if not np.array_equal(np.diff(offsets), np.asarray(params.K, dtype=np.int64)[groups - 1]):
-            raise InvariantViolation("object-set sizes do not match ring sizes")
-        # every step inside a set must rise; the step from one set's last id
-        # to the next set's first id may fall
-        falls = np.diff(objects) <= 0
-        falls[offsets[1:-1] - 1] = False
-        if falls.any():
-            r, x = divmod(int(np.searchsorted(offsets, np.argmax(falls), side="right")) - 1, params.n)
-            raise InvariantViolation(f"object set of vertex {x} in trial {r} not strictly increasing")
 
 
 # column sorts of up to this many draws run through an odd-even

@@ -171,7 +171,7 @@ def small_params(draw, max_m: int = 3, max_P: int = 12, min_n: int = 2, max_n: i
 class _SerialPool:
     """A process pool stand-in that maps in this process."""
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         pass
 
     def __enter__(self):
@@ -190,9 +190,9 @@ def _recording(pool_class, events: list[tuple]):
     ``events``."""
 
     class Recording(pool_class):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             events.append(("open", max_workers))
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers, mp_context=mp_context)
 
         def __exit__(self, *exc):
             events.append(("close",))

@@ -192,14 +192,13 @@ def test_criterion_4_zero_one_transition(c4_sweep):
 
 
 def test_criterion_5_disconnected_without_isolated_vanishes(c4_sweep, c3_run):
-    _, rows, _ = c4_sweep
+    spec, rows, _ = c4_sweep
     _, agg500, _ = c3_run
     max_pf = max(r.p_f for r in rows)
-    beta0_row = rows[2]  # the beta target 0 point of the sweep
-    pf2000 = beta0_row.p_f
+    pf2000 = rows[spec.points.index(0.0)].p_f  # the beta target 0 point of the sweep
     pf500 = agg500.no_isolated_but_disconnected.point
     sigma = math.sqrt(
-        pf500 * (1 - pf500) / agg500.trials + pf2000 * (1 - pf2000) / beta0_row.n
+        pf500 * (1 - pf500) / agg500.trials + pf2000 * (1 - pf2000) / spec.trials
     )
     ok = max_pf <= 0.05 and pf2000 <= pf500 + 2 * sigma
     _report(

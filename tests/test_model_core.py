@@ -143,7 +143,6 @@ class TestModelParams:
             assert all(type(x) is int for x in (got.n, got.P, *got.K))
             assert got == plain
             assert hash(got) == hash(plain)
-            assert got.fingerprint() == plain.fingerprint()
 
     def test_construction_forms_agree(self):
         by_keyword = ModelParams(n=5, a=(0.25, 0.75), K=(2, 3), P=9)
@@ -152,7 +151,6 @@ class TestModelParams:
         for other in (by_position, replaced):
             assert other == by_keyword
             assert hash(other) == hash(by_keyword)
-            assert other.fingerprint() == by_keyword.fingerprint()
         assert astuple(replaced) == (5, (0.25, 0.75), (2, 3), 9)
 
     def test_replace_runs_the_checks(self):
@@ -172,13 +170,7 @@ class TestModelParams:
         # pool workers receive their params this way
         p = ModelParams(n=50, a=(0.2, 0.3, 0.5), K=(2, 3, 5), P=400)
         back = pickle.loads(pickle.dumps(p))
-        assert back == p and hash(back) == hash(p) and back.fingerprint() == p.fingerprint()
-
-    def test_fingerprint_distinguishes(self):
-        p1 = ModelParams(n=2, a=(0.5, 0.5), K=(1, 2), P=5)
-        p2 = ModelParams(n=2, a=(0.5, 0.5), K=(1, 2), P=6)
-        assert p1.fingerprint() == ModelParams(n=2, a=(0.5, 0.5), K=(1, 2), P=5).fingerprint()
-        assert p1.fingerprint() != p2.fingerprint()
+        assert back == p and hash(back) == hash(p)
 
 
 # ---------------------------------------------------------------- no_overlap_ratio

@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -245,6 +248,26 @@ class TestRunTrials:
         assert isinstance(exc.value, RigraphError)
         assert "\n" not in str(exc.value)
         assert recorded_pools == [("open", 2), ("map", 6), ("close",)]
+
+    def test_worker_crash_names_a_missing_main_guard(self, tmp_path):
+        # a spawn or forkserver worker imports the main module anew, so a
+        # script without a main guard starts a pool inside each worker,
+        # which dies; the error says why
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        script = tmp_path / "trials.py"
+        script.write_text(
+            f"import multiprocessing, sys\nsys.path.insert(0, {src!r})\n"
+            "import rigraph.montecarlo as montecarlo\n"
+            "from rigraph import ModelParams, run_trials\n"
+            "montecarlo._POOL_CONTEXT = multiprocessing.get_context('spawn')\n"
+            "run_trials(ModelParams(n=2000, a=(0.5, 0.5), K=(4, 8), P=20000), 64, master_seed=3, workers=2)\n"
+        )
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120,
+                              cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == (
+            "rigraph.errors.WorkerCrashError: a worker process died while running trials; under the spawn"
+            ' start method a script that runs trials needs an `if __name__ == "__main__":` guard')
 
     def test_certain_connectivity(self):
         p = ModelParams(n=20, a=(1.0,), K=(5,), P=5)
