@@ -39,7 +39,7 @@ from rigraph.montecarlo import (
     resolve_workers,
 )
 
-from conftest import exit_in_worker, small_params
+from conftest import _SerialPool, exit_in_worker, small_params
 from reference_trials import reference_counts
 
 
@@ -268,6 +268,25 @@ class TestRunTrials:
         assert done.stderr.splitlines()[-1] == (
             "rigraph.errors.WorkerCrashError: a worker process died while running trials; under the spawn"
             ' start method a script that runs trials needs an `if __name__ == "__main__":` guard')
+
+    def test_pool_starts_by_fork_on_linux(self, monkeypatch):
+        # forkserver, the Linux default from Python 3.14, and spawn import
+        # numpy and scipy afresh in every worker; the pool names fork itself
+        contexts = []
+
+        class Pool(_SerialPool):
+            def __init__(self, max_workers, mp_context=None):
+                contexts.append(mp_context)
+
+        # 8 trials per batch, so the run is 6 ranges: a pool of 2
+        monkeypatch.setattr(montecarlo, "_BATCH_FLOATS", 8 * 30 * (1 + 3))
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Pool)
+        run_trials(SMALL, 64, master_seed=3, workers=2)
+        assert contexts == [montecarlo._POOL_CONTEXT]
+        if sys.platform.startswith("linux"):
+            assert contexts[0].get_start_method() == "fork"
+        else:
+            assert contexts == [None]
 
     def test_certain_connectivity(self):
         p = ModelParams(n=20, a=(1.0,), K=(5,), P=5)

@@ -22,6 +22,7 @@ from rigraph import (
 import rigraph.montecarlo as montecarlo
 import rigraph.sampler as sampler
 from rigraph.errors import StateLayoutError
+from rigraph.graph_analysis import analyze_batch
 from rigraph.sampler import (
     _NETWORK_MAX_K,
     GAMMA,
@@ -375,6 +376,14 @@ class TestSampleGraph:
         wide = dataclasses.replace(batch, P=np.int64(2**50), trials=np.int32(3))
         assert (wide.P, wide.trials) == (2**50, 3)
         assert type(wide.P) is int and type(wide.trials) is int
+
+    def test_a_fall_between_sets_is_a_valid_batch(self):
+        # only the ids inside a set must rise: between vertices and between
+        # trials they may fall, and the analysis reads such a batch
+        sets = [[5, 8], [0, 1], [3, 7], [2, 3]]
+        batch = GraphBatch.from_sets([1, 1, 1, 1], sets, 9, trials=2)
+        comp, iso, group1 = analyze_batch(batch)
+        assert (comp.tolist(), iso.tolist(), group1.tolist()) == ([2, 1], [2, 0], [2, 0])
 
     @pytest.mark.parametrize("groups, sets, trials, message", [
         ([1, 1], [[0], [1], [2]], 1, "^need one object set per group label, got 3 and 2$"),
