@@ -51,7 +51,6 @@ class TrialStats:
     isolated_count: int
     group1_isolated_count: int
     no_isolated_but_disconnected: bool
-    component_count: int
 
 
 def _index_dtype(vertices: int, incidences: int) -> type:
@@ -141,5 +140,4 @@ def analyze(batch: GraphBatch) -> TrialStats:
         isolated_count=isolated,
         group1_isolated_count=group1,
         no_isolated_but_disconnected=(isolated == 0 and not connected),
-        component_count=comp,
     )

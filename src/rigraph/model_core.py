@@ -223,21 +223,13 @@ class ModelParams:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "K", K)
 
-    @property
-    def m(self) -> int:
-        """Number of groups."""
-        return len(self.a)
-
 
 def _ring_pair(P, Ki, Kj) -> tuple[int, int, int]:
     """P, Ki and Kj as ints, or ``InvalidParamsError`` unless both ring
     sizes lie in [0, P]: the one rule for a pair of rings in a pool."""
-    if type(P) is not int:
-        P = _as_int("P", P)
-    if type(Ki) is not int:
-        Ki = _as_int("Ki", Ki)
-    if type(Kj) is not int:
-        Kj = _as_int("Kj", Kj)
+    P = _as_int("P", P)
+    Ki = _as_int("Ki", Ki)
+    Kj = _as_int("Kj", Kj)
     if Ki < 0 or Kj < 0 or Ki > P or Kj > P:
         raise InvalidParamsError(f"need 0 <= Ki, Kj <= P, got Ki={Ki}, Kj={Kj}, P={P}")
     return P, Ki, Kj
@@ -329,8 +321,7 @@ def expected_isolated_from_b(n: int, a: tuple[float, ...], b: tuple[float, ...])
     nonempty sequences of numbers, every a_i in (0, 1] and every b_i >= 0
     (a b_i >= 1 leaves no group-i vertex isolated).
     """
-    if type(n) is not int:
-        n = _as_int("n", n)
+    n = _as_int("n", n)
     if n < 2:
         raise InvalidParamsError(f"isolation moments need n >= 2, got n={n}")
     if n > _INT_FLOAT_MAX:

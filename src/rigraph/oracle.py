@@ -9,9 +9,10 @@ float-vs-float comparisons):
   expected isolated count, summed over every n-tuple of object sets drawn
   from the per-vertex set law, in chunks so that memory stays flat.
 
-Enumeration size, and the ids its subsets list, are capped at 1e7 with a
-hard error so a typo'd instance cannot melt CI; both are counted with an
-early stop, so a huge instance is refused at once.
+Enumeration size, the ids its subsets list, and the ids one chunk of
+n-tuples lists are capped at 1e7 with a hard error so a typo'd instance
+cannot melt CI; each is counted with an early stop or from counts already
+bounded, so a huge instance is refused at once.
 """
 
 from __future__ import annotations
@@ -108,6 +109,13 @@ def enumerate_event_probs(params: ModelParams) -> EventProbs:
             raise EnumerationBudgetError(
                 f"{per_vertex}^{params.n} joint assignments exceed the {BUDGET} budget"
             )
+    # the count above is exact here; at K = P it is 1 at any n, so the n sets
+    # that one chunk lists are counted too
+    if min(assignments, _ANALYSIS_BATCH) * params.n * params.K[-1] > BUDGET:
+        raise EnumerationBudgetError(
+            f"one analysis chunk of {params.n}-vertex assignments lists more than {BUDGET} ids, "
+            f"past the enumeration budget"
+        )
     a_total = sum(map(Fraction, params.a))
     set_prob: dict[int, Fraction] = {}  # per ring size, each set's probability
     for ag, Kg in zip(params.a, params.K):

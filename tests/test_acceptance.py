@@ -234,18 +234,20 @@ def test_criterion_6_asymptotic_convergence_closed_form():
 
 
 def test_criterion_7_reduction_invariant_never_violated(c4_sweep, c3_run):
-    # analyze() raises InvariantViolation the moment a connected sample
+    # analyze_batch raises InvariantViolation the moment a connected sample
     # reports an isolated vertex, so completing every simulation above is the
     # assertion; re-run a slice of each config to exercise the guard directly
-    from rigraph import SeedSpec, analyze, sample_graph
+    from rigraph import sample_batch
+    from rigraph.graph_analysis import analyze_batch
 
     spec, _, _ = c4_sweep
     params500, _, _ = c3_run
     checked = 0
     for params in (TINY[17], TINY[51], params500):
-        for t in range(300):
-            stats = analyze(sample_graph(params, SeedSpec(C2_SEED_BASE, t)))
-            assert not (stats.connected and stats.isolated_count > 0)
+        # trial t is the graph that seed (C2_SEED_BASE, t) draws
+        comps, isos, _ = analyze_batch(sample_batch(params, C2_SEED_BASE, 0, 300))
+        for comp, iso in zip(comps.tolist(), isos.tolist()):
+            assert not (comp == 1 and iso > 0)
             checked += 1
     ok = _ACCOUNTING["trials"] >= 6_400_000 + 12_000 and checked == 900
     _report(

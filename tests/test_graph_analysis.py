@@ -23,6 +23,11 @@ from conftest import make_sample, naive_stats
 from reference_trials import build_inverted_index, reference_stats
 
 
+def _components(sample) -> int:
+    """The component count of a one-trial batch."""
+    return int(ga.analyze_batch(sample)[0][0])
+
+
 class TestInvertedIndex:
     def test_worked_example(self):
         s = make_sample([1, 1, 1], [[1], [1], [2]])
@@ -50,16 +55,16 @@ class TestInvertedIndex:
 
 class TestConnectivity:
     def test_split_example(self):
-        st_ = analyze(make_sample([1, 1, 2], [[0], [0], [1]]))
-        assert (st_.connected, st_.component_count) == (False, 2)
+        s = make_sample([1, 1, 2], [[0], [0], [1]])
+        assert (analyze(s).connected, _components(s)) == (False, 2)
 
     def test_shared_object_connects_everything(self):
-        st_ = analyze(make_sample([1] * 5, [[0, i + 1] for i in range(5)]))
-        assert (st_.connected, st_.component_count) == (True, 1)
+        s = make_sample([1] * 5, [[0, i + 1] for i in range(5)])
+        assert (analyze(s).connected, _components(s)) == (True, 1)
 
     def test_chain(self):
-        st_ = analyze(make_sample([1, 1, 1], [[0, 1], [1, 2], [2, 3]]))
-        assert (st_.connected, st_.component_count) == (True, 1)
+        s = make_sample([1, 1, 1], [[0, 1], [1, 2], [2, 3]])
+        assert (analyze(s).connected, _components(s)) == (True, 1)
 
 
 class TestIsolationCounts:
@@ -93,7 +98,7 @@ class TestAnalyze:
         assert not st_.connected
         assert st_.isolated_count == 0
         assert st_.no_isolated_but_disconnected
-        assert st_.component_count == 2
+        assert _components(s) == 2
 
     def test_two_isolated_vertices(self):
         st_ = analyze(make_sample([1, 1], [[0], [1]]))
@@ -177,7 +182,7 @@ class TestOracleEquivalence:
             connected, comps, iso, g1 = naive_stats(s)
             st_ = analyze(s)
             assert st_.connected == connected
-            assert st_.component_count == comps
+            assert _components(s) == comps
             assert st_.isolated_count == iso
             assert st_.group1_isolated_count == g1
 
@@ -193,7 +198,7 @@ class TestOracleEquivalence:
         s = make_sample(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), sets, P)
         comp, iso, g1 = reference_stats(s)
         st_ = analyze(s)
-        assert (st_.component_count, st_.isolated_count, st_.group1_isolated_count) == (comp, iso, g1)
+        assert (_components(s), st_.isolated_count, st_.group1_isolated_count) == (comp, iso, g1)
         assert st_.connected == (comp == 1)
 
     @pytest.mark.parametrize("path", ["int32", "int64", "numbered"])
@@ -254,7 +259,7 @@ class TestOracleEquivalence:
         s = sample_graph(params, SeedSpec(seed, 0))
         connected, comps, iso, g1 = naive_stats(s)
         st_ = analyze(s)
-        assert (st_.connected, st_.component_count, st_.isolated_count, st_.group1_isolated_count) == (
+        assert (st_.connected, _components(s), st_.isolated_count, st_.group1_isolated_count) == (
             connected,
             comps,
             iso,
@@ -285,5 +290,6 @@ class TestLargePath:
             s = sample_graph(params, SeedSpec(77, 0))
             assert len(s.objects) > 512
             st_ = analyze(s)
-            assert (st_.component_count, st_.isolated_count, st_.group1_isolated_count) == reference_stats(s)
-            assert st_.connected == (st_.component_count == 1)
+            comp = _components(s)
+            assert (comp, st_.isolated_count, st_.group1_isolated_count) == reference_stats(s)
+            assert st_.connected == (comp == 1)

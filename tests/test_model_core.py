@@ -318,7 +318,7 @@ class TestEdgeProbabilities:
     @given(small_params())
     @settings(max_examples=60, deadline=None)
     def test_p_matrix_symmetric_and_b_monotone(self, params):
-        m = params.m
+        m = len(params.a)
         p = exact_quantities(params).p
         for i in range(m):
             for j in range(m):
@@ -330,16 +330,16 @@ class TestEdgeProbabilities:
     @settings(max_examples=60, deadline=None)
     def test_p_monotone_under_ring_growth(self, params, data):
         # growing one ring (keeping the vector valid) never lowers any p_ij
-        j = data.draw(st.integers(0, params.m - 1))
+        j = data.draw(st.integers(0, len(params.a) - 1))
         K = list(params.K)
-        upper = params.P if j == params.m - 1 else K[j + 1]
+        upper = params.P if j == len(params.a) - 1 else K[j + 1]
         if K[j] + 1 > upper:
             return
         K[j] += 1
         bigger = exact_quantities(ModelParams(n=params.n, a=params.a, K=tuple(K), P=params.P)).p
         before = exact_quantities(params).p
-        for r in range(params.m):
-            for c in range(params.m):
+        for r in range(len(params.a)):
+            for c in range(len(params.a)):
                 assert bigger[r][c] >= before[r][c] - 1e-15
 
 
@@ -1198,7 +1198,7 @@ def _ratio_rel_err(P: int, Ki: int, Kj: int) -> Fraction:
 def _error_bounds(params: ModelParams):
     """Absolute error bounds of p_ij, b_i, edge_prob, E[J] and E[I], kept
     in rationals so that the bounds of subnormal results do not underflow."""
-    n, P, K, m = params.n, params.P, params.K, params.m
+    n, P, K, m = params.n, params.P, params.K, len(params.a)
     a = exact._a_fractions(params)
     alpha = abs(sum(Fraction(x) for x in params.a) - 1) + U  # weight error, then product rounding
     r = [[exact.no_overlap_ratio(P, Ki, Kj) for Kj in K] for Ki in K]
@@ -1237,8 +1237,8 @@ class TestFloatPathAgainstExact:
     def test_edge_probabilities(self, params):
         dp, db, de, _, _ = _error_bounds(params)
         q = exact_quantities(params)
-        for i in range(params.m):
-            for j in range(params.m):
+        for i in range(len(params.a)):
+            for j in range(len(params.a)):
                 assert _within(q.p[i][j], exact.pairwise_edge_prob(params, i + 1, j + 1), dp[i][j])
         for got, want, bound in zip(q.b, exact.b_vector(params), db):
             assert _within(got, want, bound)

@@ -105,6 +105,8 @@ class TestEnumerateEventProbs:
         (ModelParams(n=2, a=(1.0,), K=(10**5,), P=10**9), "list more than 10000000 ids"),
         (ModelParams(n=2, a=(1.0,), K=(10**9,), P=10**9), "list more than 10000000 ids"),
         (ModelParams(n=10**7, a=(1.0,), K=(1,), P=3), "3\\^10000000 joint assignments"),
+        # one assignment at K = P, but a chunk listing 3 * 10^7 ids
+        (ModelParams(n=10**7, a=(1.0,), K=(3,), P=3), "chunk .* lists more than 10000000 ids"),
     ])
     def test_budget_refuses_huge_counts_without_building_them(self, params, message):
         start = time.perf_counter()
@@ -134,6 +136,7 @@ class TestEnumerateEventProbs:
     ("pair", "--P", "1000000", "--Ki", "10000", "--Kj", "1"),
     ("events", "--n", "2", "--P", "1000000000", "--a", "1", "--K", "100000"),
     ("events", "--n", "10000000", "--P", "3", "--a", "1", "--K", "1"),
+    ("events", "--n", "10000000", "--P", "3", "--a", "1", "--K", "3"),
 ])
 def test_cli_budget_refusal_exit_3(capsys, argv):
     # each once ended in a traceback from formatting a huge count, or took seconds to refuse

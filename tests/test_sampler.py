@@ -321,7 +321,7 @@ class TestSampleGraph:
         batch = sample_batch(params, seed, start, start + trials)
         assert (batch.trials, batch.n, batch.P) == (trials, params.n, params.P)
         groups, objects, offsets = batch.groups, batch.objects, batch.offsets
-        assert groups.min() >= 1 and groups.max() <= params.m
+        assert groups.min() >= 1 and groups.max() <= len(params.a)
         assert np.array_equal(np.diff(offsets), np.asarray(params.K)[groups - 1])
         # ids rise within each set; the step from one set's last id to the
         # next set's first, within a trial or across two, may fall
