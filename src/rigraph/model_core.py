@@ -28,7 +28,12 @@ its 4096-entry cache (``_no_overlap_ratio``, which takes sizes already
 checked), so each (P, K_i, K_j) in it is computed once.
 ``exact_quantities`` is the one place that assembles the p-matrix and the
 unconditional edge probability, and it takes every quantity built on b from
-one b.
+one b.  A closed-form query is interpreter work, so two formulas are written
+out where they run: the isolation term a_i (1-b_i)^(n-1) in
+``_isolation_moments``, and beta = n b_1 - ln n in ``_ring_beta``, the
+solver's probe.  ``ModelParams`` and the result records ``ExactQuantities``
+and ``RegimeDiagnostics`` stay frozen dataclasses but fill their fields in
+one ``__dict__`` update.
 
 Each model rule has one owner.  ``_model_inputs`` checks n, a and P for
 ``ModelParams`` and for the solver, walking each tuple once; n >= 2 is one
@@ -218,10 +223,7 @@ class ModelParams:
                 if k < 1 or k > P:
                     raise InvalidParamsError(f"need 1 <= K_{i + 1} <= P, got K={K}, P={P}")
             raise InvalidParamsError(f"ring sizes must be nondecreasing, got {K}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "K", K)
+        self.__dict__.update(n=n, a=a, K=K, P=P)
 
 
 def _ring_pair(P, Ki, Kj) -> tuple[int, int, int]:
@@ -302,15 +304,9 @@ def beta(params: ModelParams) -> float:
 
 def _ring_beta(n: int, P: int, a: tuple[float, ...], K: tuple[int, ...]) -> float:
     """``beta(ModelParams(n, a, K, P))`` bit for bit from the n, a and P that
-    ``_model_inputs`` returns, computing row 1 of b only."""
-    return _beta_from_b1(n, _b_row(P, a, K, K[0]))
-
-
-def _isolation_term(n: int, b: float) -> float:
-    # (1-b)^(n-1) via exp((n-1) log1p(-b)); exact 0 at b >= 1
-    if b >= 1.0:
-        return 0.0
-    return math.exp((n - 1) * math.log1p(-b))
+    ``_model_inputs`` returns, computing row 1 of b only: ``_beta_from_b1``
+    written out, since this runs on every probe of the solver."""
+    return n * _b_row(P, a, K, K[0]) - math.log(n)
 
 
 def expected_isolated_from_b(n: int, a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, float]:
@@ -336,8 +332,9 @@ def expected_isolated_from_b(n: int, a: tuple[float, ...], b: tuple[float, ...])
 
 def _isolation_moments(n: int, a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, float]:
     """``expected_isolated_from_b`` on values already checked: the n and a
-    of a ``ModelParams`` and its b."""
-    terms = [ai * _isolation_term(n, bi) for ai, bi in zip(a, b)]
+    of a ``ModelParams`` and its b.  Each term is a_i (1-b_i)^(n-1), as
+    exp((n-1) log1p(-b_i)) and exactly 0 at b_i >= 1."""
+    terms = [ai * (0.0 if bi >= 1.0 else math.exp((n - 1) * math.log1p(-bi))) for ai, bi in zip(a, b)]
     return n * math.fsum(terms), n * terms[0]
 
 
@@ -366,8 +363,8 @@ def cross_moment_ratio(params: ModelParams) -> float:
         raise RegimeViolationError(
             f"double-avoidance ratio needs 2*K_1 <= P, got K_1={K1}, P={P}"
         )
-    num = math.fsum(al * _no_overlap_ratio(P, 2 * K1, Kl) for al, Kl in zip(a, K))
-    den = math.fsum(al * _no_overlap_ratio(P, K1, Kl) for al, Kl in zip(a, K))
+    num = math.fsum([al * _no_overlap_ratio(P, 2 * K1, Kl) for al, Kl in zip(a, K)])
+    den = math.fsum([al * _no_overlap_ratio(P, K1, Kl) for al, Kl in zip(a, K)])
     if den == 0.0:
         raise RegimeViolationError(
             "single-vertex avoidance probability is zero; ratio undefined"
@@ -485,16 +482,18 @@ def solve_k1(
         raise UnachievableError(f"target beta {target_beta} unachievable: even K=(P,...,P) gives beta {top}")
 
     seen = {P: top}  # beta at every K_1 evaluated, for the nearest choice
+    rings = {P: (P,) * len(a)}  # the ring vector of each, so the answer is never rebuilt
 
     def beta_at(k1: int) -> float:
-        value = seen[k1] = _ring_beta(n, P, a, _scaled_sizes(ratios, k1, k1, P))
+        K = rings[k1] = _scaled_sizes(ratios, k1, k1, P)
+        value = seen[k1] = _ring_beta(n, P, a, K)
         return value
 
     mean_ratio = math.fsum([aj * r for aj, r in zip(a, ratios)])
     demand = log_n + target_beta  # n times the b_1 the target asks for
     if P * demand / (n * mean_ratio) == math.inf:  # the small-ring estimate of K_1^2
         if beta_at(1) >= target_beta:
-            return _scaled_sizes(ratios, 1, 1, P)
+            return rings[1]
         raise InvalidParamsError(
             f"cannot solve for target beta {target_beta} at n={n:.6g}, P={P:.6g}: "
             "the estimate of K_1 is past the float range"
@@ -536,7 +535,7 @@ def solve_k1(
     # the bracket's ends hi - 1 = lo and hi are both in ``seen`` once hi > 1
     if nearest and hi > 1 and abs(seen[hi - 1] - target_beta) <= abs(seen[hi] - target_beta):
         hi -= 1
-    return _scaled_sizes(ratios, hi, hi, P)
+    return rings[hi]
 
 
 # Advisory thresholds for ``diagnostics`` (not assertions: the asymptotic
@@ -567,7 +566,12 @@ def _regime(n: int, b1: float, window: float) -> tuple[float, float, str]:
     return c, dev, label
 
 
-@dataclass(frozen=True)
+# The result records, like ``ModelParams``, are frozen dataclasses, so
+# ``asdict``, ``astuple`` and ``replace`` work on them, but each fills its
+# ``__dict__`` in one update: the generated frozen ``__init__`` makes one
+# ``object.__setattr__`` call per field, which costs about a tenth of a
+# closed-form query.  Callers pass the fields by position.
+@dataclass(frozen=True, init=False)
 class RegimeDiagnostics:
     """Ratios describing how far a finite instance sits from the regime in
     which the connectivity threshold result applies, advisory flags, and
@@ -582,15 +586,20 @@ class RegimeDiagnostics:
     regime: str  # subcritical-yagan | supercritical-yagan | critical-window(beta<0|=0|>0)
     window: float
 
+    def __init__(self, p_over_n, km_sq_over_p, beta_over_ln_n, yagan_c, flags, beta, regime, window) -> None:
+        self.__dict__.update(p_over_n=p_over_n, km_sq_over_p=km_sq_over_p, beta_over_ln_n=beta_over_ln_n,
+                             yagan_c=yagan_c, flags=flags, beta=beta, regime=regime, window=window)
+
 
 def diagnostics(params: ModelParams, window: float = CRITICAL_WINDOW) -> RegimeDiagnostics:
     """Regime report for one instance; ``yagan_c`` is n*b_1/ln n, the
     constant in the coarser c-above/below-1 connectivity law, and ``window``
     (finite, >= 0) is the half-width around c = 1 where beta's sign decides."""
-    c, dev, regime = _regime(params.n, b_vector(params)[0], window)
-    p_over_n = params.P / params.n
-    km_sq_over_p = params.K[-1] ** 2 / params.P
-    beta_over_ln_n = dev / math.log(params.n)
+    n, P = params.n, params.P
+    c, dev, regime = _regime(n, b_vector(params)[0], window)
+    p_over_n = P / n
+    km_sq_over_p = params.K[-1] ** 2 / P
+    beta_over_ln_n = dev / math.log(n)
     flags: list[str] = []
     if p_over_n < MIN_POOL_PER_VERTEX:
         flags.append("pool_growth")
@@ -598,19 +607,10 @@ def diagnostics(params: ModelParams, window: float = CRITICAL_WINDOW) -> RegimeD
         flags.append("ring_size")
     if abs(beta_over_ln_n) > MAX_BETA_DRIFT:
         flags.append("beta_drift")
-    return RegimeDiagnostics(
-        p_over_n=p_over_n,
-        km_sq_over_p=km_sq_over_p,
-        beta_over_ln_n=beta_over_ln_n,
-        yagan_c=c,
-        flags=tuple(flags),
-        beta=dev,
-        regime=regime,
-        window=window,
-    )
+    return RegimeDiagnostics(p_over_n, km_sq_over_p, beta_over_ln_n, c, tuple(flags), dev, regime, window)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExactQuantities:
     """Every closed-form quantity for one parameter point.
 
@@ -626,6 +626,12 @@ class ExactQuantities:
     expected_group1_isolated: float
     cross_moment_ratio: float | None
 
+    def __init__(self, p, b, edge_prob, beta, expected_isolated, expected_group1_isolated,
+                 cross_moment_ratio) -> None:
+        self.__dict__.update(p=p, b=b, edge_prob=edge_prob, beta=beta, expected_isolated=expected_isolated,
+                             expected_group1_isolated=expected_group1_isolated,
+                             cross_moment_ratio=cross_moment_ratio)
+
 
 def exact_quantities(params: ModelParams) -> ExactQuantities:
     """Evaluate all closed forms at one parameter point; the edge
@@ -639,11 +645,11 @@ def exact_quantities(params: ModelParams) -> ExactQuantities:
     except (RegimeViolationError, InvalidParamsError):
         cmr = None
     return ExactQuantities(
-        p=tuple(tuple(1.0 - _no_overlap_ratio(P, Ki, Kj) for Kj in K) for Ki in K),
-        b=b,
-        edge_prob=math.fsum(ai * bi for ai, bi in zip(a, b)),
-        beta=_beta_from_b1(n, b[0]),
-        expected_isolated=e_j,
-        expected_group1_isolated=e_i,
-        cross_moment_ratio=cmr,
+        tuple([tuple([1.0 - _no_overlap_ratio(P, Ki, Kj) for Kj in K]) for Ki in K]),
+        b,
+        math.fsum([ai * bi for ai, bi in zip(a, b)]),
+        _beta_from_b1(n, b[0]),
+        e_j,
+        e_i,
+        cmr,
     )

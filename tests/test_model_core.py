@@ -30,13 +30,22 @@ from rigraph import (
 )
 import rigraph.model_core as model_core
 import rigraph.sweeps as sweeps
-from rigraph.model_core import _INT_FLOAT_MAX, _beta_from_b1, _ring_beta, _solver_inputs
+from rigraph.model_core import (
+    CRITICAL_WINDOW,
+    ExactQuantities,
+    RegimeDiagnostics,
+    _INT_FLOAT_MAX,
+    _beta_from_b1,
+    _ring_beta,
+    _solver_inputs,
+)
 from rigraph.oracle import enumerate_pair_prob
 from rigraph.sweeps import solve_k1_nearest
 
 import exact
 from conftest import small_params
 from reference_closed_forms import reference_exact_quantities
+from reference_diagnostics import reference_diagnostics
 from reference_solver import (
     bisect_solve_k1,
     bisect_solve_k1_nearest,
@@ -1131,10 +1140,10 @@ class TestExactQuantities:
 
 
 def _hex(value):
-    """Floats as ``.hex()`` strings, through nested tuples; None as is."""
+    """Floats as ``.hex()`` strings, through nested tuples; other values as is."""
     if isinstance(value, tuple):
         return tuple(_hex(x) for x in value)
-    return None if value is None else value.hex()
+    return value.hex() if isinstance(value, float) else value
 
 
 @st.composite
@@ -1165,6 +1174,100 @@ class TestExactQuantitiesOnePass:
         params = ModelParams(n=10, a=(0.2, 0.3, 0.5), K=(2, 3, 4), P=40)
         exact_quantities(params)
         assert looked_up == [params]
+
+
+class TestDiagnosticsOnePass:
+    @given(st.one_of(small_params(), wide_params()),
+           st.one_of(st.just(CRITICAL_WINDOW), st.floats(0.0, 0.2), st.floats(0.0, 1e3)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_bit_for_bit(self, params, window):
+        assert _hex(astuple(diagnostics(params, window))) == _hex(astuple(reference_diagnostics(params, window)))
+
+    def test_default_window(self):
+        params = ModelParams(n=1000, a=(0.5, 0.5), K=(3, 6), P=2000)
+        assert astuple(diagnostics(params)) == astuple(reference_diagnostics(params, CRITICAL_WINDOW))
+
+
+def _records():
+    params = ModelParams(n=50, a=(0.2, 0.3, 0.5), K=(2, 3, 5), P=400)
+    return [params, exact_quantities(params), diagnostics(params)]
+
+
+def _generated_twin(record):
+    """``record`` as an instance of a plain frozen dataclass with the same
+    name and fields, whose ``__init__`` the dataclass decorator wrote."""
+    cls = type(record)
+    twin = dataclasses.make_dataclass(cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)],
+                                      frozen=True)
+    return twin(*astuple(record))
+
+
+class TestRecordsStayFrozenDataclasses:
+    """The records fill their ``__dict__`` in one step; everything a caller
+    sees is still what a generated frozen dataclass gives."""
+
+    def test_field_order(self):
+        names = [[f.name for f in dataclasses.fields(r)] for r in _records()]
+        assert names == [
+            ["n", "a", "K", "P"],
+            ["p", "b", "edge_prob", "beta", "expected_isolated", "expected_group1_isolated",
+             "cross_moment_ratio"],
+            ["p_over_n", "km_sq_over_p", "beta_over_ln_n", "yagan_c", "flags", "beta", "regime", "window"],
+        ]
+
+    @pytest.mark.parametrize("index", range(3), ids=["ModelParams", "ExactQuantities", "RegimeDiagnostics"])
+    def test_matches_a_generated_frozen_dataclass(self, index):
+        record = _records()[index]
+        twin = _generated_twin(record)
+        assert repr(record) == repr(twin)
+        assert dataclasses.asdict(record) == dataclasses.asdict(twin)
+        assert astuple(record) == astuple(twin)
+        assert hash(record) == hash(twin)
+        assert vars(record) == vars(twin)
+
+    @pytest.mark.parametrize("index", range(3), ids=["ModelParams", "ExactQuantities", "RegimeDiagnostics"])
+    def test_equality_hash_and_pickle(self, index):
+        record, again = _records()[index], _records()[index]
+        assert record == again and hash(record) == hash(again)
+        assert record is not again
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and hash(back) == hash(record) and repr(back) == repr(record)
+        assert type(back) is type(record)
+
+    @pytest.mark.parametrize("index", range(3), ids=["ModelParams", "ExactQuantities", "RegimeDiagnostics"])
+    def test_fields_cannot_be_assigned_or_deleted(self, index):
+        record = _records()[index]
+        before = astuple(record)
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, f.name)
+        assert astuple(record) == before
+
+    def test_replace_and_construction_forms(self):
+        _, quantities, diag = _records()
+        for record in (quantities, diag):
+            cls = type(record)
+            values = astuple(record)
+            by_position = cls(*values)
+            by_keyword = cls(**dataclasses.asdict(record))
+            assert by_position == record and by_keyword == record
+            first = dataclasses.fields(cls)[0].name
+            replaced = dataclasses.replace(record, **{first: "x"})
+            assert astuple(replaced) == ("x", *values[1:])
+            assert replaced != record
+        assert dataclasses.replace(quantities, cross_moment_ratio=None).cross_moment_ratio is None
+        assert dataclasses.replace(diag, flags=("ring_size",)).flags == ("ring_size",)
+
+    def test_records_take_no_extra_or_missing_fields(self):
+        _, quantities, diag = _records()
+        with pytest.raises(TypeError):
+            ExactQuantities(*astuple(quantities)[:-1])
+        with pytest.raises(TypeError):
+            RegimeDiagnostics(*astuple(diag), "extra")
+        with pytest.raises(TypeError):
+            dataclasses.replace(diag, missing=1)
 
 
 # ---------------------------------------------------------------- float path against exact rationals
